@@ -3,9 +3,10 @@
 Each head maps a wild-type/mutant pair of embedding bundles to one
 predicted melting-temperature change. This script builds every head at a
 desk-friendly width, shows how differently sized they are, and checks a
-few structural behaviors: the ensemble is an exact mean, a self-mutation
-collapses the difference head, and swapping wild/mutant negates its
-feature vector.
+few structural behaviors through ``predict``, which gives every model's
+(y1, y2, y_ens) triple: the ensemble is an exact mean, a self-mutation
+collapses the difference head to its LayerNorm beta channels, and
+swapping wild/mutant negates its output around the bias.
 """
 
 import numpy as np
@@ -15,8 +16,6 @@ from meltshift import (
     HeadKind,
     build_ensemble,
     build_single_head,
-    head2_features,
-    project_and_fuse,
 )
 
 ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
@@ -41,15 +40,19 @@ y1, y2, y_ens = ensemble.predict(bw, bm)
 print(f"\nhead1={y1:+.4f}  head2={y2:+.4f}  ensemble={y_ens:+.4f}")
 print("mean check:", abs(y_ens - 0.5 * (y1 + y2)))
 
-# --- a self-mutation drives the difference head's inputs to zero -------
-cls_w, cls_m, a_w, a_m = project_and_fuse(bw, bw, ensemble.projection)
-dcls, dpos, _ = head2_features(cls_w, cls_m, a_w, a_m, ensemble.head2)
-print("\nself-mutation differences:",
-      float(np.abs(dcls).max()), float(np.abs(dpos).max()))
+# --- a single head is an ensemble of one: all three outputs agree ------
+print("mut_concat triple:",
+      build_single_head(HeadKind.MUT_CONCAT, 20, 16, seed=0).predict(bw, bm))
 
-# --- with unit gamma / zero beta, swapping (wt, mut) negates the feature
-cls_w, cls_m, a_w, a_m = project_and_fuse(bw, bm, ensemble.projection)
-_, _, feat = head2_features(cls_w, cls_m, a_w, a_m, ensemble.head2)
-_, _, feat_swapped = head2_features(cls_m, cls_w, a_m, a_w, ensemble.head2)
-print("swap antisymmetry residual:",
-      float(np.abs(feat + feat_swapped).max()))
+# --- a self-mutation zeroes the difference head's inputs, so its
+# LayerNorms output their beta channels alone ---------------------------
+h2 = ensemble.head2
+beta_only = h2.out.weight @ np.concatenate([h2.ln_cls.beta, h2.ln_pos.beta])
+print("\nself-mutation residual:",
+      abs(ensemble.predict(bw, bw).y2 - float((beta_only + h2.out.bias)[0])))
+
+# --- with unit gamma / zero beta, swapping (wt, mut) negates head2's
+# feature, so its output flips around the bias --------------------------
+b = float(h2.out.bias[0])
+y2, y2_swapped = ensemble.predict(bw, bm).y2, ensemble.predict(bm, bw).y2
+print("swap antisymmetry residual:", abs((y2 - b) + (y2_swapped - b)))

@@ -16,7 +16,6 @@ from .data import (
     Mutation,
     MutationRecord,
     apply_mutation,
-    format_mutation,
     load_dataset,
     parse_mutation,
     read_bundles,
@@ -41,15 +40,9 @@ from .heads import (
     HeadParams,
     SingleHeadModel,
     TrackProjection,
-    ablation_head_predict,
     build_ensemble,
     build_model,
     build_single_head,
-    ensemble_predict,
-    head1_predict,
-    head2_features,
-    head2_predict,
-    project_and_fuse,
 )
 from .metrics import MetricsReport, compute_report, format_report, mae, \
     pearson, rmse
@@ -81,6 +74,5 @@ from .trainer import (
     TrainResult,
     compute_losses,
     evaluate,
-    evaluate_models,
     train,
 )

@@ -24,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .heads import Model, build_model
+from .heads import MODEL_KINDS, Model, build_model
 from .optim import AdamState
 
 CKPT_MAGIC = b"MSCK"
 CKPT_VERSION = 1
+
+HEADER_KEYS = ("arrays", "kind", "d_raw", "d_proj", "modalities", "seed",
+               "ln_eps", "loss_weights")
 
 
 def canonical_json(obj) -> bytes:
@@ -48,20 +51,16 @@ class Checkpoint:
 
 def _model_meta(model: Model) -> dict:
     proj = model.projection
-    meta = {
+    weights = model.loss_weights
+    return {
         "kind": model.kind_name,
         "d_raw": proj.d_raw,
         "d_proj": proj.d_proj,
         "modalities": list(proj.modalities),
         "seed": model.seed,
+        "ln_eps": model.ln_eps,
+        "loss_weights": list(weights) if weights is not None else None,
     }
-    if model.kind_name == "ensemble":
-        meta["ln_eps"] = model.head1.eps
-        meta["loss_weights"] = list(model.loss_weights)
-    else:
-        meta["ln_eps"] = model.head.eps
-        meta["loss_weights"] = None
-    return meta
 
 
 def save_checkpoint(path, model: Model, config: dict | None = None,
@@ -107,6 +106,13 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise FormatError(f"{path}: header lacks {missing}")
+    if header["kind"] not in MODEL_KINDS:
+        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
 
     offset = 12 + header_len
     loaded: dict[str, np.ndarray] = {}

@@ -31,14 +31,11 @@ from .data import (
 )
 from .errors import ConfigError, DataError, MeltshiftError, NumericError
 from .gradcheck import GRAD_TOLERANCE, check_model
-from .heads import HeadKind, build_model
+from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
 from .splitter import load_clusters_tsv, read_split, split_clusters, \
     split_records, write_split
-from .trainer import TrainConfig, evaluate, train
-
-HEAD_CHOICES = ["ensemble"] + [k.value for k in HeadKind]
-
+from .trainer import TrainConfig, evaluate, train, validate
 
 def _file_digest(path) -> str:
     return sha256_hex(Path(path).read_bytes())
@@ -179,10 +176,11 @@ def cmd_train(args) -> int:
           f"final train loss {final.losses.l_total:.6f}")
     if result.val_ids:
         val_records = [r for r in records if r.protein_id in set(result.val_ids)]
-        ev = evaluate(result.model, val_records, bundles)
-        _write_eval_outputs(ev, rundir / "eval.json",
-                            rundir / "predictions.csv")
-        print(format_report(ev.report))
+        ev = validate(result.model, val_records, bundles, "final pass")
+        if ev is not None:
+            _write_eval_outputs(ev, rundir / "eval.json",
+                                rundir / "predictions.csv")
+            print(format_report(ev.report))
 
     inputs = [args.dataset, args.bundles] + ([args.split] if args.split else [])
     if args.config:
@@ -238,11 +236,7 @@ def cmd_predict(args) -> int:
         for vid in (wt_id, mut_id):
             if vid not in bundles:
                 raise DataError(f"no bundle for variant {vid}")
-        bw, bm = bundles[wt_id], bundles[mut_id]
-        if ckpt.model.kind_name == "ensemble":
-            y1, y2, y_ens = ckpt.model.predict(bw, bm)
-        else:
-            y1 = y2 = y_ens = ckpt.model.predict(bw, bm)
+        y1, y2, y_ens = ckpt.model.predict(bundles[wt_id], bundles[mut_id])
         writer.writerow([pid, code, repr(y1), repr(y2), repr(y_ens)])
     return 0
 
@@ -322,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--split", help="split manifest from prepare-split")
     p.add_argument("--config", help="JSON config file (flags win)")
-    p.add_argument("--head", choices=HEAD_CHOICES)
+    p.add_argument("--head", choices=MODEL_KINDS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-lr", type=float)
@@ -351,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="verify analytic gradients against finite differences")
-    p.add_argument("--head", default="ensemble", choices=HEAD_CHOICES)
+    p.add_argument("--head", default="ensemble", choices=MODEL_KINDS)
     p.add_argument("--d", type=int, default=8, help="projection width")
     p.add_argument("--d-raw", type=int, help="raw width (default d+3)")
     p.add_argument("--seed", type=int, default=0)

@@ -82,10 +82,6 @@ def parse_mutation(code: str) -> Mutation:
         raise DataError(f"bad mutation code {code!r}: {exc}") from None
 
 
-def format_mutation(mu: Mutation) -> str:
-    return mu.code
-
-
 def apply_mutation(seq: str, mu: Mutation) -> str:
     """Substitute the residue at the mutation position (1-based)."""
     if mu.position > len(seq):
@@ -273,7 +269,11 @@ def read_bundles(path) -> dict[str, EmbeddingBundle]:
         offset += 2
         if offset + id_len + 1 + vec_bytes > len(data):
             raise FormatError(f"{path}: truncated record at offset {offset}")
-        vid = data[offset : offset + id_len].decode("utf-8")
+        try:
+            vid = data[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(
+                f"{path}: variant id is not UTF-8 at offset {offset}") from None
         offset += id_len
         tag = data[offset]
         offset += 1

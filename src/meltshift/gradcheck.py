@@ -69,7 +69,10 @@ def compare_grads(analytic: dict[str, Array],
     for name in sorted(analytic):
         a, f = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), REL_ERR_FLOOR)
-        err = np.abs(a - f) / denom
+        with np.errstate(invalid="ignore"):  # inf / inf
+            err = np.abs(a - f) / denom
+        # a NaN would lose every comparison below and pass as no error
+        err[~np.isfinite(err)] = np.inf
         n += err.size
         idx = np.unravel_index(np.argmax(err), err.shape)
         if err[idx] >= worst:

@@ -14,7 +14,8 @@ modalities. Heads consume these fused vectors:
   mix ``alpha * x_w + beta * x_m`` followed by a linear output.
 
 The ensemble model runs head1 and head2 on one shared projection and
-averages their predictions.
+averages their predictions. Both model classes share one interface: a
+single head is an ensemble of one, predicting ``(y, y, y)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .data import EmbeddingBundle
 from .errors import ConfigError, DataError
-from .tape import DEFAULT_LAYERNORM_EPS, Array, Node, Tape, as_vector
+from .tape import DEFAULT_LAYERNORM_EPS, Array, Node, Tape
 
 
 class HeadKind(str, enum.Enum):
@@ -105,23 +106,23 @@ class TrackProjection:
 
     @classmethod
     def create(cls, modalities: tuple[str, ...], d_raw: int, d_proj: int,
-               rng: np.random.Generator, *, cls_roles: bool = False,
-               pos_roles: bool = False, avg_role: bool = False):
+               rng: np.random.Generator, suffixes: tuple[str, ...]):
+        """One layer per role behind the fused vectors named by ``suffixes``."""
         if d_raw < 1 or d_proj < 1:
             raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
         if not modalities:
             raise ConfigError("projection needs at least one modality")
-        roles: list[str] = []
-        for m in modalities:
-            if cls_roles:
-                roles.append(f"{m}_cls")
-            if pos_roles:
-                roles.append(f"{m}_pos")
-        if avg_role:
-            roles.append("avg")
-        layers = {role: LinearParams.create(d_proj, d_raw, rng)
-                  for role in sorted(roles)}
-        return cls(tuple(modalities), d_raw, d_proj, layers)
+        proj = cls(tuple(modalities), d_raw, d_proj, {})
+        roles = sorted(r for suffix in suffixes for r in proj.roles(suffix))
+        proj.layers = {role: LinearParams.create(d_proj, d_raw, rng)
+                       for role in roles}
+        return proj
+
+    def roles(self, suffix: str) -> list[str]:
+        """Track roles behind one fused vector: ``avg``, or one per modality."""
+        if suffix == "avg":
+            return ["avg"]
+        return [f"{m}_{suffix}" for m in self.modalities]
 
     def named_parameters(self, prefix: str = "proj") -> Iterator[tuple[str, Array]]:
         for role in sorted(self.layers):
@@ -137,39 +138,34 @@ class TrackProjection:
         return tape.linear(W, x, b)
 
     def fuse(self, tape: Tape, bundle: EmbeddingBundle, suffix: str) -> Node:
-        """Concatenate per-modality projections of the cls or pos tracks."""
-        parts = [self.project(tape, bundle, f"{m}_{suffix}")
-                 for m in self.modalities]
+        """Concatenate the projections of the roles behind ``suffix``."""
+        parts = [self.project(tape, bundle, role) for role in self.roles(suffix)]
         return parts[0] if len(parts) == 1 else tape.concat(parts)
 
 
-def _check_track_pair(bundle_w: EmbeddingBundle, bundle_m: EmbeddingBundle,
-                      roles: list[str]) -> None:
-    for role in roles:
-        in_w = role in bundle_w.tracks
-        in_m = role in bundle_m.tracks
-        if in_w != in_m:
-            missing = bundle_m if in_w else bundle_w
-            raise DataError(
-                f"track-set mismatch: {missing.variant_id} lacks {role!r}"
-            )
-        if not in_w:
-            raise DataError(
-                f"{bundle_w.variant_id}/{bundle_m.variant_id}: missing track {role!r}"
-            )
+def fuse_pair(tape: Tape, proj: TrackProjection, bundle_w: EmbeddingBundle,
+              bundle_m: EmbeddingBundle, suffixes: tuple[str, ...]) -> list[Node]:
+    """Fused wild-type and mutant vectors, ``(w, m)`` per suffix in tape order.
 
-
-def project_and_fuse(bundle_w: EmbeddingBundle, bundle_m: EmbeddingBundle,
-                     proj: TrackProjection) -> tuple[Array, Array, Array, Array]:
-    """Fused (cls_w, cls_m, a_w, a_m) vectors; width = n_modalities * d_proj."""
-    roles = [f"{m}_{s}" for m in proj.modalities for s in ("cls", "pos")]
-    _check_track_pair(bundle_w, bundle_m, roles)
-    tape = Tape()
-    cls_w = proj.fuse(tape, bundle_w, "cls")
-    cls_m = proj.fuse(tape, bundle_m, "cls")
-    a_w = proj.fuse(tape, bundle_w, "pos")
-    a_m = proj.fuse(tape, bundle_m, "pos")
-    return cls_w.value, cls_m.value, a_w.value, a_m.value
+    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every track role
+    behind them must be on both bundles; roles are checked modality by
+    modality before anything is projected.
+    """
+    for roles in zip(*(proj.roles(s) for s in suffixes)):
+        for role in roles:
+            in_w = role in bundle_w.tracks
+            in_m = role in bundle_m.tracks
+            if in_w != in_m:
+                missing = bundle_m if in_w else bundle_w
+                raise DataError(
+                    f"track-set mismatch: {missing.variant_id} lacks {role!r}"
+                )
+            if not in_w:
+                raise DataError(
+                    f"{bundle_w.variant_id}/{bundle_m.variant_id}: "
+                    f"missing track {role!r}"
+                )
+    return [proj.fuse(tape, b, s) for s in suffixes for b in (bundle_w, bundle_m)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,69 +269,42 @@ def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, params: HeadParams,
     return tape.linear(Wo, mixed, bo)
 
 
-# ---------------------------------------------------------------------------
-# float-level prediction API
+# per single-head kind: the fused vectors it reads, and its forward pass
+SINGLE_HEADS = {
+    HeadKind.HEAD1_OUTER: (("pos",), head1_forward),
+    HeadKind.HEAD2_LNDIFF: (("cls", "pos"), head2_forward),
+    HeadKind.MUT_CONCAT: (("pos",), mut_concat_forward),
+    HeadKind.MUT_LINCOMB: (("pos",), lincomb_forward),
+    HeadKind.CLS_LINCOMB: (("cls",), lincomb_forward),
+    HeadKind.AVGPOOL_LINCOMB: (("avg",), lincomb_forward),
+}
 
-
-def head1_predict(a_w, a_m, params: HeadParams) -> float:
-    tape = Tape()
-    y = head1_forward(tape, tape.leaf(as_vector(a_w, "a_w")),
-                      tape.leaf(as_vector(a_m, "a_m")), params)
-    return float(y.value[0])
-
-
-def head2_predict(cls_w, cls_m, a_w, a_m, params: HeadParams) -> float:
-    tape = Tape()
-    y = head2_forward(tape,
-                      tape.leaf(as_vector(cls_w, "cls_w")),
-                      tape.leaf(as_vector(cls_m, "cls_m")),
-                      tape.leaf(as_vector(a_w, "a_w")),
-                      tape.leaf(as_vector(a_m, "a_m")), params)
-    return float(y.value[0])
-
-
-def head2_features(cls_w, cls_m, a_w, a_m,
-                   params: HeadParams) -> tuple[Array, Array, Array]:
-    """Intermediates of head2: (cls difference, pos difference, pre-linear feature)."""
-    tape = Tape()
-    dcls = tape.sub(tape.leaf(as_vector(cls_w, "cls_w")),
-                    tape.leaf(as_vector(cls_m, "cls_m")))
-    dpos = tape.sub(tape.leaf(as_vector(a_w, "a_w")),
-                    tape.leaf(as_vector(a_m, "a_m")))
-    gc, bc = params.ln_cls.bind(tape, "head.ln_cls")
-    gp, bp = params.ln_pos.bind(tape, "head.ln_pos")
-    feature = tape.concat([tape.layernorm(dcls, gc, bc, params.eps),
-                           tape.layernorm(dpos, gp, bp, params.eps)])
-    return dcls.value, dpos.value, feature.value
-
-
-def ablation_head_predict(kind: HeadKind, inputs, params: HeadParams) -> float:
-    """Predict with one ablation head; ``inputs`` is (x_w, x_m) for its track."""
-    kind = HeadKind(kind)
-    if params.kind != kind:
-        raise ConfigError(f"params are {params.kind}, requested {kind}")
-    x_w, x_m = (as_vector(v, n) for v, n in zip(inputs, ("x_w", "x_m")))
-    tape = Tape()
-    nodes = tape.leaf(x_w), tape.leaf(x_m)
-    if kind == HeadKind.MUT_CONCAT:
-        y = mut_concat_forward(tape, *nodes, params)
-    elif kind in LINCOMB_KINDS:
-        y = lincomb_forward(tape, *nodes, params)
-    else:
-        raise ConfigError(f"{kind} is not an ablation head")
-    return float(y.value[0])
+MODEL_KINDS = ("ensemble",) + tuple(k.value for k in HeadKind)
 
 
 # ---------------------------------------------------------------------------
 # models
 
 
-def _batch_mean(tape: Tape, items: list[Node]) -> Node:
-    return tape.mean_scalars(items)
+class _ModelBase:
+    """The interface both models share: a single head is an ensemble of one.
+
+    ``forward_nodes`` gives the (y1, y2, y_ens) nodes of one pair, and
+    ``batch_loss`` reports the ``head1``, ``head2``, ``ensemble`` and
+    ``total`` loss terms.
+    """
+
+    def param_count(self) -> int:
+        return sum(arr.size for _, arr in self.named_parameters())
+
+    def predict(self, bundle_w: EmbeddingBundle,
+                bundle_m: EmbeddingBundle) -> EnsemblePrediction:
+        nodes = self.forward_nodes(Tape(), bundle_w, bundle_m)
+        return EnsemblePrediction(*(float(y.value[0]) for y in nodes))
 
 
 @dataclass
-class EnsembleModel:
+class EnsembleModel(_ModelBase):
     """Shared projection feeding head1 and head2; prediction is their mean."""
 
     projection: TrackProjection
@@ -346,33 +315,23 @@ class EnsembleModel:
 
     kind_name = "ensemble"
 
+    @property
+    def ln_eps(self) -> float:
+        return self.head1.eps
+
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters("proj")
         yield from self.head1.named_parameters("head1")
         yield from self.head2.named_parameters("head2")
 
-    def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_parameters())
-
     def forward_nodes(self, tape: Tape, bundle_w: EmbeddingBundle,
                       bundle_m: EmbeddingBundle) -> tuple[Node, Node, Node]:
-        roles = [f"{m}_{s}" for m in self.projection.modalities
-                 for s in ("cls", "pos")]
-        _check_track_pair(bundle_w, bundle_m, roles)
-        cls_w = self.projection.fuse(tape, bundle_w, "cls")
-        cls_m = self.projection.fuse(tape, bundle_m, "cls")
-        a_w = self.projection.fuse(tape, bundle_w, "pos")
-        a_m = self.projection.fuse(tape, bundle_m, "pos")
+        cls_w, cls_m, a_w, a_m = fuse_pair(tape, self.projection, bundle_w,
+                                           bundle_m, ("cls", "pos"))
         y1 = head1_forward(tape, a_w, a_m, self.head1, "head1")
         y2 = head2_forward(tape, cls_w, cls_m, a_w, a_m, self.head2, "head2")
         y_ens = tape.const_scale(0.5, tape.add(y1, y2))
         return y1, y2, y_ens
-
-    def predict(self, bundle_w: EmbeddingBundle,
-                bundle_m: EmbeddingBundle) -> EnsemblePrediction:
-        y1, y2, y_ens = self.forward_nodes(Tape(), bundle_w, bundle_m)
-        return EnsemblePrediction(float(y1.value[0]), float(y2.value[0]),
-                                  float(y_ens.value[0]))
 
     def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
         """Mean per-head MSE terms plus the halved ensemble term.
@@ -388,9 +347,9 @@ class EnsembleModel:
             items1.append(tape.mse(y1, target))
             items2.append(tape.mse(y2, target))
             items_e.append(tape.const_scale(0.5, tape.mse(y_ens, target)))
-        l1 = _batch_mean(tape, items1)
-        l2 = _batch_mean(tape, items2)
-        le = _batch_mean(tape, items_e)
+        l1 = tape.mean_scalars(items1)
+        l2 = tape.mean_scalars(items2)
+        le = tape.mean_scalars(items_e)
         w1, w2, we = self.loss_weights
         total = tape.add(tape.add(tape.const_scale(w1, l1),
                                   tape.const_scale(w2, l2)),
@@ -405,87 +364,48 @@ class EnsembleModel:
 
 
 @dataclass
-class SingleHeadModel:
+class SingleHeadModel(_ModelBase):
     """One projection plus one head; used for the ablation architectures."""
 
     projection: TrackProjection
     head: HeadParams
     seed: int = 0
 
+    loss_weights = None
+
     @property
     def kind_name(self) -> str:
         return self.head.kind.value
+
+    @property
+    def ln_eps(self) -> float:
+        return self.head.eps
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters("proj")
         yield from self.head.named_parameters("head")
 
-    def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_parameters())
-
-    def _inputs(self, tape: Tape, bundle_w: EmbeddingBundle,
-                bundle_m: EmbeddingBundle) -> dict[str, Node]:
-        kind = self.head.kind
-        proj = self.projection
-        if kind == HeadKind.AVGPOOL_LINCOMB:
-            _check_track_pair(bundle_w, bundle_m, ["avg"])
-            return {"x_w": proj.project(tape, bundle_w, "avg"),
-                    "x_m": proj.project(tape, bundle_m, "avg")}
-        if kind == HeadKind.CLS_LINCOMB:
-            roles = [f"{m}_cls" for m in proj.modalities]
-            _check_track_pair(bundle_w, bundle_m, roles)
-            return {"x_w": proj.fuse(tape, bundle_w, "cls"),
-                    "x_m": proj.fuse(tape, bundle_m, "cls")}
-        if kind in (HeadKind.HEAD1_OUTER, HeadKind.MUT_CONCAT,
-                    HeadKind.MUT_LINCOMB):
-            roles = [f"{m}_pos" for m in proj.modalities]
-            _check_track_pair(bundle_w, bundle_m, roles)
-            return {"x_w": proj.fuse(tape, bundle_w, "pos"),
-                    "x_m": proj.fuse(tape, bundle_m, "pos")}
-        # head2 needs both cls and pos tracks
-        roles = [f"{m}_{s}" for m in proj.modalities for s in ("cls", "pos")]
-        _check_track_pair(bundle_w, bundle_m, roles)
-        return {"cls_w": proj.fuse(tape, bundle_w, "cls"),
-                "cls_m": proj.fuse(tape, bundle_m, "cls"),
-                "x_w": proj.fuse(tape, bundle_w, "pos"),
-                "x_m": proj.fuse(tape, bundle_m, "pos")}
-
-    def forward_node(self, tape: Tape, bundle_w: EmbeddingBundle,
-                     bundle_m: EmbeddingBundle) -> Node:
-        kind = self.head.kind
-        nodes = self._inputs(tape, bundle_w, bundle_m)
-        if kind == HeadKind.HEAD1_OUTER:
-            return head1_forward(tape, nodes["x_w"], nodes["x_m"], self.head)
-        if kind == HeadKind.HEAD2_LNDIFF:
-            return head2_forward(tape, nodes["cls_w"], nodes["cls_m"],
-                                 nodes["x_w"], nodes["x_m"], self.head)
-        if kind == HeadKind.MUT_CONCAT:
-            return mut_concat_forward(tape, nodes["x_w"], nodes["x_m"], self.head)
-        return lincomb_forward(tape, nodes["x_w"], nodes["x_m"], self.head)
-
-    def predict(self, bundle_w: EmbeddingBundle,
-                bundle_m: EmbeddingBundle) -> float:
-        y = self.forward_node(Tape(), bundle_w, bundle_m)
-        return float(y.value[0])
+    def forward_nodes(self, tape: Tape, bundle_w: EmbeddingBundle,
+                      bundle_m: EmbeddingBundle) -> tuple[Node, Node, Node]:
+        suffixes, forward = SINGLE_HEADS[self.head.kind]
+        inputs = fuse_pair(tape, self.projection, bundle_w, bundle_m, suffixes)
+        y = forward(tape, *inputs, self.head)
+        return y, y, y
 
     def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
+        """Mean MSE of the one head, reported as the ``head1`` term."""
         if not samples:
             raise ConfigError("batch_loss: empty batch")
         items = []
         for bundle_w, bundle_m, label in samples:
-            y = self.forward_node(tape, bundle_w, bundle_m)
+            y, _, _ = self.forward_nodes(tape, bundle_w, bundle_m)
             items.append(tape.mse(y, np.array([float(label)])))
-        total = _batch_mean(tape, items)
-        return total, {"head": float(total.value[0]),
-                       "total": float(total.value[0])}
+        total = tape.mean_scalars(items)
+        mse = float(total.value[0])
+        return total, {"head1": mse, "head2": 0.0, "ensemble": 0.0, "total": mse}
 
 
 Model = EnsembleModel | SingleHeadModel
-
-
-def ensemble_predict(bundle_w: EmbeddingBundle, bundle_m: EmbeddingBundle,
-                     model: EnsembleModel) -> EnsemblePrediction:
-    return model.predict(bundle_w, bundle_m)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +417,7 @@ def build_ensemble(d_raw: int, d_proj: int, seed: int,
                    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
                    ln_eps: float = DEFAULT_LAYERNORM_EPS) -> EnsembleModel:
     rng = np.random.default_rng(seed)
-    proj = TrackProjection.create(modalities, d_raw, d_proj, rng,
-                                  cls_roles=True, pos_roles=True)
+    proj = TrackProjection.create(modalities, d_raw, d_proj, rng, ("cls", "pos"))
     width = len(modalities) * d_proj
     head1 = HeadParams.create(HeadKind.HEAD1_OUTER, width, rng, eps=ln_eps)
     head2 = HeadParams.create(HeadKind.HEAD2_LNDIFF, width, rng,
@@ -511,14 +430,9 @@ def build_single_head(kind: HeadKind, d_raw: int, d_proj: int, seed: int,
                       ln_eps: float = DEFAULT_LAYERNORM_EPS) -> SingleHeadModel:
     kind = HeadKind(kind)
     rng = np.random.default_rng(seed)
-    needs_cls = kind in (HeadKind.HEAD2_LNDIFF, HeadKind.CLS_LINCOMB)
-    needs_pos = kind in (HeadKind.HEAD1_OUTER, HeadKind.HEAD2_LNDIFF,
-                         HeadKind.MUT_CONCAT, HeadKind.MUT_LINCOMB)
-    needs_avg = kind == HeadKind.AVGPOOL_LINCOMB
-    proj = TrackProjection.create(modalities, d_raw, d_proj, rng,
-                                  cls_roles=needs_cls, pos_roles=needs_pos,
-                                  avg_role=needs_avg)
-    width = d_proj if needs_avg else len(modalities) * d_proj
+    suffixes, _ = SINGLE_HEADS[kind]
+    proj = TrackProjection.create(modalities, d_raw, d_proj, rng, suffixes)
+    width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
     head = HeadParams.create(kind, width, rng, width_cls=width, eps=ln_eps)
     return SingleHeadModel(proj, head, seed=seed)
 

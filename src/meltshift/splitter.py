@@ -50,6 +50,8 @@ class SplitAssignment:
 
 def kmer_set(seq: str, k: int = DEFAULT_KMER) -> frozenset[str]:
     """All length-k substrings; sequences shorter than k hash whole."""
+    if k < 1:
+        raise ConfigError(f"k-mer length must be >= 1, got {k}")
     if not seq:
         raise DataError("empty sequence")
     if len(seq) < k:

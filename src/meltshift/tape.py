@@ -27,26 +27,6 @@ Array = np.ndarray
 DEFAULT_LAYERNORM_EPS = 1e-5
 
 
-def as_vector(x, what: str = "vector") -> Array:
-    """Coerce to a finite 1-D float64 array of positive length."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ConfigError(f"{what}: expected nonempty 1-D array, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"{what}: contains non-finite entries")
-    return v
-
-
-def as_matrix(x, what: str = "matrix") -> Array:
-    """Coerce to a finite 2-D float64 array with positive dimensions."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ConfigError(f"{what}: expected nonempty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError(f"{what}: contains non-finite entries")
-    return m
-
-
 class Node:
     """One value in the computation graph. Leaves may carry a name."""
 
@@ -292,6 +272,8 @@ class Tape:
 
         Returns gradients for every named leaf (zeros if the forward never
         touched it). Unnamed leaves keep their gradient on ``node.grad``.
+        Gradients are not checked for finiteness here: the training step
+        checks them once, in ``optim.clip_global_norm``.
         """
         if self._consumed:
             raise StateError("backward already ran on this tape")
@@ -311,7 +293,5 @@ class Tape:
             if node.name is None:
                 continue
             g = node.grad if node.grad is not None else np.zeros_like(node.value)
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for parameter {node.name!r}")
             grads[node.name] = g
         return grads

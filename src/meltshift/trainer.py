@@ -93,8 +93,6 @@ class LossBreakdown:
 
     @classmethod
     def from_components(cls, parts: dict[str, float]) -> "LossBreakdown":
-        if "head" in parts:
-            return cls(parts["head"], 0.0, 0.0, parts["total"])
         return cls(parts["head1"], parts["head2"], parts["ensemble"],
                    parts["total"])
 
@@ -248,11 +246,8 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
         mean_parts = {k: v / n_train for k, v in epoch_parts.items()}
         val_report = None
         if val_records:
-            try:
-                val_report = evaluate(model, val_records, bundles).report
-            except NumericError as exc:
-                logger.warning("epoch %d: validation metrics undefined (%s)",
-                               epoch, exc)
+            ev = validate(model, val_records, bundles, f"epoch {epoch}")
+            val_report = ev.report if ev is not None else None
         history.append(EpochStats(epoch, LossBreakdown.from_components(mean_parts),
                                   val_report))
 
@@ -268,8 +263,8 @@ def evaluate(model: Model, records, bundles: dict[str, EmbeddingBundle],
              skip_missing: bool = True) -> EvalResult:
     """Predict every record and score; missing bundles are listed, never silent.
 
-    Single-head models fill all three prediction columns with their one
-    output (an ensemble of one).
+    Rows carry the (y1, y2, y_ens) triple; a single head fills all three
+    with its one output. The report scores ``y_ens``.
     """
     rows: list[PredictionRow] = []
     skipped: list[str] = []
@@ -281,12 +276,7 @@ def evaluate(model: Model, records, bundles: dict[str, EmbeddingBundle],
                 raise DataError(f"missing bundles: {absent}")
             skipped.extend(absent)
             continue
-        bw, bm = _bundle_pair(r, bundles)
-        if model.kind_name == "ensemble":
-            y1, y2, y_ens = model.predict(bw, bm)
-        else:
-            y = model.predict(bw, bm)
-            y1 = y2 = y_ens = y
+        y1, y2, y_ens = model.predict(*_bundle_pair(r, bundles))
         rows.append(PredictionRow(r.protein_id, r.mutation.code, r.dtm,
                                   y1, y2, y_ens))
     if skipped:
@@ -298,31 +288,15 @@ def evaluate(model: Model, records, bundles: dict[str, EmbeddingBundle],
     return EvalResult(report, rows, sorted(set(skipped)))
 
 
-def evaluate_models(models, records, bundles: dict[str, EmbeddingBundle],
-                    skip_missing: bool = True) -> EvalResult:
-    """Seed-ensemble evaluation: average predictions over several models.
+def validate(model: Model, records, bundles: dict[str, EmbeddingBundle],
+             when: str) -> EvalResult | None:
+    """Evaluate a validation side; None when its metrics are undefined.
 
-    Optional alternative to the default two-head ensemble of one model,
-    e.g. for models trained with different seeds. Prediction columns are
-    the per-model means.
+    ``pearson`` raises ConfigError below two records and NumericError on
+    constant predictions or labels; either is logged as a warning.
     """
-    if not models:
-        raise ConfigError("evaluate_models needs at least one model")
-    results = [evaluate(m, records, bundles, skip_missing) for m in models]
-    base = results[0]
-    for other in results[1:]:
-        if [(r.protein_id, r.mutation) for r in other.rows] != \
-           [(r.protein_id, r.mutation) for r in base.rows]:
-            raise DataError("models disagree on evaluable records")
-    n = len(models)
-    rows = [
-        PredictionRow(
-            r0.protein_id, r0.mutation, r0.label,
-            sum(res.rows[i].y1 for res in results) / n,
-            sum(res.rows[i].y2 for res in results) / n,
-            sum(res.rows[i].y_ens for res in results) / n,
-        )
-        for i, r0 in enumerate(base.rows)
-    ]
-    report = compute_report([r.y_ens for r in rows], [r.label for r in rows])
-    return EvalResult(report, rows, base.skipped)
+    try:
+        return evaluate(model, records, bundles)
+    except (ConfigError, NumericError) as exc:
+        logger.warning("%s: validation metrics undefined (%s)", when, exc)
+        return None

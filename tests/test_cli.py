@@ -1,9 +1,14 @@
 import json
+import logging
+import struct
 
 import pytest
 
+from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
 from meltshift.data import read_bundles, write_dataset
+from meltshift.errors import FormatError
+from meltshift.heads import build_model
 from meltshift.splitter import read_split
 
 from conftest import random_records
@@ -47,6 +52,12 @@ class TestPrepareSplit:
         assert run("prepare-split", dataset_path, "--out", a, "--seed", 9) == 0
         assert run("prepare-split", dataset_path, "--out", b, "--seed", 9) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_kmer_below_one_is_config_error(self, dataset_path, tmp_path, k):
+        out = tmp_path / "s.csv"
+        assert run("prepare-split", dataset_path, "--out", out, "--kmer", k) == 2
+        assert not out.exists()
 
     def test_clusters_tsv_import(self, three_record_dataset, tmp_path):
         records = random_records(3, 1, seed=7)
@@ -150,6 +161,52 @@ class TestTrainEvalPredict:
                    "--max-lr", 1e-2, "--seed", 1) == 0
         # no validation side -> no eval artifacts
         assert not (rundir / "eval.json").exists()
+
+
+    def test_one_validation_mutation_still_finishes(self, tmp_path, caplog):
+        # the validation side holds one mutation, so pearson is undefined
+        records = random_records(5, 1, seed=3)
+        dataset, bundles = tmp_path / "d.csv", tmp_path / "b.dtme"
+        write_dataset(dataset, records)
+        split = tmp_path / "split.csv"
+        split.write_text("protein_id,split,cluster_rep\n" + "".join(
+            f"{r.protein_id},{'val' if i == 0 else 'train'},{r.protein_id}\n"
+            for i, r in enumerate(records)))
+        assert run("synth-embed", dataset, "--out", bundles, "--d-raw", 6) == 0
+        rundir = tmp_path / "run"
+        with caplog.at_level(logging.WARNING):
+            assert run("train", dataset, bundles, "--out", rundir, "--split",
+                       split, "--epochs", 2, "--d-proj", 4, "--max-lr", 1e-2) == 0
+        assert (rundir / "checkpoint.bin").exists()
+        history = json.loads((rundir / "history.json").read_text())
+        assert [e["val"] for e in history] == [None, None]
+        assert not (rundir / "eval.json").exists()
+        assert "validation metrics undefined" in caplog.text
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    header = json.dumps(edit(json.loads(blob[12:12 + n]))).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                     + blob[12 + n:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    lambda h: {k: v for k, v in h.items() if k != "kind"},
+    lambda h: {**h, "kind": "bogus"},
+    lambda h: [h],
+], ids=["no_arrays", "no_kind", "bogus_kind", "not_an_object"])
+def test_bad_checkpoint_header_is_data_error(edit, tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model("ensemble", 6, 4, 0))
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+    assert run("predict", path, tmp_path / "b.dtme", "--mutations",
+               "P000:A1C") == 3
+    assert "data error" in capsys.readouterr().err
 
 
 class TestPipelineDeterminism:

@@ -11,7 +11,6 @@ from meltshift.data import (
     Mutation,
     MutationRecord,
     apply_mutation,
-    format_mutation,
     load_dataset,
     parse_mutation,
     read_bundles,
@@ -47,7 +46,7 @@ class TestParseMutation:
     )
     def test_parse_format_roundtrip(self, pos, pair):
         mu = Mutation(pos, pair[0], pair[1])
-        assert parse_mutation(format_mutation(mu)) == mu
+        assert parse_mutation(mu.code) == mu
 
 
 class TestApplyMutation:
@@ -189,6 +188,15 @@ class TestBundleFormat:
         blob = b"DTME" + struct.pack("<III", 1, 2, 2) + rec + rec
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="duplicate"):
+            read_bundles(path)
+
+    def test_non_utf8_variant_id_reports_offset(self, tmp_path):
+        path = tmp_path / "u.dtme"
+        ident = b"\xff\xfe"
+        rec = struct.pack("<H", len(ident)) + ident + struct.pack("<B", 0)
+        rec += np.ones(2, dtype="<f4").tobytes()
+        path.write_bytes(b"DTME" + struct.pack("<III", 1, 2, 1) + rec)
+        with pytest.raises(FormatError, match="UTF-8 at offset 18"):
             read_bundles(path)
 
     def test_unsupported_version(self, tmp_path):

@@ -9,16 +9,16 @@ from meltshift.heads import (
     HeadParams,
     LinearParams,
     TrackProjection,
-    ablation_head_predict,
     build_ensemble,
     build_model,
     build_single_head,
-    ensemble_predict,
-    head1_predict,
-    head2_features,
-    head2_predict,
-    project_and_fuse,
+    fuse_pair,
+    head1_forward,
+    head2_forward,
+    lincomb_forward,
+    mut_concat_forward,
 )
+from meltshift.tape import Tape
 
 SEQ_ROLES = ("seq_cls", "seq_pos")
 ALL_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
@@ -34,41 +34,62 @@ def identity_projection(d, roles):
     return TrackProjection(("seq",), d, d, layers)
 
 
+def fused_values(bw, bm, proj):
+    """(cls_w, cls_m, a_w, a_m) as arrays."""
+    return [n.value for n in fuse_pair(Tape(), proj, bw, bm, ("cls", "pos"))]
+
+
+def run_head(forward, params, *inputs):
+    """Scalar prediction of a tape-level head forward on plain vectors."""
+    tape = Tape()
+    y = forward(tape, *(tape.leaf(np.asarray(x, dtype=float)) for x in inputs),
+                params)
+    return float(y.value[0])
+
+
+def head2_intermediates(params, cls_w, cls_m, a_w, a_m):
+    """(cls difference, pos difference, pre-linear feature) off head2's tape."""
+    tape = Tape()
+    head2_forward(tape, *(tape.leaf(x) for x in (cls_w, cls_m, a_w, a_m)),
+                  params)
+    # records: sub, layernorm (cls); sub, layernorm (pos); concat; linear
+    values = [out.value for out, _, _ in tape._records]
+    return values[0], values[2], values[4]
+
+
 class TestProjectAndFuse:
     def test_single_track_width(self):
         proj = TrackProjection.create(("seq",), 12, 8, np.random.default_rng(0),
-                                      cls_roles=True, pos_roles=True)
+                                      ("cls", "pos"))
         bw = random_bundle("X:WT", 12, 1, SEQ_ROLES)
         bm = random_bundle("X:M", 12, 2, SEQ_ROLES)
-        out = project_and_fuse(bw, bm, proj)
+        out = fused_values(bw, bm, proj)
         assert all(v.shape == (8,) for v in out)
 
     def test_two_track_width_is_2_dproj(self):
         proj = TrackProjection.create(("struct", "seq"), 12, 8,
-                                      np.random.default_rng(0),
-                                      cls_roles=True, pos_roles=True)
+                                      np.random.default_rng(0), ("cls", "pos"))
         bw = random_bundle("X:WT", 12, 1)
         bm = random_bundle("X:M", 12, 2)
-        out = project_and_fuse(bw, bm, proj)
+        out = fused_values(bw, bm, proj)
         assert all(v.shape == (16,) for v in out)
 
     def test_identity_projection_returns_raw(self):
         proj = identity_projection(5, SEQ_ROLES)
         bw = random_bundle("X:WT", 5, 1, SEQ_ROLES)
         bm = random_bundle("X:M", 5, 2, SEQ_ROLES)
-        cls_w, cls_m, a_w, a_m = project_and_fuse(bw, bm, proj)
+        cls_w, cls_m, a_w, a_m = fused_values(bw, bm, proj)
         assert np.array_equal(cls_w, bw.tracks["seq_cls"])
         assert np.array_equal(cls_m, bm.tracks["seq_cls"])
         assert np.array_equal(a_w, bw.tracks["seq_pos"])
         assert np.array_equal(a_m, bm.tracks["seq_pos"])
 
     def test_track_set_mismatch_names_variant_and_track(self):
-        proj = TrackProjection.create(("seq",), 5, 4, np.random.default_rng(0),
-                                      cls_roles=True, pos_roles=True)
+        model = build_ensemble(d_raw=5, d_proj=4, seed=0)
         bw = random_bundle("X:WT", 5, 1, SEQ_ROLES)
         bm = random_bundle("X:M", 5, 2, ("seq_cls",))
         with pytest.raises(DataError, match=r"X:M.*seq_pos"):
-            project_and_fuse(bw, bm, proj)
+            model.predict(bw, bm)
 
 
 def head1_oracle(a_w, a_m, p):
@@ -94,7 +115,7 @@ class TestHead1:
         p.mix.bias[:] = rng.normal(size=4)
         p.out.bias[:] = rng.normal(size=1)
         expected = float((p.out.weight @ p.mix.bias + p.out.bias)[0])
-        got = head1_predict(np.zeros(4), rng.normal(size=4), p)
+        got = run_head(head1_forward, p, np.zeros(4), rng.normal(size=4))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_matrix_case(self):
@@ -102,14 +123,15 @@ class TestHead1:
                        out=LinearParams(np.ones((1, 2)), np.zeros(1)),
                        mix=LinearParams(np.ones((2, 4)), np.zeros(2)))
         # outer(a_m, a_w) = [[0,0],[1,0]] -> flat [0,0,1,0] -> mix [1,1] -> 2
-        assert head1_predict([1.0, 0.0], [0.0, 1.0], p) == pytest.approx(2.0)
+        assert run_head(head1_forward, p, [1.0, 0.0], [0.0, 1.0]) == \
+            pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(10 + seed)
         p = HeadParams.create(HeadKind.HEAD1_OUTER, 6, rng)
         a_w, a_m = rng.normal(size=6), rng.normal(size=6)
-        assert head1_predict(a_w, a_m, p) == pytest.approx(
+        assert run_head(head1_forward, p, a_w, a_m) == pytest.approx(
             head1_oracle(a_w, a_m, p), rel=1e-12)
 
     def test_shape_law(self):
@@ -119,8 +141,6 @@ class TestHead1:
 
     def test_intermediate_shapes_on_tape(self):
         # the fused outer product has d^2 entries, the mixed vector d
-        from meltshift.heads import head1_forward
-        from meltshift.tape import Tape
         rng = np.random.default_rng(1)
         p = HeadParams.create(HeadKind.HEAD1_OUTER, 5, rng)
         t = Tape()
@@ -140,13 +160,14 @@ class TestHead2:
         expected = float((p.out.weight @ np.concatenate([p.ln_cls.beta,
                                                          p.ln_pos.beta])
                           + p.out.bias)[0])
-        assert head2_predict(c, c, v, v, p) == pytest.approx(expected, rel=1e-12)
+        assert run_head(head2_forward, p, c, c, v, v) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_self_mutation_zero_differences(self):
         rng = np.random.default_rng(5)
         p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng, width_cls=5)
         v, c = rng.normal(size=5), rng.normal(size=5)
-        dcls, dpos, _ = head2_features(c, c, v, v, p)
+        dcls, dpos, _ = head2_intermediates(p, c, c, v, v)
         assert np.array_equal(dcls, np.zeros(5))
         assert np.array_equal(dpos, np.zeros(5))
 
@@ -155,12 +176,12 @@ class TestHead2:
         p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 6, rng, width_cls=6)
         cw, cm = rng.normal(size=6), rng.normal(size=6)
         aw, am = rng.normal(size=6), rng.normal(size=6)
-        _, _, feat = head2_features(cw, cm, aw, am, p)
-        _, _, feat_swapped = head2_features(cm, cw, am, aw, p)
+        _, _, feat = head2_intermediates(p, cw, cm, aw, am)
+        _, _, feat_swapped = head2_intermediates(p, cm, cw, am, aw)
         assert np.allclose(feat_swapped, -feat, atol=1e-9)
         # prediction offset flips around the output bias
-        y = head2_predict(cw, cm, aw, am, p)
-        y_swapped = head2_predict(cm, cw, am, aw, p)
+        y = run_head(head2_forward, p, cw, cm, aw, am)
+        y_swapped = run_head(head2_forward, p, cm, cw, am, aw)
         b = float(p.out.bias[0])
         assert (y_swapped - b) == pytest.approx(-(y - b), rel=1e-9)
 
@@ -172,7 +193,7 @@ class TestHead2:
         p.ln_pos.beta[:] = rng.normal(size=8)
         cw, cm = rng.normal(size=8), rng.normal(size=8)
         aw, am = rng.normal(size=8), rng.normal(size=8)
-        assert head2_predict(cw, cm, aw, am, p) == pytest.approx(
+        assert run_head(head2_forward, p, cw, cm, aw, am) == pytest.approx(
             head2_oracle(cw, cm, aw, am, p), rel=1e-12)
 
 
@@ -181,8 +202,7 @@ class TestAblationHeads:
         rng = np.random.default_rng(7)
         p = HeadParams.create(HeadKind.MUT_CONCAT, 4, rng)
         p.out.bias[:] = [2.5]
-        got = ablation_head_predict(HeadKind.MUT_CONCAT,
-                                    (np.zeros(4), np.zeros(4)), p)
+        got = run_head(mut_concat_forward, p, np.zeros(4), np.zeros(4))
         assert got == pytest.approx(2.5)
 
     def test_lincomb_difference_collapse(self):
@@ -192,7 +212,7 @@ class TestAblationHeads:
         p.beta[:] = [-1.0]
         p.out.bias[:] = [1.25]
         v = rng.normal(size=4)
-        got = ablation_head_predict(HeadKind.MUT_LINCOMB, (v, v), p)
+        got = run_head(lincomb_forward, p, v, v)
         assert got == pytest.approx(1.25)
 
     def test_lincomb_matches_formula(self):
@@ -202,13 +222,13 @@ class TestAblationHeads:
         p.beta[:] = [0.2]
         xw, xm = rng.normal(size=5), rng.normal(size=5)
         expected = float((p.out.weight @ (0.7 * xw + 0.2 * xm) + p.out.bias)[0])
-        got = ablation_head_predict(HeadKind.CLS_LINCOMB, (xw, xm), p)
+        got = run_head(lincomb_forward, p, xw, xm)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_kind_mismatch_rejected(self):
         p = HeadParams.create(HeadKind.MUT_CONCAT, 4, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            ablation_head_predict(HeadKind.MUT_LINCOMB, (np.zeros(4),) * 2, p)
+            run_head(lincomb_forward, p, np.zeros(4), np.zeros(4))
 
 
 class TestEnsemble:
@@ -217,16 +237,21 @@ class TestEnsemble:
         for seed in range(5):
             bw = random_bundle("X:WT", 10, 2 * seed)
             bm = random_bundle("X:M", 10, 2 * seed + 1)
-            y1, y2, y_ens = ensemble_predict(bw, bm, model)
+            y1, y2, y_ens = model.predict(bw, bm)
             assert abs(y_ens - 0.5 * (y1 + y2)) < 1e-12
 
     def test_self_mutation_collapse_through_model(self):
         model = build_ensemble(d_raw=10, d_proj=4, seed=0)
         b = random_bundle("X:WT", 10, 3)
-        cls_w, cls_m, a_w, a_m = project_and_fuse(b, b, model.projection)
-        dcls, dpos, _ = head2_features(cls_w, cls_m, a_w, a_m, model.head2)
+        cls_w, cls_m, a_w, a_m = fused_values(b, b, model.projection)
+        dcls, dpos, _ = head2_intermediates(model.head2, cls_w, cls_m, a_w, a_m)
         assert np.array_equal(dcls, np.zeros(4))
         assert np.array_equal(dpos, np.zeros(4))
+        # so head2 predicts from its LayerNorm beta channels alone
+        h2 = model.head2
+        beta_only = float((h2.out.weight @ np.concatenate(
+            [h2.ln_cls.beta, h2.ln_pos.beta]) + h2.out.bias)[0])
+        assert model.predict(b, b).y2 == pytest.approx(beta_only, rel=1e-12)
 
     def test_same_seed_same_params(self):
         a = build_ensemble(d_raw=10, d_proj=4, seed=42)
@@ -248,11 +273,24 @@ class TestEnsemble:
         model = build_ensemble(d_raw=10, d_proj=4, seed=1)
         samples = [(random_bundle("A:WT", 10, 1), random_bundle("A:M", 10, 2), 1.0),
                    (random_bundle("B:WT", 10, 3), random_bundle("B:M", 10, 4), -2.0)]
-        from meltshift.tape import Tape
         total, parts = model.batch_loss(Tape(), samples)
         assert parts["total"] == pytest.approx(
             parts["head1"] + parts["head2"] + parts["ensemble"], abs=1e-12)
         assert total.value[0] == pytest.approx(parts["total"])
+
+
+@pytest.mark.parametrize("kind", list(HeadKind))
+def test_single_head_is_an_ensemble_of_one(kind):
+    model = build_single_head(kind, d_raw=7, d_proj=4, seed=0,
+                              modalities=("struct", "seq"))
+    bw, bm = random_bundle("S:WT", 7, 1), random_bundle("S:M", 7, 2)
+    y1, y2, y_ens = model.predict(bw, bm)
+    assert y1 == y2 == y_ens
+    total, parts = model.batch_loss(Tape(), [(bw, bm, 0.5)])
+    mse = (y1 - 0.5) ** 2
+    assert parts == {"head1": pytest.approx(mse, rel=1e-12), "head2": 0.0,
+                     "ensemble": 0.0, "total": pytest.approx(mse, rel=1e-12)}
+    assert total.value[0] == parts["total"]
 
 
 @pytest.mark.parametrize("kind", list(HeadKind))

@@ -320,3 +320,13 @@ def test_mean_scalars_gradient_and_value():
     analytic = t.backward(loss)
     result = compare_grads(analytic, finite_diff(loss_fn, params))
     assert result.ok()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compare_grads_reports_non_finite_error(bad):
+    # a NaN once lost every comparison and passed as zero error
+    result = compare_grads({"p": np.array([bad, 1.0]), "q": np.array([0.5])},
+                           {"p": np.array([0.0, 0.0]), "q": np.array([0.0])})
+    assert result.max_rel_err == np.inf
+    assert (result.worst_param, result.worst_index) == ("p", (0,))
+    assert not result.ok()

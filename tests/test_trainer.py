@@ -206,18 +206,6 @@ class TestEvaluate:
         ev = evaluate(result.model, records, bundles)
         assert ev.report.r > 0.9
 
-    def test_seed_ensemble_averages_models(self, desk_data):
-        from meltshift.trainer import evaluate_models
-        records, bundles = desk_data
-        models = [train(records, bundles, desk_config(epochs=3, seed=s)).model
-                  for s in (1, 2)]
-        single = [evaluate(m, records, bundles) for m in models]
-        combined = evaluate_models(models, records, bundles)
-        for i, row in enumerate(combined.rows):
-            expected = 0.5 * (single[0].rows[i].y_ens + single[1].rows[i].y_ens)
-            assert row.y_ens == pytest.approx(expected, abs=1e-12)
-        assert len(combined.rows) == len(records)
-
 
 class TestCheckpoint:
     def test_roundtrip_identical_predictions(self, desk_data, tmp_path):
