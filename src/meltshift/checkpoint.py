@@ -30,8 +30,7 @@ from .optim import AdamState
 CKPT_MAGIC = b"MSCK"
 CKPT_VERSION = 1
 
-HEADER_KEYS = ("arrays", "kind", "d_raw", "d_proj", "modalities", "seed",
-               "ln_eps", "loss_weights")
+HEADER_KEYS = ("arrays", "kind", "d_raw", "d_proj", "modalities", "seed")
 
 
 def canonical_json(obj) -> bytes:
@@ -51,15 +50,12 @@ class Checkpoint:
 
 def _model_meta(model: Model) -> dict:
     proj = model.projection
-    weights = model.loss_weights
     return {
         "kind": model.kind_name,
         "d_raw": proj.d_raw,
         "d_proj": proj.d_proj,
         "modalities": list(proj.modalities),
         "seed": model.seed,
-        "ln_eps": model.ln_eps,
-        "loss_weights": list(weights) if weights is not None else None,
     }
 
 
@@ -131,8 +127,6 @@ def load_checkpoint(path) -> Checkpoint:
     model = build_model(
         header["kind"], header["d_raw"], header["d_proj"], header["seed"],
         tuple(header["modalities"]),
-        tuple(header["loss_weights"] or (1.0, 1.0, 1.0)),
-        header["ln_eps"],
     )
     expected = {f"model.{n}" for n, _ in model.named_parameters()}
     present = {n for n in loaded if n.startswith("model.")}

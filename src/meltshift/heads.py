@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import EmbeddingBundle
 from .errors import ConfigError, DataError
-from .tape import DEFAULT_LAYERNORM_EPS, Array, Node, Tape
+from .tape import Array, Node, Tape
 
 
 class HeadKind(str, enum.Enum):
@@ -183,28 +183,25 @@ class HeadParams:
     ln_pos: LayerNormParams | None = None  # head2
     alpha: Array | None = None             # lincomb heads, shape (1,)
     beta: Array | None = None
-    eps: float = DEFAULT_LAYERNORM_EPS
 
     @classmethod
-    def create(cls, kind: HeadKind, width: int, rng: np.random.Generator,
-               width_cls: int | None = None, eps: float = DEFAULT_LAYERNORM_EPS):
+    def create(cls, kind: HeadKind, width: int, rng: np.random.Generator):
         if width < 1:
             raise ConfigError(f"head width must be >= 1, got {width}")
         kind = HeadKind(kind)
         if kind == HeadKind.HEAD1_OUTER:
             return cls(kind, mix=LinearParams.create(width, width * width, rng),
-                       out=LinearParams.create(1, width, rng), eps=eps)
+                       out=LinearParams.create(1, width, rng))
         if kind == HeadKind.HEAD2_LNDIFF:
-            wc = width if width_cls is None else width_cls
-            return cls(kind, out=LinearParams.create(1, wc + width, rng),
-                       ln_cls=LayerNormParams.create(wc),
-                       ln_pos=LayerNormParams.create(width), eps=eps)
+            return cls(kind, out=LinearParams.create(1, 2 * width, rng),
+                       ln_cls=LayerNormParams.create(width),
+                       ln_pos=LayerNormParams.create(width))
         if kind == HeadKind.MUT_CONCAT:
-            return cls(kind, out=LinearParams.create(1, 2 * width, rng), eps=eps)
+            return cls(kind, out=LinearParams.create(1, 2 * width, rng))
         if kind in LINCOMB_KINDS:
             # difference-style start: alpha=1, beta=-1
             return cls(kind, out=LinearParams.create(1, width, rng),
-                       alpha=np.array([1.0]), beta=np.array([-1.0]), eps=eps)
+                       alpha=np.array([1.0]), beta=np.array([-1.0]))
         raise ConfigError(f"unknown head kind {kind!r}")
 
     def named_parameters(self, prefix: str = "head") -> Iterator[tuple[str, Array]]:
@@ -243,8 +240,8 @@ def head2_forward(tape: Tape, cls_w: Node, cls_m: Node, a_w: Node, a_m: Node,
         raise ConfigError(f"head2_forward needs HEAD2_LNDIFF params, got {params.kind}")
     gc, bc = params.ln_cls.bind(tape, f"{prefix}.ln_cls")
     gp, bp = params.ln_pos.bind(tape, f"{prefix}.ln_pos")
-    norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), gc, bc, params.eps)
-    norm_pos = tape.layernorm(tape.sub(a_w, a_m), gp, bp, params.eps)
+    norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), gc, bc)
+    norm_pos = tape.layernorm(tape.sub(a_w, a_m), gp, bp)
     feature = tape.concat([norm_cls, norm_pos])
     Wo, bo = params.out.bind(tape, f"{prefix}.out")
     return tape.linear(Wo, feature, bo)
@@ -310,14 +307,9 @@ class EnsembleModel(_ModelBase):
     projection: TrackProjection
     head1: HeadParams
     head2: HeadParams
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
 
     kind_name = "ensemble"
-
-    @property
-    def ln_eps(self) -> float:
-        return self.head1.eps
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters("proj")
@@ -350,10 +342,7 @@ class EnsembleModel(_ModelBase):
         l1 = tape.mean_scalars(items1)
         l2 = tape.mean_scalars(items2)
         le = tape.mean_scalars(items_e)
-        w1, w2, we = self.loss_weights
-        total = tape.add(tape.add(tape.const_scale(w1, l1),
-                                  tape.const_scale(w2, l2)),
-                         tape.const_scale(we, le))
+        total = tape.add(tape.add(l1, l2), le)
         components = {
             "head1": float(l1.value[0]),
             "head2": float(l2.value[0]),
@@ -371,15 +360,9 @@ class SingleHeadModel(_ModelBase):
     head: HeadParams
     seed: int = 0
 
-    loss_weights = None
-
     @property
     def kind_name(self) -> str:
         return self.head.kind.value
-
-    @property
-    def ln_eps(self) -> float:
-        return self.head.eps
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters("proj")
@@ -413,36 +396,30 @@ Model = EnsembleModel | SingleHeadModel
 
 
 def build_ensemble(d_raw: int, d_proj: int, seed: int,
-                   modalities: tuple[str, ...] = ("seq",),
-                   loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                   ln_eps: float = DEFAULT_LAYERNORM_EPS) -> EnsembleModel:
+                   modalities: tuple[str, ...] = ("seq",)) -> EnsembleModel:
     rng = np.random.default_rng(seed)
     proj = TrackProjection.create(modalities, d_raw, d_proj, rng, ("cls", "pos"))
     width = len(modalities) * d_proj
-    head1 = HeadParams.create(HeadKind.HEAD1_OUTER, width, rng, eps=ln_eps)
-    head2 = HeadParams.create(HeadKind.HEAD2_LNDIFF, width, rng,
-                              width_cls=width, eps=ln_eps)
-    return EnsembleModel(proj, head1, head2, tuple(loss_weights), seed=seed)
+    head1 = HeadParams.create(HeadKind.HEAD1_OUTER, width, rng)
+    head2 = HeadParams.create(HeadKind.HEAD2_LNDIFF, width, rng)
+    return EnsembleModel(proj, head1, head2, seed=seed)
 
 
 def build_single_head(kind: HeadKind, d_raw: int, d_proj: int, seed: int,
-                      modalities: tuple[str, ...] = ("seq",),
-                      ln_eps: float = DEFAULT_LAYERNORM_EPS) -> SingleHeadModel:
+                      modalities: tuple[str, ...] = ("seq",)) -> SingleHeadModel:
     kind = HeadKind(kind)
     rng = np.random.default_rng(seed)
     suffixes, _ = SINGLE_HEADS[kind]
     proj = TrackProjection.create(modalities, d_raw, d_proj, rng, suffixes)
     width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
-    head = HeadParams.create(kind, width, rng, width_cls=width, eps=ln_eps)
+    head = HeadParams.create(kind, width, rng)
     return SingleHeadModel(proj, head, seed=seed)
 
 
 def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
-                modalities: tuple[str, ...] = ("seq",),
-                loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
-                ln_eps: float = DEFAULT_LAYERNORM_EPS) -> Model:
+                modalities: tuple[str, ...] = ("seq",)) -> Model:
     """Build by name: ``ensemble`` or any :class:`HeadKind` value."""
     if kind_name == "ensemble":
-        return build_ensemble(d_raw, d_proj, seed, modalities, loss_weights, ln_eps)
+        return build_ensemble(d_raw, d_proj, seed, modalities)
     return build_single_head(HeadKind(kind_name), d_raw, d_proj, seed,
-                             modalities, ln_eps)
+                             modalities)

@@ -78,7 +78,7 @@ def greedy_cluster(proteins, threshold: float,
     """
     if not (0.0 < threshold <= 1.0):
         raise ConfigError(f"identity threshold must be in (0, 1], got {threshold}")
-    items = dict(proteins) if not isinstance(proteins, dict) else dict(proteins)
+    items = dict(proteins)
     for pid, seq in items.items():
         if not seq:
             raise DataError(f"{pid}: empty sequence")

@@ -35,16 +35,8 @@ class TrainConfig:
     clip_max_norm: float = 0.1
     seed: int = 0
     head: str = "ensemble"
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     d_proj: int = 128
     modalities: tuple[str, ...] = ("seq",)
-    ln_eps: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    pct_start: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
     freeze_projection: bool = False
 
     def __post_init__(self):
@@ -58,14 +50,10 @@ class TrainConfig:
             raise ConfigError(f"d_proj must be >= 1, got {self.d_proj}")
         if self.clip_max_norm <= 0:
             raise ConfigError(f"clip_max_norm must be > 0, got {self.clip_max_norm}")
-        if len(self.loss_weights) != 3:
-            raise ConfigError("loss_weights needs exactly 3 entries")
-        self.loss_weights = tuple(float(w) for w in self.loss_weights)
         self.modalities = tuple(self.modalities)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["loss_weights"] = list(self.loss_weights)
         d["modalities"] = list(self.modalities)
         return d
 
@@ -101,8 +89,8 @@ class LossBreakdown:
                 "l_ensemble": self.l_ensemble, "l_total": self.l_total}
 
 
-def compute_losses(y1: float, y2: float, y_ens: float, label: float,
-                   weights=(1.0, 1.0, 1.0)) -> LossBreakdown:
+def compute_losses(y1: float, y2: float, y_ens: float,
+                   label: float) -> LossBreakdown:
     """Per-sample loss terms; the ensemble term carries its 1/2 factor."""
     for name, v in (("y1", y1), ("y2", y2), ("y_ens", y_ens), ("label", label)):
         if not math.isfinite(v):
@@ -110,8 +98,7 @@ def compute_losses(y1: float, y2: float, y_ens: float, label: float,
     l1 = (y1 - label) ** 2
     l2 = (y2 - label) ** 2
     le = 0.5 * (y_ens - label) ** 2
-    w1, w2, we = weights
-    return LossBreakdown(l1, l2, le, w1 * l1 + w2 * l2 + we * le)
+    return LossBreakdown(l1, l2, le, l1 + l2 + le)
 
 
 @dataclass
@@ -148,7 +135,6 @@ class TrainResult:
     history: list[EpochStats]
     adam: AdamState
     steps: int
-    train_ids: list[str] = field(default_factory=list)
     val_ids: list[str] = field(default_factory=list)
 
 
@@ -204,7 +190,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
 
     d_raw = _bundle_width(bundles)
     model = build_model(config.head, d_raw, config.d_proj, config.seed,
-                        config.modalities, config.loss_weights, config.ln_eps)
+                        config.modalities)
     params = dict(model.named_parameters())
     if config.freeze_projection:
         trainable = {k: v for k, v in params.items() if not k.startswith("proj.")}
@@ -212,14 +198,11 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             raise ConfigError("freeze_projection left nothing to train")
     else:
         trainable = params
-    adam = AdamState.init(trainable, config.adam_beta1, config.adam_beta2,
-                          config.adam_eps)
+    adam = AdamState.init(trainable)
 
     n_train = len(train_records)
     batches_per_epoch = math.ceil(n_train / config.batch_size)
-    sched = OneCycleSchedule(config.max_lr, config.epochs * batches_per_epoch,
-                             config.pct_start, config.div_factor,
-                             config.final_div_factor)
+    sched = OneCycleSchedule(config.max_lr, config.epochs * batches_per_epoch)
     clip_cfg = ClipConfig(config.clip_max_norm)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
 
@@ -252,15 +235,14 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
                                   val_report))
 
     result = TrainResult(model, history, adam, step,
-                         sorted({r.protein_id for r in train_records}),
                          sorted({r.protein_id for r in val_records}))
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, config.to_dict(), adam)
     return result
 
 
-def evaluate(model: Model, records, bundles: dict[str, EmbeddingBundle],
-             skip_missing: bool = True) -> EvalResult:
+def evaluate(model: Model, records,
+             bundles: dict[str, EmbeddingBundle]) -> EvalResult:
     """Predict every record and score; missing bundles are listed, never silent.
 
     Rows carry the (y1, y2, y_ens) triple; a single head fills all three
@@ -272,8 +254,6 @@ def evaluate(model: Model, records, bundles: dict[str, EmbeddingBundle],
         absent = [v for v in (r.wt_variant_id, r.mut_variant_id)
                   if v not in bundles]
         if absent:
-            if not skip_missing:
-                raise DataError(f"missing bundles: {absent}")
             skipped.extend(absent)
             continue
         y1, y2, y_ens = model.predict(*_bundle_pair(r, bundles))

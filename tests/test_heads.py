@@ -18,7 +18,7 @@ from meltshift.heads import (
     lincomb_forward,
     mut_concat_forward,
 )
-from meltshift.tape import Tape
+from meltshift.tape import DEFAULT_LAYERNORM_EPS, Tape
 
 SEQ_ROLES = ("seq_cls", "seq_pos")
 ALL_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
@@ -99,7 +99,7 @@ def head1_oracle(a_w, a_m, p):
 
 def head2_oracle(cls_w, cls_m, a_w, a_m, p):
     def ln(x, g, b):
-        return g * (x - x.mean()) / np.sqrt(x.var() + p.eps) + b
+        return g * (x - x.mean()) / np.sqrt(x.var() + DEFAULT_LAYERNORM_EPS) + b
 
     feat = np.concatenate([
         ln(cls_w - cls_m, p.ln_cls.gamma, p.ln_cls.beta),
@@ -152,7 +152,7 @@ class TestHead1:
 class TestHead2:
     def test_self_mutation_collapses_to_beta_channel(self):
         rng = np.random.default_rng(4)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng, width_cls=5)
+        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng)
         p.ln_cls.beta[:] = rng.normal(size=5)
         p.ln_pos.beta[:] = rng.normal(size=5)
         v = rng.normal(size=5)
@@ -165,7 +165,7 @@ class TestHead2:
 
     def test_self_mutation_zero_differences(self):
         rng = np.random.default_rng(5)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng, width_cls=5)
+        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng)
         v, c = rng.normal(size=5), rng.normal(size=5)
         dcls, dpos, _ = head2_intermediates(p, c, c, v, v)
         assert np.array_equal(dcls, np.zeros(5))
@@ -173,7 +173,7 @@ class TestHead2:
 
     def test_swap_antisymmetry_of_core(self):
         rng = np.random.default_rng(6)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 6, rng, width_cls=6)
+        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 6, rng)
         cw, cm = rng.normal(size=6), rng.normal(size=6)
         aw, am = rng.normal(size=6), rng.normal(size=6)
         _, _, feat = head2_intermediates(p, cw, cm, aw, am)
@@ -188,7 +188,7 @@ class TestHead2:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_straight_line_oracle(self, seed):
         rng = np.random.default_rng(20 + seed)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 8, rng, width_cls=8)
+        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 8, rng)
         p.ln_cls.gamma[:] = rng.normal(size=8)
         p.ln_pos.beta[:] = rng.normal(size=8)
         cw, cm = rng.normal(size=8), rng.normal(size=8)
