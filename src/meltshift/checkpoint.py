@@ -8,16 +8,18 @@ Layout (little-endian)::
     header     canonical JSON (sorted keys, compact separators)
     arrays     raw float64 bytes, in the order header["arrays"] declares
 
-The header carries the model kind, widths, seed, the training-config
-snapshot and its hash, and Adam hyperparameters; the array section holds
-every model parameter (prefix ``model.``) and, when optimizer state is
-included, the Adam moments (prefixes ``adam_m.``, ``adam_v.``).
+The header carries the model kind, widths, modalities, seed, the
+training-config snapshot and its hash, and Adam hyperparameters; every
+value is type-checked on load. The array section holds every model
+parameter (prefix ``model.``) and, when optimizer state is included, the
+Adam moments of the trained parameters (prefixes ``adam_m.``, ``adam_v.``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -86,6 +88,66 @@ def save_checkpoint(path, model: Model, config: dict | None = None,
             fh.write(np.asarray(arr, dtype="<f8").tobytes())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_array_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(_is_int(n) and n >= 0 for n in entry["shape"]))
+
+
+def _check_header(path, header) -> None:
+    """Raise FormatError unless every header field has its documented type."""
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise FormatError(f"{path}: header lacks {missing}")
+    if header["kind"] not in MODEL_KINDS:
+        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+    for key, low in (("d_raw", 1), ("d_proj", 1), ("seed", 0)):
+        if not (_is_int(header[key]) and header[key] >= low):
+            raise FormatError(
+                f"{path}: header {key} must be an int >= {low}, got {header[key]!r}"
+            )
+    modalities = header["modalities"]
+    if not (isinstance(modalities, list) and modalities
+            and all(isinstance(m, str) for m in modalities)):
+        raise FormatError(
+            f"{path}: header modalities must be a non-empty list of strings"
+        )
+    arrays = header["arrays"]
+    if not (isinstance(arrays, list) and all(map(_is_array_entry, arrays))):
+        raise FormatError(
+            f"{path}: header arrays must be a list of {{name, shape}} entries "
+            "with non-negative int dimensions"
+        )
+    adam = header.get("adam")
+    if adam is not None and not (
+            isinstance(adam, dict) and _is_int(adam.get("t"))
+            and all(_is_number(adam.get(k)) for k in ("beta1", "beta2", "eps"))):
+        raise FormatError(f"{path}: bad adam header {adam!r}")
+
+
+def _expected_shapes(model: Model, declared, with_adam: bool) -> dict:
+    """Shape per array name: every parameter, plus both Adam moments of each
+    parameter that ``adam_m.*`` names (a frozen projection has none)."""
+    params = dict(model.named_parameters())
+    expected = {f"model.{n}": a.shape for n, a in params.items()}
+    if with_adam:
+        moments = {n[len("adam_m."):] for n in declared if n.startswith("adam_m.")}
+        for name in moments & set(params):
+            expected[f"adam_m.{name}"] = params[name].shape
+            expected[f"adam_v.{name}"] = params[name].shape
+    return expected
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -102,53 +164,46 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
-    missing = [key for key in HEADER_KEYS if key not in header]
-    if missing:
-        raise FormatError(f"{path}: header lacks {missing}")
-    if header["kind"] not in MODEL_KINDS:
-        raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+    _check_header(path, header)
+
+    model = build_model(header["kind"], header["d_raw"], header["d_proj"],
+                        header["seed"], tuple(header["modalities"]))
+    declared = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
+    if len(declared) != len(header["arrays"]):
+        raise FormatError(f"{path}: header arrays repeat a name")
+    adam_meta = header.get("adam")
+    expected = _expected_shapes(model, declared, adam_meta is not None)
+    if set(declared) != set(expected):
+        raise FormatError(
+            f"{path}: array set mismatch: {sorted(set(declared) ^ set(expected))[:4]}"
+        )
+    for name, shape in declared.items():
+        if shape != expected[name]:
+            raise FormatError(
+                f"{path}: {name} shape {shape} != expected {expected[name]}"
+            )
 
     offset = 12 + header_len
     loaded: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in declared.items():
+        count = math.prod(shape)
         nbytes = 8 * count
         if offset + nbytes > len(data):
             raise FormatError(f"{path}: truncated array data at offset {offset}")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        loaded[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        loaded[name] = arr.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes at {offset}")
 
-    model = build_model(
-        header["kind"], header["d_raw"], header["d_proj"], header["seed"],
-        tuple(header["modalities"]),
-    )
-    expected = {f"model.{n}" for n, _ in model.named_parameters()}
-    present = {n for n in loaded if n.startswith("model.")}
-    if expected != present:
-        raise FormatError(
-            f"{path}: parameter set mismatch: {sorted(expected ^ present)[:4]}"
-        )
     for name, arr in model.named_parameters():
-        src = loaded[f"model.{name}"]
-        if src.shape != arr.shape:
-            raise FormatError(
-                f"{path}: {name} shape {src.shape} != expected {arr.shape}"
-            )
-        np.copyto(arr, src)
-
+        np.copyto(arr, loaded[f"model.{name}"])
     adam = None
-    if header.get("adam"):
-        meta = header["adam"]
+    if adam_meta is not None:
         m = {n[len("adam_m."):]: a for n, a in loaded.items()
              if n.startswith("adam_m.")}
         v = {n[len("adam_v."):]: a for n, a in loaded.items()
              if n.startswith("adam_v.")}
-        adam = AdamState(meta["beta1"], meta["beta2"], meta["eps"],
-                         meta["t"], m, v)
+        adam = AdamState(adam_meta["beta1"], adam_meta["beta2"],
+                         adam_meta["eps"], adam_meta["t"], m, v)
     return Checkpoint(model, header.get("config"), adam)

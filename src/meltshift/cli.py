@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import canonical_json, load_checkpoint, sha256_hex
 from .data import (
+    TRACK_SETS,
     EmbeddingBundle,
     load_dataset,
     parse_mutation,
@@ -68,10 +69,9 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 
 
 def _parse_tracks(text: str) -> tuple[str, ...]:
-    mapping = {"seq": ("seq",), "seq+struct": ("seq", "struct")}
-    if text not in mapping:
+    if text not in TRACK_SETS:
         raise ConfigError(f"tracks must be 'seq' or 'seq+struct', got {text!r}")
-    return mapping[text]
+    return TRACK_SETS[text]
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +121,13 @@ def cmd_synth_embed(args) -> int:
 def _load_train_config(args) -> TrainConfig:
     base = {}
     if args.config:
-        with open(args.config) as fh:
-            base = json.load(fh)
+        with open(args.config, "rb") as fh:
+            try:
+                base = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: unreadable JSON: {exc}") from None
+        if not isinstance(base, dict):
+            raise ConfigError(f"{args.config}: config is not a JSON object")
     overrides = {
         "max_lr": args.max_lr, "epochs": args.epochs,
         "batch_size": args.batch_size, "seed": args.seed,
@@ -315,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundles")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--split", help="split manifest from prepare-split")
-    p.add_argument("--config", help="JSON config file (flags win)")
+    p.add_argument("--config",
+                   help="JSON object of TrainConfig fields, such as a run's "
+                        "config.json (flags win)")
     p.add_argument("--head", choices=MODEL_KINDS)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

@@ -38,6 +38,9 @@ TRACK_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
 _ROLE_TO_TAG = {role: i for i, role in enumerate(TRACK_ROLES)}
 _TAG_TO_ROLE = {i: role for i, role in enumerate(TRACK_ROLES)}
 
+# the ``--tracks`` names and the modalities each one declares
+TRACK_SETS = {"seq": ("seq",), "seq+struct": ("seq", "struct")}
+
 DATASET_HEADER = ["protein_id", "wt_sequence", "mutation", "dtm"]
 
 DTME_MAGIC = b"DTME"
@@ -140,7 +143,7 @@ class MutationRecord:
 def load_dataset(path) -> list[MutationRecord]:
     """Read a dataset file, validating every record. Errors carry line numbers."""
     records: list[MutationRecord] = []
-    seen: set[tuple[str, str]] = set()
+    seen: dict[tuple[str, str], int] = {}  # (protein, normalized code) -> line
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -165,10 +168,11 @@ def load_dataset(path) -> list[MutationRecord]:
                 record = MutationRecord(pid, seq, parse_mutation(code), dtm)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
-            key = (pid, code)
+            key = (pid, record.mutation.code)
             if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}")
-            seen.add(key)
+                raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
+                                f"same variant as line {seen[key]}")
+            seen[key] = lineno
             records.append(record)
     return records
 

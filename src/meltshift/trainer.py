@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import EmbeddingBundle, MutationRecord
+from .data import TRACK_SETS, EmbeddingBundle, MutationRecord
 from .errors import ConfigError, DataError, NumericError
-from .heads import Model, build_model
+from .heads import MODEL_KINDS, Model, build_model
 from .metrics import MetricsReport, compute_report
 from .optim import AdamState, ClipConfig, OneCycleSchedule, adam_step, \
     clip_global_norm, onecycle_lr
@@ -27,7 +27,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """All knobs of a training run; defaults are the full-scale recipe."""
+    """The settings of a training run; defaults are the full-scale recipe.
+
+    The rest of the recipe is fixed: LayerNorm eps 1e-5, total loss
+    L1 + L2 + L_ens/2, Adam (0.9, 0.999, 1e-8) and the one-cycle shape
+    (warmup 0.3, div factors 25 and 1e4). These nine fields are also exactly
+    the keys a ``train --config`` file may carry.
+    """
 
     max_lr: float = 1e-5
     epochs: int = 10
@@ -40,16 +46,29 @@ class TrainConfig:
     freeze_projection: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_lr <= 0:
-            raise ConfigError(f"max_lr must be > 0, got {self.max_lr}")
-        if self.d_proj < 1:
-            raise ConfigError(f"d_proj must be >= 1, got {self.d_proj}")
-        if self.clip_max_norm <= 0:
-            raise ConfigError(f"clip_max_norm must be > 0, got {self.clip_max_norm}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("d_proj", 1),
+                          ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+        for name in ("max_lr", "clip_max_norm"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (math.isfinite(value) and value > 0)):
+                raise ConfigError(
+                    f"{name} must be a finite number > 0, got {value!r}")
+        if not isinstance(self.freeze_projection, bool):
+            raise ConfigError(
+                f"freeze_projection must be a bool, got {self.freeze_projection!r}"
+            )
+        if self.head not in MODEL_KINDS:
+            raise ConfigError(f"head must be one of {MODEL_KINDS}, got {self.head!r}")
+        if not (isinstance(self.modalities, (list, tuple))
+                and tuple(self.modalities) in TRACK_SETS.values()):
+            raise ConfigError(
+                f"modalities must be one of {[list(m) for m in TRACK_SETS.values()]}, "
+                f"got {self.modalities!r}"
+            )
         self.modalities = tuple(self.modalities)
 
     def to_dict(self) -> dict:

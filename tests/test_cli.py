@@ -9,7 +9,9 @@ from meltshift.cli import main
 from meltshift.data import read_bundles, write_dataset
 from meltshift.errors import FormatError
 from meltshift.heads import build_model
+from meltshift.optim import AdamState
 from meltshift.splitter import read_split
+from meltshift.trainer import TrainConfig
 
 from conftest import random_records
 
@@ -184,6 +186,67 @@ class TestTrainEvalPredict:
         assert "validation metrics undefined" in caplog.text
 
 
+class TestTrainConfigFile:
+    def test_own_config_reproduces_the_run(self, pipeline, tmp_path):
+        dataset, bundles, split = pipeline
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("train", dataset, bundles, "--out", first, "--split", split,
+                   "--head", "head2", "--epochs", 2, "--d-proj", 4,
+                   "--max-lr", 1e-2, "--batch-size", 6, "--seed", 1) == 0
+        assert run("train", dataset, bundles, "--out", second, "--split", split,
+                   "--config", first / "config.json") == 0
+        for name in ("checkpoint.bin", "history.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_flag_wins_over_config(self, pipeline, tmp_path):
+        dataset, bundles, _ = pipeline
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"epochs": 3, "d_proj": 4, "max_lr": 1e-2}))
+        rundir = tmp_path / "run"
+        assert run("train", dataset, bundles, "--out", rundir,
+                   "--config", config, "--epochs", 1) == 0
+        saved = json.loads((rundir / "config.json").read_text())
+        assert (saved["epochs"], saved["d_proj"]) == (1, 4)
+        assert len(json.loads((rundir / "history.json").read_text())) == 1
+
+    @pytest.mark.parametrize("content,message", [
+        pytest.param(b'{"epochs": 3', "unreadable", id="bad_json"),
+        pytest.param(b"\xff", "unreadable", id="not_utf8"),
+        pytest.param(b'["epochs"]', "object", id="not_an_object"),
+        pytest.param(b'{"epochs": "3"}', "epochs", id="epochs_str"),
+        pytest.param(b'{"epochs": true, "batch_size": 2.5}', "epochs",
+                     id="epochs_bool"),
+        pytest.param(b'{"max_lr": NaN}', "max_lr", id="max_lr_nan"),
+        pytest.param(b'{"head": "bogus"}', "head", id="bogus_head"),
+        pytest.param(b'{"modalities": "seq"}', "modalities", id="modalities_str"),
+        pytest.param(b'{"seed": -1}', "seed", id="seed_negative"),
+        pytest.param(b'{"freeze_projection": 1}', "freeze_projection",
+                     id="freeze_projection_int"),
+    ])
+    def test_bad_config_is_config_error(self, content, message, dataset_path,
+                                        tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(content)
+        rundir = tmp_path / "run"
+        assert run("train", dataset_path, tmp_path / "b.dtme", "--out", rundir,
+                   "--config", config) == 2
+        assert message in capsys.readouterr().err
+        assert not rundir.exists()
+
+    def test_removed_recipe_keys_are_named(self, dataset_path, tmp_path, capsys):
+        # the config.json of a run that still carried the recipe constants
+        removed = {"loss_weights": [1.0, 1.0, 1.0], "ln_eps": 1e-05,
+                   "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08,
+                   "pct_start": 0.3, "div_factor": 25.0,
+                   "final_div_factor": 10000.0}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TrainConfig().to_dict(), **removed}))
+        assert run("train", dataset_path, tmp_path / "b.dtme", "--out",
+                   tmp_path / "run", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in removed)
+
+
 def _rewrite_header(path, edit):
     blob = path.read_bytes()
     (n,) = struct.unpack_from("<I", blob, 8)
@@ -192,17 +255,63 @@ def _rewrite_header(path, edit):
                      + blob[12 + n:])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda h: {k: v for k, v in h.items() if k != "arrays"},
-    lambda h: {k: v for k, v in h.items() if k != "kind"},
-    lambda h: {**h, "kind": "bogus"},
-    lambda h: [h],
-], ids=["no_arrays", "no_kind", "bogus_kind", "not_an_object"])
-def test_bad_checkpoint_header_is_data_error(edit, tmp_path, capsys):
+def _edit_arrays(h, edit):
+    """Apply ``edit`` to each array entry; an entry it maps to None is dropped."""
+    arrays = [edit(dict(e)) for e in h["arrays"]]
+    return {**h, "arrays": [e for e in arrays if e is not None]}
+
+
+def _rename(old, new):
+    return lambda e: {**e, "name": new} if e["name"] == old else e
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda h: {k: v for k, v in h.items() if k != "arrays"},
+                 "lacks", id="no_arrays"),
+    pytest.param(lambda h: {k: v for k, v in h.items() if k != "kind"},
+                 "lacks", id="no_kind"),
+    pytest.param(lambda h: {**h, "kind": "bogus"}, "kind", id="bogus_kind"),
+    pytest.param(lambda h: [h], "object", id="not_an_object"),
+    pytest.param(lambda h: {**h, "d_raw": "x"}, "d_raw", id="d_raw_str"),
+    pytest.param(lambda h: {**h, "d_raw": True}, "d_raw", id="d_raw_bool"),
+    pytest.param(lambda h: {**h, "d_proj": 0}, "d_proj", id="d_proj_zero"),
+    pytest.param(lambda h: {**h, "seed": "s"}, "seed", id="seed_str"),
+    pytest.param(lambda h: {**h, "seed": -1}, "seed", id="seed_negative"),
+    pytest.param(lambda h: {**h, "modalities": []}, "modalities",
+                 id="modalities_empty"),
+    pytest.param(lambda h: {**h, "modalities": "seq"}, "modalities",
+                 id="modalities_str"),
+    pytest.param(lambda h: {**h, "arrays": 5}, "arrays", id="arrays_int"),
+    pytest.param(lambda h: _edit_arrays(h, lambda e: {"name": e["name"]}),
+                 "arrays", id="array_no_shape"),
+    pytest.param(lambda h: _edit_arrays(
+        h, lambda e: {**e, "shape": [-n for n in e["shape"]]}),
+                 "non-negative", id="array_negative_shape"),
+    pytest.param(lambda h: {**h, "arrays": h["arrays"] + h["arrays"][-1:]},
+                 "repeat", id="array_repeated"),
+    pytest.param(lambda h: {**h, "adam": 5}, "adam", id="adam_int"),
+    pytest.param(lambda h: {**h, "adam": {**h["adam"], "beta1": "x"}}, "adam",
+                 id="adam_beta_str"),
+    pytest.param(lambda h: {**h, "adam": {**h["adam"], "t": 1.5}}, "adam",
+                 id="adam_t_float"),
+    pytest.param(lambda h: {**h, "adam": None}, "adam_m", id="moments_without_adam"),
+    pytest.param(lambda h: _edit_arrays(
+        h, _rename("adam_m.head1.out.bias", "adam_m.bogus")),
+                 "adam_m.bogus", id="moment_of_no_parameter"),
+    pytest.param(lambda h: _edit_arrays(
+        h, lambda e: None if e["name"] == "adam_v.head1.out.bias" else e),
+                 "adam_v.head1.out.bias", id="moments_name_different_parameters"),
+    pytest.param(lambda h: _edit_arrays(
+        h, lambda e: {**e, "shape": [6, 4]}
+        if e["name"] == "adam_m.proj.seq_cls.weight" else e),
+                 "shape", id="moment_shape"),
+])
+def test_bad_checkpoint_header_is_data_error(edit, message, tmp_path, capsys):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, build_model("ensemble", 6, 4, 0))
+    model = build_model("ensemble", 6, 4, 0)
+    save_checkpoint(path, model, adam=AdamState.init(dict(model.named_parameters())))
     _rewrite_header(path, edit)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(path)
     assert run("predict", path, tmp_path / "b.dtme", "--mutations",
                "P000:A1C") == 3

@@ -111,6 +111,16 @@ class TestDataset:
         with pytest.raises(DataError, match="duplicate"):
             load_dataset(path)
 
+    def test_duplicate_variant_under_another_spelling_rejected(self, tmp_path):
+        # A01C and A1C name the one variant P1:A1C
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "protein_id,wt_sequence,mutation,dtm\n"
+            "P1,AKIL,A01C,1.0\nP1,AKIL,A1C,2.0\n"
+        )
+        with pytest.raises(DataError, match=r":3: duplicate .* line 2"):
+            load_dataset(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,seq,mut,y\nP1,MKIL,L4A,1.0\n")

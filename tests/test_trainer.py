@@ -245,6 +245,17 @@ class TestCheckpoint:
         assert ckpt.model.predict(bw, bm) == result.model.predict(bw, bm)
         assert ckpt.adam is None
 
+    def test_frozen_projection_keeps_moments_of_trained_subset(self, desk_data,
+                                                              tmp_path):
+        records, bundles = desk_data
+        cfg = desk_config(epochs=1, head="mut_concat", freeze_projection=True)
+        result = train(records, bundles, cfg)
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(path, result.model, cfg.to_dict(), result.adam)
+        ckpt = load_checkpoint(path)
+        assert sorted(ckpt.adam.m) == sorted(ckpt.adam.v) == sorted(result.adam.m)
+        assert not any(name.startswith("proj.") for name in ckpt.adam.m)
+
     def test_corrupt_magic(self, tmp_path):
         from meltshift.errors import FormatError
         path = tmp_path / "bad.ckpt"
