@@ -36,7 +36,7 @@ from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
 from .splitter import load_clusters_tsv, read_split, split_clusters, \
     split_records, write_split
-from .trainer import TrainConfig, evaluate, train, validate
+from .trainer import TrainConfig, evaluate, train
 
 def _file_digest(path) -> str:
     return sha256_hex(Path(path).read_bytes())
@@ -121,11 +121,13 @@ def cmd_synth_embed(args) -> int:
 def _load_train_config(args) -> TrainConfig:
     base = {}
     if args.config:
-        with open(args.config, "rb") as fh:
-            try:
+        try:
+            with open(args.config, "rb") as fh:
                 base = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"{args.config}: unreadable JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigError(f"{args.config}: cannot read: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: unreadable JSON: {exc}") from None
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config}: config is not a JSON object")
     overrides = {
@@ -179,13 +181,10 @@ def cmd_train(args) -> int:
     final = result.history[-1]
     print(f"trained {config.head}: {result.steps} steps, "
           f"final train loss {final.losses.l_total:.6f}")
-    if result.val_ids:
-        val_records = [r for r in records if r.protein_id in set(result.val_ids)]
-        ev = validate(result.model, val_records, bundles, "final pass")
-        if ev is not None:
-            _write_eval_outputs(ev, rundir / "eval.json",
-                                rundir / "predictions.csv")
-            print(format_report(ev.report))
+    if result.val is not None:
+        _write_eval_outputs(result.val, rundir / "eval.json",
+                            rundir / "predictions.csv")
+        print(format_report(result.val.report))
 
     inputs = [args.dataset, args.bundles] + ([args.split] if args.split else [])
     if args.config:

@@ -3,7 +3,10 @@
 Feature path: each raw embedding track is passed through its own linear
 projection to width ``d_proj``; per-variant vectors (cls, mutated-position,
 avg-pool) are the concatenation of the projected tracks over the declared
-modalities. Heads consume these fused vectors:
+modalities. A batch is the unit of the forward pass: the tracks of a
+batch's bundles are stacked into one ``(B, d_raw)`` leaf per role, so every
+fused vector and every head output is a block of rows, one per pair. Heads
+consume these fused rows:
 
 * ``head1``: flattened outer product of mutant and wild-type position
   embeddings, mixed back down to width d, then a linear output.
@@ -128,44 +131,49 @@ class TrackProjection:
         for role in sorted(self.layers):
             yield from self.layers[role].named(f"{prefix}.{role}")
 
-    def project(self, tape: Tape, bundle: EmbeddingBundle, role: str) -> Node:
+    def project(self, tape: Tape, bundles: list[EmbeddingBundle],
+                role: str) -> Node:
+        """Project one role of every bundle: a ``(B, d_proj)`` row block."""
         if role not in self.layers:
             raise ConfigError(f"projection has no layer for track role {role!r}")
-        if role not in bundle.tracks:
-            raise DataError(f"{bundle.variant_id}: missing track {role!r}")
         W, b = self.layers[role].bind(tape, f"proj.{role}")
-        x = tape.leaf(bundle.tracks[role])
+        x = tape.leaf(np.stack([bundle.tracks[role] for bundle in bundles]))
         return tape.linear(W, x, b)
 
-    def fuse(self, tape: Tape, bundle: EmbeddingBundle, suffix: str) -> Node:
+    def fuse(self, tape: Tape, bundles: list[EmbeddingBundle],
+             suffix: str) -> Node:
         """Concatenate the projections of the roles behind ``suffix``."""
-        parts = [self.project(tape, bundle, role) for role in self.roles(suffix)]
+        parts = [self.project(tape, bundles, role) for role in self.roles(suffix)]
         return parts[0] if len(parts) == 1 else tape.concat(parts)
 
 
-def fuse_pair(tape: Tape, proj: TrackProjection, bundle_w: EmbeddingBundle,
-              bundle_m: EmbeddingBundle, suffixes: tuple[str, ...]) -> list[Node]:
-    """Fused wild-type and mutant vectors, ``(w, m)`` per suffix in tape order.
+def fuse_pair(tape: Tape, proj: TrackProjection,
+              bundles_w: list[EmbeddingBundle], bundles_m: list[EmbeddingBundle],
+              suffixes: tuple[str, ...]) -> list[Node]:
+    """Fused wild-type and mutant rows, ``(w, m)`` per suffix in tape order.
 
+    Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``.
     ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every track role
-    behind them must be on both bundles; roles are checked modality by
-    modality before anything is projected.
+    behind them must be on both bundles of each pair; roles are checked
+    pair by pair and modality by modality before anything is projected.
     """
-    for roles in zip(*(proj.roles(s) for s in suffixes)):
-        for role in roles:
-            in_w = role in bundle_w.tracks
-            in_m = role in bundle_m.tracks
-            if in_w != in_m:
-                missing = bundle_m if in_w else bundle_w
-                raise DataError(
-                    f"track-set mismatch: {missing.variant_id} lacks {role!r}"
-                )
-            if not in_w:
-                raise DataError(
-                    f"{bundle_w.variant_id}/{bundle_m.variant_id}: "
-                    f"missing track {role!r}"
-                )
-    return [proj.fuse(tape, b, s) for s in suffixes for b in (bundle_w, bundle_m)]
+    for bundle_w, bundle_m in zip(bundles_w, bundles_m):
+        for roles in zip(*(proj.roles(s) for s in suffixes)):
+            for role in roles:
+                in_w = role in bundle_w.tracks
+                in_m = role in bundle_m.tracks
+                if in_w != in_m:
+                    missing = bundle_m if in_w else bundle_w
+                    raise DataError(
+                        f"track-set mismatch: {missing.variant_id} lacks {role!r}"
+                    )
+                if not in_w:
+                    raise DataError(
+                        f"{bundle_w.variant_id}/{bundle_m.variant_id}: "
+                        f"missing track {role!r}"
+                    )
+    return [proj.fuse(tape, bundles, s) for s in suffixes
+            for bundles in (bundles_w, bundles_m)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +294,9 @@ MODEL_KINDS = ("ensemble",) + tuple(k.value for k in HeadKind)
 class _ModelBase:
     """The interface both models share: a single head is an ensemble of one.
 
-    ``forward_nodes`` gives the (y1, y2, y_ens) nodes of one pair, and
-    ``batch_loss`` reports the ``head1``, ``head2``, ``ensemble`` and
-    ``total`` loss terms.
+    ``forward_nodes`` gives the (y1, y2, y_ens) nodes of a batch of pairs,
+    each a ``(B, 1)`` row block, and ``batch_loss`` reports the ``head1``,
+    ``head2``, ``ensemble`` and ``total`` loss terms.
     """
 
     def param_count(self) -> int:
@@ -296,8 +304,16 @@ class _ModelBase:
 
     def predict(self, bundle_w: EmbeddingBundle,
                 bundle_m: EmbeddingBundle) -> EnsemblePrediction:
-        nodes = self.forward_nodes(Tape(), bundle_w, bundle_m)
-        return EnsemblePrediction(*(float(y.value[0]) for y in nodes))
+        nodes = self.forward_nodes(Tape(), [bundle_w], [bundle_m])
+        return EnsemblePrediction(*(float(y.value[0, 0]) for y in nodes))
+
+    def _batch_forward(self, tape: Tape, samples):
+        """Forward nodes and the ``(B, 1)`` label target of a batch of samples."""
+        if not samples:
+            raise ConfigError("batch_loss: empty batch")
+        bundles_w, bundles_m, labels = zip(*samples)
+        target = np.array(labels, dtype=np.float64).reshape(-1, 1)
+        return self.forward_nodes(tape, list(bundles_w), list(bundles_m)), target
 
 
 @dataclass
@@ -316,10 +332,10 @@ class EnsembleModel(_ModelBase):
         yield from self.head1.named_parameters("head1")
         yield from self.head2.named_parameters("head2")
 
-    def forward_nodes(self, tape: Tape, bundle_w: EmbeddingBundle,
-                      bundle_m: EmbeddingBundle) -> tuple[Node, Node, Node]:
-        cls_w, cls_m, a_w, a_m = fuse_pair(tape, self.projection, bundle_w,
-                                           bundle_m, ("cls", "pos"))
+    def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
+                      bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
+        cls_w, cls_m, a_w, a_m = fuse_pair(tape, self.projection, bundles_w,
+                                           bundles_m, ("cls", "pos"))
         y1 = head1_forward(tape, a_w, a_m, self.head1, "head1")
         y2 = head2_forward(tape, cls_w, cls_m, a_w, a_m, self.head2, "head2")
         y_ens = tape.const_scale(0.5, tape.add(y1, y2))
@@ -330,18 +346,10 @@ class EnsembleModel(_ModelBase):
 
         ``samples`` is a list of (bundle_w, bundle_m, label) triples.
         """
-        if not samples:
-            raise ConfigError("batch_loss: empty batch")
-        items1, items2, items_e = [], [], []
-        for bundle_w, bundle_m, label in samples:
-            y1, y2, y_ens = self.forward_nodes(tape, bundle_w, bundle_m)
-            target = np.array([float(label)])
-            items1.append(tape.mse(y1, target))
-            items2.append(tape.mse(y2, target))
-            items_e.append(tape.const_scale(0.5, tape.mse(y_ens, target)))
-        l1 = tape.mean_scalars(items1)
-        l2 = tape.mean_scalars(items2)
-        le = tape.mean_scalars(items_e)
+        (y1, y2, y_ens), target = self._batch_forward(tape, samples)
+        l1 = tape.mse(y1, target)
+        l2 = tape.mse(y2, target)
+        le = tape.const_scale(0.5, tape.mse(y_ens, target))
         total = tape.add(tape.add(l1, l2), le)
         components = {
             "head1": float(l1.value[0]),
@@ -368,22 +376,17 @@ class SingleHeadModel(_ModelBase):
         yield from self.projection.named_parameters("proj")
         yield from self.head.named_parameters("head")
 
-    def forward_nodes(self, tape: Tape, bundle_w: EmbeddingBundle,
-                      bundle_m: EmbeddingBundle) -> tuple[Node, Node, Node]:
+    def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
+                      bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
         suffixes, forward = SINGLE_HEADS[self.head.kind]
-        inputs = fuse_pair(tape, self.projection, bundle_w, bundle_m, suffixes)
+        inputs = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
         y = forward(tape, *inputs, self.head)
         return y, y, y
 
     def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
         """Mean MSE of the one head, reported as the ``head1`` term."""
-        if not samples:
-            raise ConfigError("batch_loss: empty batch")
-        items = []
-        for bundle_w, bundle_m, label in samples:
-            y, _, _ = self.forward_nodes(tape, bundle_w, bundle_m)
-            items.append(tape.mse(y, np.array([float(label)])))
-        total = tape.mean_scalars(items)
+        (y, _, _), target = self._batch_forward(tape, samples)
+        total = tape.mse(y, target)
         mse = float(total.value[0])
         return total, {"head1": mse, "head2": 0.0, "ensemble": 0.0, "total": mse}
 

@@ -44,12 +44,17 @@ def clip_global_norm(grads: dict[str, Array],
 
     Returns new arrays (inputs untouched) and the pre-clip norm. The scale
     is nudged down by ulps if float rounding leaves the post-clip norm
-    above the threshold, which makes clipping exactly idempotent.
+    above the threshold, which makes clipping exactly idempotent. The norm
+    is the step's finiteness check: a non-finite one raises NumericError,
+    naming the first parameter with a non-finite entry, if any.
     """
-    for name in sorted(grads):
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericError(f"non-finite gradient for parameter {name!r}")
-    norm = global_grad_norm(grads)
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
+        norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        for name in sorted(grads):
+            if not np.all(np.isfinite(grads[name])):
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+        raise NumericError(f"gradient norm overflows to {norm}")
     if norm <= cfg.max_norm:
         return {k: v.copy() for k, v in grads.items()}, norm
     scale = cfg.max_norm / norm

@@ -8,8 +8,11 @@ head architecture built on top of it.
 
 Conventions
 -----------
-* Everything is float64. Vectors are 1-D arrays, matrices 2-D, and
-  scalars are shape-``(1,)`` arrays so they compose with the other ops.
+* Everything is float64. Scalars are shape-``(1,)`` arrays so they
+  compose with the other ops.
+* An activation is a vector ``(d,)`` or a block of rows ``(B, d)``, one
+  sample per row. Primitives act on the last axis, so one code path
+  serves both, and parameter gradients are summed over the rows.
 * Parameters enter a tape via :meth:`Tape.leaf` with a unique name;
   binding the same array object twice returns the same node, so shared
   parameters accumulate gradients correctly.
@@ -145,112 +148,96 @@ class Tape:
         return self._emit(c * x.value, (x,), backward)
 
     def linear(self, W: Node, x: Node, b: Node) -> Node:
-        """Affine map ``W @ x + b`` with W (m,n), x (n,), b (m,)."""
-        if W.value.ndim != 2 or x.value.ndim != 1 or b.value.ndim != 1:
+        """Affine map ``x @ W.T + b`` with W (m,n), x (n,) or (B,n), b (m,)."""
+        if W.value.ndim != 2 or b.value.ndim != 1:
             raise ConfigError(
-                f"linear: need W 2-D, x 1-D, b 1-D; got {W.value.shape}, "
+                f"linear: need W 2-D, b 1-D; got {W.value.shape}, "
                 f"{x.value.shape}, {b.value.shape}"
             )
         m, n = W.value.shape
-        if x.value.shape[0] != n or b.value.shape[0] != m:
+        if x.value.shape[-1] != n or b.value.shape[0] != m:
             raise ConfigError(
-                f"linear: W {W.value.shape} expects x ({n},) and b ({m},); "
+                f"linear: W {W.value.shape} expects x rows of {n} and b ({m},); "
                 f"got x {x.value.shape}, b {b.value.shape}"
             )
         Wval, xval = W.value, x.value
 
         def backward(g: Array) -> None:
-            W.add_grad(np.outer(g, xval))
-            x.add_grad(Wval.T @ g)
-            b.add_grad(g)
+            rows = g.reshape(-1, m)
+            W.add_grad(rows.T @ xval.reshape(-1, n))
+            x.add_grad(g @ Wval)
+            b.add_grad(rows.sum(axis=0))
 
-        return self._emit(Wval @ xval + b.value, (W, x, b), backward)
+        return self._emit(xval @ Wval.T + b.value, (W, x, b), backward)
 
     def outer_flatten(self, u: Node, v: Node) -> Node:
-        """Row-major flattened outer product: out[i*d + j] = u[i] * v[j]."""
-        if u.value.shape != v.value.shape or u.value.ndim != 1:
+        """Per-row flattened outer product: out[.., i*d + j] = u[.., i] * v[.., j]."""
+        if u.value.shape != v.value.shape:
             raise ConfigError(
-                f"outer_flatten: need equal-length vectors, got {u.value.shape} "
+                f"outer_flatten: need equal shapes, got {u.value.shape} "
                 f"vs {v.value.shape}"
             )
-        d = u.value.shape[0]
+        *lead, d = u.value.shape
         uval, vval = u.value, v.value
 
         def backward(g: Array) -> None:
-            G = g.reshape(d, d)
-            u.add_grad(G @ vval)
-            v.add_grad(G.T @ uval)
+            G = g.reshape(*lead, d, d)
+            u.add_grad((G @ vval[..., None])[..., 0])
+            v.add_grad((uval[..., None, :] @ G)[..., 0, :])
 
-        return self._emit(np.outer(uval, vval).reshape(d * d), (u, v), backward)
+        out = (uval[..., :, None] * vval[..., None, :]).reshape(*lead, d * d)
+        return self._emit(out, (u, v), backward)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node,
                   eps: float = DEFAULT_LAYERNORM_EPS) -> Node:
-        """gamma * (x - mean) / sqrt(var + eps) + beta, population variance."""
-        if not (x.value.shape == gamma.value.shape == beta.value.shape):
+        """gamma * (x - mean) / sqrt(var + eps) + beta per row, population variance."""
+        if not (x.value.shape[-1:] == gamma.value.shape == beta.value.shape):
             raise ConfigError(
                 f"layernorm: shape mismatch x {x.value.shape}, gamma "
                 f"{gamma.value.shape}, beta {beta.value.shape}"
             )
         if eps <= 0:
             raise ConfigError(f"layernorm: eps must be positive, got {eps}")
-        n = x.value.shape[0]
-        mu = x.value.mean()
-        var = x.value.var()
+        n = x.value.shape[-1]
+        mu = x.value.mean(axis=-1, keepdims=True)
+        var = x.value.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.value - mu) * inv_std
         gval = gamma.value
 
         def backward(g: Array) -> None:
-            gamma.add_grad(g * xhat)
-            beta.add_grad(g)
+            gamma.add_grad((g * xhat).reshape(-1, n).sum(axis=0))
+            beta.add_grad(g.reshape(-1, n).sum(axis=0))
             dxhat = g * gval
             # standard layernorm input gradient with population variance
             dx = (inv_std / n) * (
-                n * dxhat - dxhat.sum() - xhat * (dxhat * xhat).sum()
+                n * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
             )
             x.add_grad(dx)
 
         return self._emit(gval * xhat + beta.value, (x, gamma, beta), backward)
 
     def concat(self, parts: list[Node]) -> Node:
+        """Lay parts end to end along the last axis; leading shapes must agree."""
         if not parts:
             raise ConfigError("concat: empty part list")
+        lead = parts[0].value.shape[:-1]
         for p in parts:
-            if p.value.ndim != 1:
-                raise ConfigError(f"concat: parts must be 1-D, got {p.value.shape}")
-        sizes = [p.value.shape[0] for p in parts]
-        offsets = np.cumsum([0] + sizes)
+            if p.value.shape[:-1] != lead:
+                raise ConfigError(f"concat: parts of different batch shapes, got "
+                                  f"{[q.value.shape for q in parts]}")
+        offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
 
         def backward(g: Array) -> None:
             for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.add_grad(g[lo:hi])
+                p.add_grad(g[..., lo:hi])
 
-        return self._emit(np.concatenate([p.value for p in parts]),
+        return self._emit(np.concatenate([p.value for p in parts], axis=-1),
                           tuple(parts), backward)
 
-    def mean_scalars(self, items: list[Node]) -> Node:
-        """Mean of shape-(1,) scalars, summed in list order."""
-        if not items:
-            raise ConfigError("mean_scalars: empty list")
-        for it in items:
-            if it.value.shape != (1,):
-                raise ConfigError(
-                    f"mean_scalars: need shape (1,) items, got {it.value.shape}"
-                )
-        n = len(items)
-        total = np.zeros(1)
-        for it in items:  # fixed summation order keeps reduction deterministic
-            total = total + it.value
-
-        def backward(g: Array) -> None:
-            share = g / n
-            for it in items:
-                it.add_grad(share)
-
-        return self._emit(total / n, tuple(items), backward)
-
     def mse(self, x: Node, target) -> Node:
-        """Mean squared error against a constant target; scalar output."""
+        """Mean squared error over all entries (a batch's rows); scalar output."""
         t = np.asarray(target, dtype=np.float64)
         if t.ndim == 0:
             t = t.reshape(1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -150,11 +150,14 @@ class EvalResult:
 
 @dataclass
 class TrainResult:
+    """``val`` is the last epoch's validation of the final model, or None
+    without a validation side or when its metrics are undefined."""
+
     model: Model
     history: list[EpochStats]
     adam: AdamState
     steps: int
-    val_ids: list[str] = field(default_factory=list)
+    val: EvalResult | None
 
 
 def _bundle_pair(record: MutationRecord,
@@ -246,15 +249,13 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             for key, v in parts.items():
                 epoch_parts[key] = epoch_parts.get(key, 0.0) + v * len(batch)
         mean_parts = {k: v / n_train for k, v in epoch_parts.items()}
-        val_report = None
+        ev = None
         if val_records:
             ev = validate(model, val_records, bundles, f"epoch {epoch}")
-            val_report = ev.report if ev is not None else None
         history.append(EpochStats(epoch, LossBreakdown.from_components(mean_parts),
-                                  val_report))
+                                  ev.report if ev is not None else None))
 
-    result = TrainResult(model, history, adam, step,
-                         sorted({r.protein_id for r in val_records}))
+    result = TrainResult(model, history, adam, step, ev)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, config.to_dict(), adam)
     return result

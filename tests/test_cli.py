@@ -222,11 +222,13 @@ class TestTrainConfigFile:
         pytest.param(b'{"seed": -1}', "seed", id="seed_negative"),
         pytest.param(b'{"freeze_projection": 1}', "freeze_projection",
                      id="freeze_projection_int"),
+        pytest.param(None, "c.json", id="missing_file"),
     ])
     def test_bad_config_is_config_error(self, content, message, dataset_path,
                                         tmp_path, capsys):
         config = tmp_path / "c.json"
-        config.write_bytes(content)
+        if content is not None:
+            config.write_bytes(content)
         rundir = tmp_path / "run"
         assert run("train", dataset_path, tmp_path / "b.dtme", "--out", rundir,
                    "--config", config) == 2

@@ -5,6 +5,7 @@ from meltshift.data import EmbeddingBundle
 from meltshift.errors import ConfigError, DataError
 from meltshift.gradcheck import check_model
 from meltshift.heads import (
+    MODEL_KINDS,
     HeadKind,
     HeadParams,
     LinearParams,
@@ -36,7 +37,8 @@ def identity_projection(d, roles):
 
 def fused_values(bw, bm, proj):
     """(cls_w, cls_m, a_w, a_m) as arrays."""
-    return [n.value for n in fuse_pair(Tape(), proj, bw, bm, ("cls", "pos"))]
+    nodes = fuse_pair(Tape(), proj, [bw], [bm], ("cls", "pos"))
+    return [n.value[0] for n in nodes]
 
 
 def run_head(forward, params, *inputs):
@@ -291,6 +293,19 @@ def test_single_head_is_an_ensemble_of_one(kind):
     assert parts == {"head1": pytest.approx(mse, rel=1e-12), "head2": 0.0,
                      "ensemble": 0.0, "total": pytest.approx(mse, rel=1e-12)}
     assert total.value[0] == parts["total"]
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_forward_rows_are_per_pair_predictions(kind):
+    # one forward over a batch, a wild type repeated in it, equals pair by pair
+    model = build_model(kind, 7, 4, 0, ("struct", "seq"))
+    bws = [random_bundle(f"R{i // 2}:WT", 7, i // 2) for i in range(5)]
+    bms = [random_bundle(f"R{i // 2}:M{i}", 7, 100 + i) for i in range(5)]
+    nodes = model.forward_nodes(Tape(), bws, bms)
+    assert all(y.value.shape == (5, 1) for y in nodes)
+    for i, (bw, bm) in enumerate(zip(bws, bms)):
+        row = [float(y.value[i, 0]) for y in nodes]
+        assert np.allclose(row, model.predict(bw, bm), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(HeadKind))

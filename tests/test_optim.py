@@ -58,6 +58,12 @@ class TestClipping:
         with pytest.raises(NumericError, match="broken"):
             clip_global_norm(grads, ClipConfig(0.1))
 
+    def test_overflowing_norm_is_numeric_error(self):
+        # every entry is finite, but the sum of squares overflows
+        grads = {"w": np.array([1e200, 1.0])}
+        with pytest.raises(NumericError, match="norm overflows"):
+            clip_global_norm(grads, ClipConfig(0.1))
+
     def test_bad_max_norm(self):
         with pytest.raises(ConfigError):
             ClipConfig(0.0)
