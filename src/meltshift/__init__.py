@@ -52,6 +52,7 @@ from .optim import (
     OneCycleSchedule,
     adam_step,
     clip_global_norm,
+    clip_scale,
     global_grad_norm,
     onecycle_lr,
 )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .heads import MODEL_KINDS, Model, build_model
+from .heads import MODEL_KINDS, Model, build_model, param_shapes
 from .optim import AdamState
 
 CKPT_MAGIC = b"MSCK"
@@ -135,16 +135,18 @@ def _check_header(path, header) -> None:
         raise FormatError(f"{path}: bad adam header {adam!r}")
 
 
-def _expected_shapes(model: Model, declared, with_adam: bool) -> dict:
-    """Shape per array name: every parameter, plus both Adam moments of each
-    parameter that ``adam_m.*`` names (a frozen projection has none)."""
-    params = dict(model.named_parameters())
-    expected = {f"model.{n}": a.shape for n, a in params.items()}
+def _expected_shapes(header, declared, with_adam: bool) -> dict:
+    """Shape per array name: every parameter of the model the header
+    describes, plus both Adam moments of each parameter that ``adam_m.*``
+    names (a frozen projection has none). Nothing is allocated."""
+    params = param_shapes(header["kind"], header["d_raw"], header["d_proj"],
+                          tuple(header["modalities"]))
+    expected = {f"model.{n}": shape for n, shape in params.items()}
     if with_adam:
         moments = {n[len("adam_m."):] for n in declared if n.startswith("adam_m.")}
         for name in moments & set(params):
-            expected[f"adam_m.{name}"] = params[name].shape
-            expected[f"adam_v.{name}"] = params[name].shape
+            expected[f"adam_m.{name}"] = params[name]
+            expected[f"adam_v.{name}"] = params[name]
     return expected
 
 
@@ -166,13 +168,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
     _check_header(path, header)
 
-    model = build_model(header["kind"], header["d_raw"], header["d_proj"],
-                        header["seed"], tuple(header["modalities"]))
+    # header, arrays and file length must agree before the model is built,
+    # so memory follows the file, not what its header claims
     declared = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
     if len(declared) != len(header["arrays"]):
         raise FormatError(f"{path}: header arrays repeat a name")
     adam_meta = header.get("adam")
-    expected = _expected_shapes(model, declared, adam_meta is not None)
+    expected = _expected_shapes(header, declared, adam_meta is not None)
     if set(declared) != set(expected):
         raise FormatError(
             f"{path}: array set mismatch: {sorted(set(declared) ^ set(expected))[:4]}"
@@ -184,17 +186,21 @@ def load_checkpoint(path) -> Checkpoint:
             )
 
     offset = 12 + header_len
+    end = offset + 8 * sum(math.prod(shape) for shape in declared.values())
+    if end > len(data):
+        raise FormatError(
+            f"{path}: truncated array data: arrays end at {end}, file at {len(data)}")
+    if end < len(data):
+        raise FormatError(f"{path}: {len(data) - end} trailing bytes at {end}")
+
+    model = build_model(header["kind"], header["d_raw"], header["d_proj"],
+                        header["seed"], tuple(header["modalities"]))
     loaded: dict[str, np.ndarray] = {}
     for name, shape in declared.items():
         count = math.prod(shape)
-        nbytes = 8 * count
-        if offset + nbytes > len(data):
-            raise FormatError(f"{path}: truncated array data at offset {offset}")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
         loaded[name] = arr.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at {offset}")
+        offset += 8 * count
 
     for name, arr in model.named_parameters():
         np.copyto(arr, loaded[f"model.{name}"])

@@ -177,6 +177,8 @@ def cmd_train(args) -> int:
     history = [e.to_dict() for e in result.history]
     (rundir / "history.json").write_text(
         json.dumps(history, sort_keys=True, indent=2) + "\n")
+    (rundir / "steps.jsonl").write_text("".join(
+        json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in result.step_log))
 
     final = result.history[-1]
     print(f"trained {config.head}: {result.steps} steps, "

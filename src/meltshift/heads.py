@@ -153,11 +153,18 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
     """Fused wild-type and mutant rows, ``(w, m)`` per suffix in tape order.
 
     Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``.
-    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every track role
-    behind them must be on both bundles of each pair; roles are checked
-    pair by pair and modality by modality before anything is projected.
+    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every bundle must
+    have the projection's width ``d_raw``, and every track role behind the
+    vectors must be on both bundles of each pair; both are checked pair by
+    pair, and roles modality by modality, before anything is projected.
     """
     for bundle_w, bundle_m in zip(bundles_w, bundles_m):
+        for bundle in (bundle_w, bundle_m):
+            if bundle.d_raw != proj.d_raw:
+                raise DataError(
+                    f"bundle {bundle.variant_id} has width {bundle.d_raw}, "
+                    f"but the model's d_raw is {proj.d_raw}"
+                )
         for roles in zip(*(proj.roles(s) for s in suffixes)):
             for role in roles:
                 in_w = role in bundle_w.tracks
@@ -426,3 +433,48 @@ def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
         return build_ensemble(d_raw, d_proj, seed, modalities)
     return build_single_head(HeadKind(kind_name), d_raw, d_proj, seed,
                              modalities)
+
+
+def _head_shapes(kind: HeadKind, width: int,
+                 prefix: str) -> dict[str, tuple[int, ...]]:
+    """Shapes of the parameters ``HeadParams.create(kind, width)`` makes."""
+    out_in = 2 * width if kind in (HeadKind.HEAD2_LNDIFF,
+                                   HeadKind.MUT_CONCAT) else width
+    shapes = {f"{prefix}.out.weight": (1, out_in), f"{prefix}.out.bias": (1,)}
+    if kind == HeadKind.HEAD1_OUTER:
+        shapes[f"{prefix}.mix.weight"] = (width, width * width)
+        shapes[f"{prefix}.mix.bias"] = (width,)
+    if kind == HeadKind.HEAD2_LNDIFF:
+        for ln in ("ln_cls", "ln_pos"):
+            shapes[f"{prefix}.{ln}.gamma"] = (width,)
+            shapes[f"{prefix}.{ln}.beta"] = (width,)
+    if kind in LINCOMB_KINDS:
+        shapes[f"{prefix}.alpha"] = (1,)
+        shapes[f"{prefix}.beta"] = (1,)
+    return shapes
+
+
+def param_shapes(kind_name: str, d_raw: int, d_proj: int,
+                 modalities: tuple[str, ...] = ("seq",)) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter ``build_model`` would make.
+
+    Pure arithmetic, nothing the size of the model is allocated, so a
+    checkpoint header can be checked against its arrays before the model
+    it describes is built.
+    """
+    if kind_name == "ensemble":
+        suffixes = ("cls", "pos")
+        heads = (("head1", HeadKind.HEAD1_OUTER), ("head2", HeadKind.HEAD2_LNDIFF))
+    else:
+        kind = HeadKind(kind_name)
+        suffixes = SINGLE_HEADS[kind][0]
+        heads = (("head", kind),)
+    proj = TrackProjection(tuple(modalities), d_raw, d_proj, {})
+    shapes: dict[str, tuple[int, ...]] = {}
+    for role in {r for suffix in suffixes for r in proj.roles(suffix)}:
+        shapes[f"proj.{role}.weight"] = (d_proj, d_raw)
+        shapes[f"proj.{role}.bias"] = (d_proj,)
+    width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
+    for prefix, kind in heads:
+        shapes.update(_head_shapes(kind, width, prefix))
+    return shapes

@@ -3,6 +3,12 @@
 Gradients and parameters travel as ``dict[str, ndarray]`` maps keyed by
 parameter name; ``adam_step`` updates the parameter arrays in place so a
 model holding the same arrays sees the update without copying.
+
+Clipping and Adam share one walk over memory: ``clip_scale`` reads the
+gradients for their norm and returns the scale that clipping would apply,
+and ``adam_step`` applies that scale while it updates the moments and the
+parameters in place, ``CHUNK`` elements at a time through a few chunk-sized
+scratch buffers. No gradient is copied or written.
 """
 
 from __future__ import annotations
@@ -14,6 +20,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .tape import Array
+
+# elements per block of the norm and the Adam update: a few blocks of the
+# parameter, its moments and the scratch buffers stay in cache together
+CHUNK = 32768
+
+
+def _chunks(n: int):
+    """``(start, stop)`` of each block of ``n`` elements."""
+    return ((start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -29,24 +44,35 @@ class ClipConfig:
             raise ConfigError(f"clip max_norm must be > 0, got {self.max_norm}")
 
 
-def global_grad_norm(grads: dict[str, Array]) -> float:
-    """L2 norm over all gradients jointly, summed in sorted-name order."""
+def global_grad_norm(grads: dict[str, Array], scale: float = 1.0) -> float:
+    """L2 norm of all gradients jointly, each multiplied by ``scale``.
+
+    Squares are summed block by block (``CHUNK`` elements) in sorted-name
+    order with ``np.sum``, never BLAS, so the result does not depend on the
+    BLAS thread count; ``global_grad_norm(g, s)`` equals the norm of
+    ``{k: v * s}`` bit for bit.
+    """
+    buf = np.empty(min(CHUNK, max((g.size for g in grads.values()), default=0)))
     total = 0.0
     for name in sorted(grads):
-        g = grads[name]
-        total += float(np.sum(g * g))
+        flat = grads[name].reshape(-1)
+        for start, stop in _chunks(flat.size):
+            g, out = flat[start:stop], buf[: stop - start]
+            if scale != 1.0:
+                g = np.multiply(g, scale, out=out)
+            total += float(np.sum(np.multiply(g, g, out=out)))
     return math.sqrt(total)
 
 
-def clip_global_norm(grads: dict[str, Array],
-                     cfg: ClipConfig) -> tuple[dict[str, Array], float]:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
+    """The factor that brings the joint L2 norm to at most ``max_norm``.
 
-    Returns new arrays (inputs untouched) and the pre-clip norm. The scale
-    is nudged down by ulps if float rounding leaves the post-clip norm
-    above the threshold, which makes clipping exactly idempotent. The norm
-    is the step's finiteness check: a non-finite one raises NumericError,
-    naming the first parameter with a non-finite entry, if any.
+    Returns ``(scale, norm)`` with the pre-clip norm; ``scale`` is 1.0 when
+    the norm is within the bound. The scale is nudged down by ulps if float
+    rounding leaves the scaled norm above the threshold, which makes
+    clipping exactly idempotent. The norm is the step's finiteness check: a
+    non-finite one raises NumericError, naming the first parameter with a
+    non-finite entry, if any.
     """
     with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
         norm = global_grad_norm(grads)
@@ -56,13 +82,18 @@ def clip_global_norm(grads: dict[str, Array],
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
         raise NumericError(f"gradient norm overflows to {norm}")
     if norm <= cfg.max_norm:
-        return {k: v.copy() for k, v in grads.items()}, norm
+        return 1.0, norm
     scale = cfg.max_norm / norm
-    scaled = {k: v * scale for k, v in grads.items()}
-    while global_grad_norm(scaled) > cfg.max_norm:
-        scale = np.nextafter(scale, 0.0)
-        scaled = {k: v * scale for k, v in grads.items()}
-    return scaled, norm
+    while global_grad_norm(grads, scale) > cfg.max_norm:
+        scale = float(np.nextafter(scale, 0.0))
+    return scale, norm
+
+
+def clip_global_norm(grads: dict[str, Array],
+                     cfg: ClipConfig) -> tuple[dict[str, Array], float]:
+    """Scaled copies of ``grads`` per :func:`clip_scale`, and the pre-clip norm."""
+    scale, norm = clip_scale(grads, cfg)
+    return {k: v * scale for k, v in grads.items()}, norm
 
 
 # ---------------------------------------------------------------------------
@@ -93,29 +124,62 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array],
-              state: AdamState, lr: float) -> tuple[dict[str, Array], AdamState]:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+              state: AdamState, lr: float,
+              grad_scale: float = 1.0) -> tuple[dict[str, Array], AdamState]:
+    """One bias-corrected Adam update on ``grad_scale * grads``, in place.
+
+    ``params`` and the moments in ``state`` are updated block by block;
+    ``grads`` is only read. Each block follows the textbook order of
+    operations, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so the result equals that
+    formula on whole arrays bit for bit.
+    """
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     if set(params) != set(grads) or set(params) != set(state.m):
         raise ConfigError("adam_step: parameter/gradient/state key mismatch")
-    state.t += 1
-    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
     for name in sorted(params):
         p, g = params[name], grads[name]
         if p.shape != g.shape:
             raise ConfigError(
                 f"adam_step: {name} param {p.shape} vs grad {g.shape}"
             )
-        m = state.m[name]
-        v = state.v[name]
-        state.m[name] = b1 * m + (1.0 - b1) * g
-        state.v[name] = b2 * v + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for kind, arr in (("param", p), ("m", state.m[name]), ("v", state.v[name])):
+            if arr.shape != p.shape or not arr.flags.c_contiguous:
+                raise ConfigError(
+                    f"adam_step: {name} {kind} must be C-contiguous of shape {p.shape}"
+                )
+    state.t += 1
+    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    size = min(CHUNK, max((p.size for p in params.values()), default=0))
+    g_buf, update, denom = np.empty(size), np.empty(size), np.empty(size)
+    for name in sorted(params):
+        p = params[name].reshape(-1)
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        g_all = grads[name].reshape(-1)
+        for start, stop in _chunks(p.size):
+            n = stop - start
+            pc, mc, vc = p[start:stop], m[start:stop], v[start:stop]
+            g, a, b = g_all[start:stop], update[:n], denom[:n]
+            if grad_scale != 1.0:
+                g = np.multiply(g, grad_scale, out=g_buf[:n])
+            np.multiply(mc, b1, out=mc)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(mc, a, out=mc)
+            np.multiply(g, g, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.multiply(vc, b2, out=vc)
+            np.add(vc, a, out=vc)
+            np.divide(mc, bc1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(vc, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pc, a, out=pc)
     return params, state
 
 

@@ -260,7 +260,7 @@ class Tape:
         Returns gradients for every named leaf (zeros if the forward never
         touched it). Unnamed leaves keep their gradient on ``node.grad``.
         Gradients are not checked for finiteness here: the training step
-        checks them once, in ``optim.clip_global_norm``.
+        checks them once, in ``optim.clip_scale``.
         """
         if self._consumed:
             raise StateError("backward already ran on this tape")

@@ -2,7 +2,9 @@
 
 Embeddings are fixed inputs here (the frozen-feature regime); only head
 and projection parameters train. One optimizer step per batch, learning
-rate from the one-cycle schedule, gradients clipped by global norm.
+rate from the one-cycle schedule, gradients clipped by global norm: the
+clip scale is applied inside the Adam update, and each step's learning
+rate, pre-clip norm, clip scale and loss terms are kept in the result.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import ConfigError, DataError, NumericError
 from .heads import MODEL_KINDS, Model, build_model
 from .metrics import MetricsReport, compute_report
 from .optim import AdamState, ClipConfig, OneCycleSchedule, adam_step, \
-    clip_global_norm, onecycle_lr
+    clip_scale, onecycle_lr
 from .tape import Tape
 
 logger = logging.getLogger(__name__)
@@ -121,6 +123,25 @@ def compute_losses(y1: float, y2: float, y_ens: float,
 
 
 @dataclass
+class StepStats:
+    """One optimizer step: ``step`` counts from 0 and indexes the schedule,
+    ``grad_norm`` is the norm before clipping and ``clip_scale`` the factor
+    applied to the gradients (1.0 when the norm is within the bound)."""
+
+    step: int
+    epoch: int
+    lr: float
+    grad_norm: float
+    clip_scale: float
+    losses: LossBreakdown
+
+    def to_dict(self) -> dict:
+        return {"step": self.step, "epoch": self.epoch, "lr": self.lr,
+                "grad_norm": self.grad_norm, "clip_scale": self.clip_scale,
+                **self.losses.to_dict()}
+
+
+@dataclass
 class EpochStats:
     epoch: int
     losses: LossBreakdown
@@ -156,8 +177,12 @@ class TrainResult:
     model: Model
     history: list[EpochStats]
     adam: AdamState
-    steps: int
+    step_log: list[StepStats]
     val: EvalResult | None
+
+    @property
+    def steps(self) -> int:
+        return len(self.step_log)
 
 
 def _bundle_pair(record: MutationRecord,
@@ -229,7 +254,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
 
     history: list[EpochStats] = []
-    step = 0
+    step_log: list[StepStats] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_train)
         epoch_parts: dict[str, float] = {}
@@ -242,10 +267,13 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
                 ids = [r.mut_variant_id for r in batch]
                 raise NumericError(f"non-finite loss on batch {ids}")
             grads = tape.backward(loss_node)
-            clipped, _ = clip_global_norm(
-                {k: grads[k] for k in trainable}, clip_cfg)
-            adam_step(trainable, clipped, adam, onecycle_lr(step, sched))
-            step += 1
+            grads = {k: grads[k] for k in trainable}
+            scale, norm = clip_scale(grads, clip_cfg)
+            step = len(step_log)
+            lr = onecycle_lr(step, sched)
+            adam_step(trainable, grads, adam, lr, grad_scale=scale)
+            step_log.append(StepStats(step, epoch, lr, norm, scale,
+                                      LossBreakdown.from_components(parts)))
             for key, v in parts.items():
                 epoch_parts[key] = epoch_parts.get(key, 0.0) + v * len(batch)
         mean_parts = {k: v / n_train for k, v in epoch_parts.items()}
@@ -255,7 +283,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
         history.append(EpochStats(epoch, LossBreakdown.from_components(mean_parts),
                                   ev.report if ev is not None else None))
 
-    result = TrainResult(model, history, adam, step, ev)
+    result = TrainResult(model, history, adam, step_log, ev)
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, model, config.to_dict(), adam)
     return result

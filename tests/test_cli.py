@@ -1,12 +1,13 @@
 import json
 import logging
 import struct
+import tracemalloc
 
 import pytest
 
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
-from meltshift.data import read_bundles, write_dataset
+from meltshift.data import load_dataset, read_bundles, write_dataset
 from meltshift.errors import FormatError
 from meltshift.heads import build_model
 from meltshift.optim import AdamState
@@ -318,6 +319,74 @@ def test_bad_checkpoint_header_is_data_error(edit, message, tmp_path, capsys):
     assert run("predict", path, tmp_path / "b.dtme", "--mutations",
                "P000:A1C") == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_header_widths_checked_before_allocation(tmp_path):
+    # 16 KB of arrays whose header claims a 128 MB projection
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model("head1", 10, 8, 0))
+    _rewrite_header(path, lambda h: {**h, "d_raw": 2_000_000})
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="shape"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_bundle_width_other_than_checkpoint_is_data_error(command, pipeline,
+                                                          tmp_path, capsys):
+    dataset, bundles, _ = pipeline
+    rundir, wide = tmp_path / "run", tmp_path / "wide.dtme"
+    assert run("train", dataset, bundles, "--out", rundir, "--epochs", 1,
+               "--d-proj", 4, "--max-lr", 1e-2) == 0
+    assert run("synth-embed", dataset, "--out", wide, "--d-raw", 12) == 0
+    first = load_dataset(dataset)[0]
+    capsys.readouterr()
+    if command == "eval":
+        code = run("eval", rundir / "checkpoint.bin", dataset, wide)
+    else:
+        code = run("predict", rundir / "checkpoint.bin", wide, "--mutations",
+                   f"{first.protein_id}:{first.mutation.code}")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert (f"data error: bundle {first.wt_variant_id} has width 12, "
+            "but the model's d_raw is 10") in err
+
+
+class TestStepLog:
+    def _train(self, pipeline, rundir, *flags):
+        dataset, bundles, split = pipeline
+        assert run("train", dataset, bundles, "--out", rundir, "--split", split,
+                   "--epochs", 2, "--d-proj", 4, "--max-lr", 1e-2,
+                   "--batch-size", 6, "--seed", 1, *flags) == 0
+        return (rundir / "steps.jsonl").read_bytes()
+
+    def test_reruns_byte_identical(self, pipeline, tmp_path):
+        first = self._train(pipeline, tmp_path / "a")
+        assert first == self._train(pipeline, tmp_path / "b")
+        lines = [json.loads(line) for line in first.decode().splitlines()]
+        assert [s["step"] for s in lines] == list(range(10))
+        assert {s["epoch"] for s in lines} == {1, 2}
+        assert set(lines[0]) == {"step", "epoch", "lr", "grad_norm",
+                                 "clip_scale", "l_head1", "l_head2",
+                                 "l_ensemble", "l_total"}
+
+    def test_scale_below_one_exactly_when_norm_above_bound(self, pipeline,
+                                                           tmp_path):
+        blob = self._train(pipeline, tmp_path / "a", "--clip-norm", 6.5)
+        steps = [json.loads(line) for line in blob.decode().splitlines()]
+        clipped = [s["grad_norm"] > 6.5 for s in steps]
+        assert any(clipped) and not all(clipped)
+        for s, above in zip(steps, clipped):
+            assert (s["clip_scale"] < 1.0) == above
+            if above:
+                assert s["grad_norm"] * s["clip_scale"] <= 6.5 * (1 + 1e-12)
+            else:
+                assert s["clip_scale"] == 1.0
 
 
 class TestPipelineDeterminism:

@@ -18,6 +18,7 @@ from meltshift.heads import (
     head2_forward,
     lincomb_forward,
     mut_concat_forward,
+    param_shapes,
 )
 from meltshift.tape import DEFAULT_LAYERNORM_EPS, Tape
 
@@ -340,3 +341,11 @@ def test_build_model_by_name():
     assert build_model("mut_concat", 8, 4, 0).kind_name == "mut_concat"
     with pytest.raises(ValueError):
         build_model("bogus", 8, 4, 0)
+
+
+@pytest.mark.parametrize("modalities", [("seq",), ("seq", "struct")])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_param_shapes_are_the_built_shapes(kind, modalities):
+    model = build_model(kind, 7, 3, 0, modalities)
+    built = {name: arr.shape for name, arr in model.named_parameters()}
+    assert param_shapes(kind, 7, 3, modalities) == built

@@ -5,11 +5,13 @@ import pytest
 
 from meltshift.errors import ConfigError, NumericError
 from meltshift.optim import (
+    CHUNK,
     AdamState,
     ClipConfig,
     OneCycleSchedule,
     adam_step,
     clip_global_norm,
+    clip_scale,
     global_grad_norm,
     onecycle_lr,
 )
@@ -67,6 +69,30 @@ class TestClipping:
     def test_bad_max_norm(self):
         with pytest.raises(ConfigError):
             ClipConfig(0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wrapper_scales_by_clip_scale(self, seed):
+        rng = np.random.default_rng(seed)
+        grads = {"a": rng.normal(size=(7, 3)), "b": rng.normal(size=2 * CHUNK + 1)}
+        cfg = ClipConfig(0.1)
+        scale, norm = clip_scale(grads, cfg)
+        clipped, wrapper_norm = clip_global_norm(grads, cfg)
+        assert scale < 1.0 and wrapper_norm == norm
+        for k in grads:
+            assert np.array_equal(clipped[k], grads[k] * scale)
+        assert global_grad_norm(grads, scale) == global_grad_norm(clipped)
+
+    def test_scale_is_one_within_the_bound(self):
+        grads = {"w": np.array([0.03, 0.04])}
+        assert clip_scale(grads, ClipConfig(0.1)) == (1.0, global_grad_norm(grads))
+
+    @pytest.mark.parametrize("grads,message", [
+        ({"ok": np.ones(2), "broken": np.array([1.0, np.nan])}, "broken"),
+        ({"w": np.array([1e200, 1.0])}, "norm overflows"),
+    ])
+    def test_scale_raises_like_the_wrapper(self, grads, message):
+        with pytest.raises(NumericError, match=message):
+            clip_scale(grads, ClipConfig(0.1))
 
 
 def scalar_adam_trajectory(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999,
@@ -150,6 +176,53 @@ class TestAdam:
         state = AdamState.init(params)
         adam_step(params, {"w": np.array([1.0])}, state, lr=0.1)
         assert arr[0] != 1.0  # the original array object was updated
+
+    def test_non_contiguous_parameter_rejected(self):
+        # a copy would take the update and the parameter would never move
+        params = {"w": np.ones((3, 4)).T}
+        state = AdamState.init({"w": np.ones((4, 3))})
+        with pytest.raises(ConfigError, match="contiguous"):
+            adam_step(params, {"w": np.ones((4, 3))}, state, lr=0.1)
+
+    @pytest.mark.parametrize("scale", [0.37, 1e-3])
+    def test_grad_scale_equals_prescaled_gradients(self, scale):
+        rng = np.random.default_rng(11)
+        w0 = {"a": rng.normal(size=(5, 4)), "b": rng.normal(size=CHUNK + 3)}
+        fused = {k: v.copy() for k, v in w0.items()}
+        plain = {k: v.copy() for k, v in w0.items()}
+        fused_state, plain_state = AdamState.init(fused), AdamState.init(plain)
+        for _ in range(4):
+            grads = {k: rng.normal(size=v.shape) for k, v in w0.items()}
+            before = {k: v.copy() for k, v in grads.items()}
+            adam_step(fused, grads, fused_state, 0.01, grad_scale=scale)
+            adam_step(plain, {k: v * scale for k, v in grads.items()},
+                      plain_state, 0.01)
+            for k in grads:
+                assert np.array_equal(grads[k], before[k])
+        for k in w0:
+            assert np.array_equal(fused[k], plain[k])
+            assert np.array_equal(fused_state.m[k], plain_state.m[k])
+            assert np.array_equal(fused_state.v[k], plain_state.v[k])
+
+    def test_blocks_match_whole_array_formula(self):
+        # 3 full blocks and a tail: every block boundary is crossed
+        rng = np.random.default_rng(12)
+        w = rng.normal(size=3 * CHUNK + 5)
+        params = {"w": w.copy()}
+        state = AdamState.init(params)
+        m, v = np.zeros_like(w), np.zeros_like(w)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.02
+        for t in range(1, 6):
+            g = rng.normal(size=w.size)
+            adam_step(params, {"w": g}, state, lr)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert np.array_equal(params["w"], w)
+        assert np.array_equal(state.m["w"], m)
+        assert np.array_equal(state.v["w"], v)
 
 
 class TestOneCycle:
