@@ -46,13 +46,13 @@ print("mut_concat triple:",
 
 # --- a self-mutation zeroes the difference head's inputs, so its
 # LayerNorms output their beta channels alone ---------------------------
-h2 = ensemble.head2
-beta_only = h2.out.weight @ np.concatenate([h2.ln_cls.beta, h2.ln_pos.beta])
+h2 = ensemble.head2.arrays
+beta_only = h2["out.weight"] @ np.concatenate([h2["ln_cls.beta"], h2["ln_pos.beta"]])
 print("\nself-mutation residual:",
-      abs(ensemble.predict(bw, bw).y2 - float((beta_only + h2.out.bias)[0])))
+      abs(ensemble.predict(bw, bw).y2 - float((beta_only + h2["out.bias"])[0])))
 
 # --- with unit gamma / zero beta, swapping (wt, mut) negates head2's
 # feature, so its output flips around the bias --------------------------
-b = float(h2.out.bias[0])
+b = float(h2["out.bias"][0])
 y2, y2_swapped = ensemble.predict(bw, bm).y2, ensemble.predict(bm, bw).y2
 print("swap antisymmetry residual:", abs((y2 - b) + (y2_swapped - b)))

@@ -13,6 +13,13 @@ training-config snapshot and its hash, and Adam hyperparameters; every
 value is type-checked on load. The array section holds every model
 parameter (prefix ``model.``) and, when optimizer state is included, the
 Adam moments of the trained parameters (prefixes ``adam_m.``, ``adam_v.``).
+
+Arrays stream both ways without copies: the writer hands each array's
+own buffer to the file, and the reader, once the header agrees with
+``heads.model_layout`` and with the file length, reads each array
+straight into the array the model or the Adam state will own, rejects a
+non-finite value naming the array, and assembles the model in layout
+order whatever order the file declares.
 """
 
 from __future__ import annotations
@@ -20,13 +27,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-from .heads import MODEL_KINDS, Model, build_model, param_shapes
+from .heads import MODEL_KINDS, Model, assemble_model, model_layout
 from .optim import AdamState
 
 CKPT_MAGIC = b"MSCK"
@@ -85,7 +94,9 @@ def save_checkpoint(path, model: Model, config: dict | None = None,
         fh.write(struct.pack("<II", CKPT_VERSION, len(blob)))
         fh.write(blob)
         for _, arr in arrays:
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
+            # the array's own buffer for C-contiguous float64 on a
+            # little-endian host; a converted copy only otherwise
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _is_int(value) -> bool:
@@ -135,12 +146,11 @@ def _check_header(path, header) -> None:
         raise FormatError(f"{path}: bad adam header {adam!r}")
 
 
-def _expected_shapes(header, declared, with_adam: bool) -> dict:
-    """Shape per array name: every parameter of the model the header
-    describes, plus both Adam moments of each parameter that ``adam_m.*``
-    names (a frozen projection has none). Nothing is allocated."""
-    params = param_shapes(header["kind"], header["d_raw"], header["d_proj"],
-                          tuple(header["modalities"]))
+def _expected_shapes(layout, declared, with_adam: bool) -> dict:
+    """Shape per array name: every parameter in the model's layout, plus
+    both Adam moments of each parameter that ``adam_m.*`` names (a frozen
+    projection has none)."""
+    params = {name: shape for name, shape, _ in layout}
     expected = {f"model.{n}": shape for n, shape in params.items()}
     if with_adam:
         moments = {n[len("adam_m."):] for n in declared if n.startswith("adam_m.")}
@@ -150,66 +160,78 @@ def _expected_shapes(header, declared, with_adam: bool) -> dict:
     return expected
 
 
+def _read_array(fh, path, name: str, arr: np.ndarray) -> None:
+    """Fill ``arr`` from the file's next ``<f8`` bytes; reject non-finite values."""
+    if fh.readinto(arr) != arr.nbytes:
+        raise FormatError(f"{path}: truncated array data in {name}")
+    if sys.byteorder != "little":
+        arr.byteswap(inplace=True)
+    # min and max carry any NaN or inf, and allocate nothing the array's size
+    if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        raise FormatError(f"{path}: array {name} has a non-finite value")
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Check the header against the file, then read each array straight
+    into the model or Adam state that owns it, in the order the header
+    declares them."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header at offset {len(data)}")
-    version, header_len = struct.unpack_from("<II", data, 4)
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if len(data) < 12 + header_len:
-        raise FormatError(f"{path}: truncated header at offset 12")
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from None
-    _check_header(path, header)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != CKPT_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
+        if len(head) < 12:
+            raise FormatError(f"{path}: truncated header at offset {len(head)}")
+        version, header_len = struct.unpack_from("<II", head, 4)
+        if version != CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if size < 12 + header_len:
+            raise FormatError(f"{path}: truncated header at offset 12")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: unreadable header: {exc}") from None
+        _check_header(path, header)
 
-    # header, arrays and file length must agree before the model is built,
-    # so memory follows the file, not what its header claims
-    declared = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
-    if len(declared) != len(header["arrays"]):
-        raise FormatError(f"{path}: header arrays repeat a name")
-    adam_meta = header.get("adam")
-    expected = _expected_shapes(header, declared, adam_meta is not None)
-    if set(declared) != set(expected):
-        raise FormatError(
-            f"{path}: array set mismatch: {sorted(set(declared) ^ set(expected))[:4]}"
-        )
-    for name, shape in declared.items():
-        if shape != expected[name]:
+        # header, arrays and file length must agree before anything the
+        # size of the model is allocated, so memory follows the file
+        declared = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
+        if len(declared) != len(header["arrays"]):
+            raise FormatError(f"{path}: header arrays repeat a name")
+        meta = (header["kind"], header["d_raw"], header["d_proj"],
+                tuple(header["modalities"]))
+        layout = model_layout(*meta)
+        adam_meta = header.get("adam")
+        expected = _expected_shapes(layout, declared, adam_meta is not None)
+        if set(declared) != set(expected):
             raise FormatError(
-                f"{path}: {name} shape {shape} != expected {expected[name]}"
+                f"{path}: array set mismatch: {sorted(set(declared) ^ set(expected))[:4]}"
             )
+        for name, shape in declared.items():
+            if shape != expected[name]:
+                raise FormatError(
+                    f"{path}: {name} shape {shape} != expected {expected[name]}"
+                )
+        end = 12 + header_len + 8 * sum(math.prod(s) for s in declared.values())
+        if end > size:
+            raise FormatError(
+                f"{path}: truncated array data: arrays end at {end}, file at {size}")
+        if end < size:
+            raise FormatError(f"{path}: {size - end} trailing bytes at {end}")
 
-    offset = 12 + header_len
-    end = offset + 8 * sum(math.prod(shape) for shape in declared.values())
-    if end > len(data):
-        raise FormatError(
-            f"{path}: truncated array data: arrays end at {end}, file at {len(data)}")
-    if end < len(data):
-        raise FormatError(f"{path}: {len(data) - end} trailing bytes at {end}")
+        # destinations in layout order, whatever order the file uses
+        params, m, v, targets = {}, {}, {}, {}
+        for name, shape, _ in layout:
+            params[name] = targets[f"model.{name}"] = np.empty(shape)
+            if f"adam_m.{name}" in declared:
+                m[name] = targets[f"adam_m.{name}"] = np.empty(shape)
+                v[name] = targets[f"adam_v.{name}"] = np.empty(shape)
+        for name in declared:
+            _read_array(fh, path, name, targets[name])
 
-    model = build_model(header["kind"], header["d_raw"], header["d_proj"],
-                        header["seed"], tuple(header["modalities"]))
-    loaded: dict[str, np.ndarray] = {}
-    for name, shape in declared.items():
-        count = math.prod(shape)
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-        loaded[name] = arr.reshape(shape).astype(np.float64)
-        offset += 8 * count
-
-    for name, arr in model.named_parameters():
-        np.copyto(arr, loaded[f"model.{name}"])
+    model = assemble_model(*meta, header["seed"], params)
     adam = None
     if adam_meta is not None:
-        m = {n[len("adam_m."):]: a for n, a in loaded.items()
-             if n.startswith("adam_m.")}
-        v = {n[len("adam_v."):]: a for n, a in loaded.items()
-             if n.startswith("adam_v.")}
         adam = AdamState(adam_meta["beta1"], adam_meta["beta2"],
                          adam_meta["eps"], adam_meta["t"], m, v)
     return Checkpoint(model, header.get("config"), adam)

@@ -19,6 +19,13 @@ consume these fused rows:
 The ensemble model runs head1 and head2 on one shared projection and
 averages their predictions. Both model classes share one interface: a
 single head is an ensemble of one, predicting ``(y, y, y)``.
+
+Parameters are described once, by :func:`model_layout`: the name, shape
+and starting value of every parameter of a model kind, in
+``named_parameters`` and checkpoint order. ``build_model`` draws or fills
+each entry in that order, ``param_shapes`` reads its shapes, and the
+checkpoint reader assembles a model from the arrays it reads in that
+order (:func:`assemble_model`).
 """
 
 from __future__ import annotations
@@ -57,45 +64,14 @@ class EnsemblePrediction(NamedTuple):
 # parameter containers
 
 
-def _uniform_init(n_out: int, n_in: int, rng: np.random.Generator) -> Array:
-    bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=(n_out, n_in))
-
-
 @dataclass
 class LinearParams:
     weight: Array  # (n_out, n_in)
     bias: Array    # (n_out,)
 
-    @classmethod
-    def create(cls, n_out: int, n_in: int, rng: np.random.Generator):
-        return cls(_uniform_init(n_out, n_in, rng), np.zeros(n_out))
-
     def bind(self, tape: Tape, prefix: str) -> tuple[Node, Node]:
         return (tape.leaf(self.weight, f"{prefix}.weight"),
                 tape.leaf(self.bias, f"{prefix}.bias"))
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Array]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
-
-
-@dataclass
-class LayerNormParams:
-    gamma: Array
-    beta: Array
-
-    @classmethod
-    def create(cls, width: int):
-        return cls(np.ones(width), np.zeros(width))
-
-    def bind(self, tape: Tape, prefix: str) -> tuple[Node, Node]:
-        return (tape.leaf(self.gamma, f"{prefix}.gamma"),
-                tape.leaf(self.beta, f"{prefix}.beta"))
-
-    def named(self, prefix: str) -> Iterator[tuple[str, Array]]:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
 
 @dataclass
@@ -107,29 +83,16 @@ class TrackProjection:
     d_proj: int
     layers: dict[str, LinearParams]
 
-    @classmethod
-    def create(cls, modalities: tuple[str, ...], d_raw: int, d_proj: int,
-               rng: np.random.Generator, suffixes: tuple[str, ...]):
-        """One layer per role behind the fused vectors named by ``suffixes``."""
-        if d_raw < 1 or d_proj < 1:
-            raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
-        if not modalities:
-            raise ConfigError("projection needs at least one modality")
-        proj = cls(tuple(modalities), d_raw, d_proj, {})
-        roles = sorted(r for suffix in suffixes for r in proj.roles(suffix))
-        proj.layers = {role: LinearParams.create(d_proj, d_raw, rng)
-                       for role in roles}
-        return proj
-
     def roles(self, suffix: str) -> list[str]:
         """Track roles behind one fused vector: ``avg``, or one per modality."""
         if suffix == "avg":
             return ["avg"]
         return [f"{m}_{suffix}" for m in self.modalities]
 
-    def named_parameters(self, prefix: str = "proj") -> Iterator[tuple[str, Array]]:
+    def named_parameters(self) -> Iterator[tuple[str, Array]]:
         for role in sorted(self.layers):
-            yield from self.layers[role].named(f"{prefix}.{role}")
+            yield f"proj.{role}.weight", self.layers[role].weight
+            yield f"proj.{role}.bias", self.layers[role].bias
 
     def project(self, tape: Tape, bundles: list[EmbeddingBundle],
                 role: str) -> Node:
@@ -189,47 +152,19 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
 
 @dataclass
 class HeadParams:
-    """Learnable parameters of one regression head; fields vary by kind."""
+    """Learnable parameters of one regression head, keyed by their name
+    inside the head (``mix.weight``, ``ln_cls.gamma``, ``alpha``, ...);
+    :func:`model_layout` says which names each kind has."""
 
     kind: HeadKind
-    out: LinearParams
-    mix: LinearParams | None = None        # head1: d^2 -> d stage
-    ln_cls: LayerNormParams | None = None  # head2
-    ln_pos: LayerNormParams | None = None  # head2
-    alpha: Array | None = None             # lincomb heads, shape (1,)
-    beta: Array | None = None
+    arrays: dict[str, Array]
 
-    @classmethod
-    def create(cls, kind: HeadKind, width: int, rng: np.random.Generator):
-        if width < 1:
-            raise ConfigError(f"head width must be >= 1, got {width}")
-        kind = HeadKind(kind)
-        if kind == HeadKind.HEAD1_OUTER:
-            return cls(kind, mix=LinearParams.create(width, width * width, rng),
-                       out=LinearParams.create(1, width, rng))
-        if kind == HeadKind.HEAD2_LNDIFF:
-            return cls(kind, out=LinearParams.create(1, 2 * width, rng),
-                       ln_cls=LayerNormParams.create(width),
-                       ln_pos=LayerNormParams.create(width))
-        if kind == HeadKind.MUT_CONCAT:
-            return cls(kind, out=LinearParams.create(1, 2 * width, rng))
-        if kind in LINCOMB_KINDS:
-            # difference-style start: alpha=1, beta=-1
-            return cls(kind, out=LinearParams.create(1, width, rng),
-                       alpha=np.array([1.0]), beta=np.array([-1.0]))
-        raise ConfigError(f"unknown head kind {kind!r}")
+    def bind(self, tape: Tape, prefix: str, *names: str) -> list[Node]:
+        return [tape.leaf(self.arrays[n], f"{prefix}.{n}") for n in names]
 
-    def named_parameters(self, prefix: str = "head") -> Iterator[tuple[str, Array]]:
-        if self.mix is not None:
-            yield from self.mix.named(f"{prefix}.mix")
-        if self.ln_cls is not None:
-            yield from self.ln_cls.named(f"{prefix}.ln_cls")
-        if self.ln_pos is not None:
-            yield from self.ln_pos.named(f"{prefix}.ln_pos")
-        if self.alpha is not None:
-            yield f"{prefix}.alpha", self.alpha
-            yield f"{prefix}.beta", self.beta
-        yield from self.out.named(f"{prefix}.out")
+    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Array]]:
+        for name, arr in self.arrays.items():
+            yield f"{prefix}.{name}", arr
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +174,26 @@ class HeadParams:
 def head1_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
                   prefix: str = "head") -> Node:
     """Outer-product head: N1(mix(flatten(a_m (x) a_w)))."""
-    if params.kind != HeadKind.HEAD1_OUTER or params.mix is None:
+    if params.kind != HeadKind.HEAD1_OUTER:
         raise ConfigError(f"head1_forward needs HEAD1_OUTER params, got {params.kind}")
     flat = tape.outer_flatten(a_m, a_w)
-    Wm, bm = params.mix.bind(tape, f"{prefix}.mix")
+    Wm, bm = params.bind(tape, prefix, "mix.weight", "mix.bias")
     hidden = tape.linear(Wm, flat, bm)
-    Wo, bo = params.out.bind(tape, f"{prefix}.out")
+    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, hidden, bo)
 
 
 def head2_forward(tape: Tape, cls_w: Node, cls_m: Node, a_w: Node, a_m: Node,
                   params: HeadParams, prefix: str = "head") -> Node:
     """Difference head: N2(LN(cls_w - cls_m) ++ LN(a_w - a_m))."""
-    if params.kind != HeadKind.HEAD2_LNDIFF or params.ln_cls is None:
+    if params.kind != HeadKind.HEAD2_LNDIFF:
         raise ConfigError(f"head2_forward needs HEAD2_LNDIFF params, got {params.kind}")
-    gc, bc = params.ln_cls.bind(tape, f"{prefix}.ln_cls")
-    gp, bp = params.ln_pos.bind(tape, f"{prefix}.ln_pos")
+    gc, bc, gp, bp = params.bind(tape, prefix, "ln_cls.gamma", "ln_cls.beta",
+                                 "ln_pos.gamma", "ln_pos.beta")
     norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), gc, bc)
     norm_pos = tape.layernorm(tape.sub(a_w, a_m), gp, bp)
     feature = tape.concat([norm_cls, norm_pos])
-    Wo, bo = params.out.bind(tape, f"{prefix}.out")
+    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, feature, bo)
 
 
@@ -266,18 +201,17 @@ def mut_concat_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
                        prefix: str = "head") -> Node:
     if params.kind != HeadKind.MUT_CONCAT:
         raise ConfigError(f"mut_concat_forward needs MUT_CONCAT params, got {params.kind}")
-    Wo, bo = params.out.bind(tape, f"{prefix}.out")
+    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, tape.concat([a_w, a_m]), bo)
 
 
 def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, params: HeadParams,
                     prefix: str = "head") -> Node:
-    if params.kind not in LINCOMB_KINDS or params.alpha is None:
+    if params.kind not in LINCOMB_KINDS:
         raise ConfigError(f"lincomb_forward needs a lincomb head, got {params.kind}")
-    alpha = tape.leaf(params.alpha, f"{prefix}.alpha")
-    beta = tape.leaf(params.beta, f"{prefix}.beta")
+    alpha, beta = params.bind(tape, prefix, "alpha", "beta")
     mixed = tape.add(tape.scale(alpha, x_w), tape.scale(beta, x_m))
-    Wo, bo = params.out.bind(tape, f"{prefix}.out")
+    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, mixed, bo)
 
 
@@ -335,7 +269,7 @@ class EnsembleModel(_ModelBase):
     kind_name = "ensemble"
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
-        yield from self.projection.named_parameters("proj")
+        yield from self.projection.named_parameters()
         yield from self.head1.named_parameters("head1")
         yield from self.head2.named_parameters("head2")
 
@@ -380,7 +314,7 @@ class SingleHeadModel(_ModelBase):
         return self.head.kind.value
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
-        yield from self.projection.named_parameters("proj")
+        yield from self.projection.named_parameters()
         yield from self.head.named_parameters("head")
 
     def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
@@ -402,66 +336,47 @@ Model = EnsembleModel | SingleHeadModel
 
 
 # ---------------------------------------------------------------------------
-# factories
+# layout and factories
 
 
-def build_ensemble(d_raw: int, d_proj: int, seed: int,
-                   modalities: tuple[str, ...] = ("seq",)) -> EnsembleModel:
-    rng = np.random.default_rng(seed)
-    proj = TrackProjection.create(modalities, d_raw, d_proj, rng, ("cls", "pos"))
-    width = len(modalities) * d_proj
-    head1 = HeadParams.create(HeadKind.HEAD1_OUTER, width, rng)
-    head2 = HeadParams.create(HeadKind.HEAD2_LNDIFF, width, rng)
-    return EnsembleModel(proj, head1, head2, seed=seed)
+# (name, shape, start): start is a fill value, or None for a uniform draw
+LayoutEntry = tuple[str, tuple[int, ...], float | None]
 
 
-def build_single_head(kind: HeadKind, d_raw: int, d_proj: int, seed: int,
-                      modalities: tuple[str, ...] = ("seq",)) -> SingleHeadModel:
-    kind = HeadKind(kind)
-    rng = np.random.default_rng(seed)
-    suffixes, _ = SINGLE_HEADS[kind]
-    proj = TrackProjection.create(modalities, d_raw, d_proj, rng, suffixes)
-    width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
-    head = HeadParams.create(kind, width, rng)
-    return SingleHeadModel(proj, head, seed=seed)
+def _linear_layout(prefix: str, n_out: int, n_in: int) -> list[LayoutEntry]:
+    return [(f"{prefix}.weight", (n_out, n_in), None),
+            (f"{prefix}.bias", (n_out,), 0.0)]
 
 
-def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
-                modalities: tuple[str, ...] = ("seq",)) -> Model:
-    """Build by name: ``ensemble`` or any :class:`HeadKind` value."""
-    if kind_name == "ensemble":
-        return build_ensemble(d_raw, d_proj, seed, modalities)
-    return build_single_head(HeadKind(kind_name), d_raw, d_proj, seed,
-                             modalities)
-
-
-def _head_shapes(kind: HeadKind, width: int,
-                 prefix: str) -> dict[str, tuple[int, ...]]:
-    """Shapes of the parameters ``HeadParams.create(kind, width)`` makes."""
-    out_in = 2 * width if kind in (HeadKind.HEAD2_LNDIFF,
-                                   HeadKind.MUT_CONCAT) else width
-    shapes = {f"{prefix}.out.weight": (1, out_in), f"{prefix}.out.bias": (1,)}
+def _head_layout(kind: HeadKind, width: int, prefix: str) -> list[LayoutEntry]:
     if kind == HeadKind.HEAD1_OUTER:
-        shapes[f"{prefix}.mix.weight"] = (width, width * width)
-        shapes[f"{prefix}.mix.bias"] = (width,)
+        return (_linear_layout(f"{prefix}.mix", width, width * width)
+                + _linear_layout(f"{prefix}.out", 1, width))
     if kind == HeadKind.HEAD2_LNDIFF:
-        for ln in ("ln_cls", "ln_pos"):
-            shapes[f"{prefix}.{ln}.gamma"] = (width,)
-            shapes[f"{prefix}.{ln}.beta"] = (width,)
-    if kind in LINCOMB_KINDS:
-        shapes[f"{prefix}.alpha"] = (1,)
-        shapes[f"{prefix}.beta"] = (1,)
-    return shapes
+        return [(f"{prefix}.{ln}.{name}", (width,), start)
+                for ln in ("ln_cls", "ln_pos")
+                for name, start in (("gamma", 1.0), ("beta", 0.0))
+                ] + _linear_layout(f"{prefix}.out", 1, 2 * width)
+    if kind == HeadKind.MUT_CONCAT:
+        return _linear_layout(f"{prefix}.out", 1, 2 * width)
+    # lincomb heads: difference-style start, alpha=1, beta=-1
+    return ([(f"{prefix}.alpha", (1,), 1.0), (f"{prefix}.beta", (1,), -1.0)]
+            + _linear_layout(f"{prefix}.out", 1, width))
 
 
-def param_shapes(kind_name: str, d_raw: int, d_proj: int,
-                 modalities: tuple[str, ...] = ("seq",)) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter ``build_model`` would make.
+def model_layout(kind_name: str, d_raw: int, d_proj: int,
+                 modalities: tuple[str, ...]) -> list[LayoutEntry]:
+    """Every parameter of a model as ``(name, shape, start)``, in
+    ``named_parameters`` and checkpoint order.
 
-    Pure arithmetic, nothing the size of the model is allocated, so a
-    checkpoint header can be checked against its arrays before the model
-    it describes is built.
+    ``start`` is the value the parameter starts at, or None for a uniform
+    draw in +-1/sqrt(fan-in). The one place that says which parameters
+    each kind has; nothing the size of the model is allocated.
     """
+    if d_raw < 1 or d_proj < 1:
+        raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
+    if not modalities:
+        raise ConfigError("projection needs at least one modality")
     if kind_name == "ensemble":
         suffixes = ("cls", "pos")
         heads = (("head1", HeadKind.HEAD1_OUTER), ("head2", HeadKind.HEAD2_LNDIFF))
@@ -470,11 +385,67 @@ def param_shapes(kind_name: str, d_raw: int, d_proj: int,
         suffixes = SINGLE_HEADS[kind][0]
         heads = (("head", kind),)
     proj = TrackProjection(tuple(modalities), d_raw, d_proj, {})
-    shapes: dict[str, tuple[int, ...]] = {}
-    for role in {r for suffix in suffixes for r in proj.roles(suffix)}:
-        shapes[f"proj.{role}.weight"] = (d_proj, d_raw)
-        shapes[f"proj.{role}.bias"] = (d_proj,)
+    roles = sorted(r for suffix in suffixes for r in proj.roles(suffix))
+    layout = [e for role in roles
+              for e in _linear_layout(f"proj.{role}", d_proj, d_raw)]
     width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
     for prefix, kind in heads:
-        shapes.update(_head_shapes(kind, width, prefix))
-    return shapes
+        layout += _head_layout(kind, width, prefix)
+    return layout
+
+
+def param_shapes(kind_name: str, d_raw: int, d_proj: int,
+                 modalities: tuple[str, ...] = ("seq",)) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter ``build_model`` would make."""
+    return {name: shape for name, shape, _ in
+            model_layout(kind_name, d_raw, d_proj, modalities)}
+
+
+def assemble_model(kind_name: str, d_raw: int, d_proj: int,
+                   modalities: tuple[str, ...], seed: int,
+                   arrays: dict[str, Array]) -> Model:
+    """The model that holds ``arrays`` (full names, in layout order) as its
+    parameters, without copying them."""
+    def part(prefix: str) -> dict[str, Array]:
+        return {name[len(prefix) + 1:]: arr for name, arr in arrays.items()
+                if name.startswith(prefix + ".")}
+
+    proj = part("proj")
+    roles = [name[:-len(".weight")] for name in proj if name.endswith(".weight")]
+    projection = TrackProjection(tuple(modalities), d_raw, d_proj, {
+        role: LinearParams(proj[f"{role}.weight"], proj[f"{role}.bias"])
+        for role in roles})
+    if kind_name == "ensemble":
+        return EnsembleModel(projection,
+                             HeadParams(HeadKind.HEAD1_OUTER, part("head1")),
+                             HeadParams(HeadKind.HEAD2_LNDIFF, part("head2")),
+                             seed=seed)
+    return SingleHeadModel(projection, HeadParams(HeadKind(kind_name), part("head")),
+                           seed=seed)
+
+
+def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
+                modalities: tuple[str, ...] = ("seq",)) -> Model:
+    """Build by name: ``ensemble`` or any :class:`HeadKind` value.
+
+    Parameters are made in layout order from one ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape, start in model_layout(kind_name, d_raw, d_proj, modalities):
+        if start is None:
+            bound = 1.0 / np.sqrt(shape[-1])
+            arrays[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            arrays[name] = np.full(shape, start)
+    return assemble_model(kind_name, d_raw, d_proj, modalities, seed, arrays)
+
+
+def build_ensemble(d_raw: int, d_proj: int, seed: int,
+                   modalities: tuple[str, ...] = ("seq",)) -> EnsembleModel:
+    return build_model("ensemble", d_raw, d_proj, seed, modalities)
+
+
+def build_single_head(kind: HeadKind, d_raw: int, d_proj: int, seed: int,
+                      modalities: tuple[str, ...] = ("seq",)) -> SingleHeadModel:
+    return build_model(HeadKind(kind).value, d_raw, d_proj, seed, modalities)

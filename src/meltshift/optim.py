@@ -25,6 +25,15 @@ from .tape import Array
 # parameter, its moments and the scratch buffers stay in cache together
 CHUNK = 32768
 
+# the fixed recipe: Adam's decay rates and epsilon, and the one-cycle
+# schedule's warmup share and start and end divisors of max_lr
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PCT_START = 0.3
+DIV_FACTOR = 25.0
+FINAL_DIV_FACTOR = 1e4
+
 
 def _chunks(n: int):
     """``(start, stop)`` of each block of ``n`` elements."""
@@ -104,23 +113,17 @@ def clip_global_norm(grads: dict[str, Array],
 class AdamState:
     """Moment estimates and step count; shapes mirror the parameters."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float = ADAM_BETA1
+    beta2: float = ADAM_BETA2
+    eps: float = ADAM_EPS
     t: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
 
     @classmethod
-    def init(cls, params: dict[str, Array], beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"bad Adam betas ({beta1}, {beta2})")
-        if not (eps > 0):
-            raise ConfigError(f"Adam eps must be > 0, got {eps}")
-        return cls(beta1, beta2, eps, 0,
-                   {k: np.zeros_like(p) for k, p in params.items()},
-                   {k: np.zeros_like(p) for k, p in params.items()})
+    def init(cls, params: dict[str, Array]) -> "AdamState":
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
 def adam_step(params: dict[str, Array], grads: dict[str, Array],
@@ -193,29 +196,22 @@ class OneCycleSchedule:
 
     Stepped once per optimizer step; ``total_steps`` is the full run length
     (epochs times batches per epoch). Boundary values are exact:
-    lr(0) = max_lr / div_factor, lr(peak) = max_lr,
-    lr(total_steps) = max_lr / final_div_factor.
+    lr(0) = max_lr / DIV_FACTOR, lr(peak) = max_lr,
+    lr(total_steps) = max_lr / FINAL_DIV_FACTOR.
     """
 
     max_lr: float
     total_steps: int
-    pct_start: float = 0.3
-    div_factor: float = 25.0
-    final_div_factor: float = 1e4
 
     def __post_init__(self):
         if self.max_lr <= 0:
             raise ConfigError(f"max_lr must be > 0, got {self.max_lr}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
-        if not (0.0 <= self.pct_start < 1.0):
-            raise ConfigError(f"pct_start must be in [0, 1), got {self.pct_start}")
-        if self.div_factor <= 0 or self.final_div_factor <= 0:
-            raise ConfigError("div factors must be > 0")
 
     @property
     def peak_step(self) -> int:
-        return int(math.floor(self.pct_start * self.total_steps))
+        return int(math.floor(PCT_START * self.total_steps))
 
 
 def _cosine(start: float, end: float, frac: float) -> float:
@@ -232,8 +228,8 @@ def onecycle_lr(step: int, sched: OneCycleSchedule) -> float:
         raise ConfigError(
             f"step {step} outside schedule range [0, {sched.total_steps}]"
         )
-    initial = sched.max_lr / sched.div_factor
-    final = sched.max_lr / sched.final_div_factor
+    initial = sched.max_lr / DIV_FACTOR
+    final = sched.max_lr / FINAL_DIV_FACTOR
     peak = sched.peak_step
     if step <= peak:
         # peak == 0 means the run is too short for a warmup phase

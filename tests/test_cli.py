@@ -337,6 +337,26 @@ def test_checkpoint_header_widths_checked_before_allocation(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_finite_parameter_is_data_error_at_load(command, pipeline, tmp_path,
+                                                     capsys):
+    dataset, bundles, _ = pipeline
+    model = build_model("ensemble", 10, 4, 0)
+    dict(model.named_parameters())["head2.out.bias"][0] = float("nan")
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, model)
+    first = load_dataset(dataset)[0]
+    capsys.readouterr()
+    if command == "eval":
+        code = run("eval", path, dataset, bundles)
+    else:
+        code = run("predict", path, bundles, "--mutations",
+                   f"{first.protein_id}:{first.mutation.code}")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "model.head2.out.bias" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
 def test_bundle_width_other_than_checkpoint_is_data_error(command, pipeline,
                                                           tmp_path, capsys):
     dataset, bundles, _ = pipeline

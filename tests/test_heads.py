@@ -36,6 +36,11 @@ def identity_projection(d, roles):
     return TrackProjection(("seq",), d, d, layers)
 
 
+def head_params(kind, width, seed):
+    """Freshly built parameters of one head of ``width``."""
+    return build_single_head(kind, d_raw=3, d_proj=width, seed=seed).head
+
+
 def fused_values(bw, bm, proj):
     """(cls_w, cls_m, a_w, a_m) as arrays."""
     nodes = fuse_pair(Tape(), proj, [bw], [bm], ("cls", "pos"))
@@ -62,16 +67,14 @@ def head2_intermediates(params, cls_w, cls_m, a_w, a_m):
 
 class TestProjectAndFuse:
     def test_single_track_width(self):
-        proj = TrackProjection.create(("seq",), 12, 8, np.random.default_rng(0),
-                                      ("cls", "pos"))
+        proj = build_ensemble(12, 8, 0, ("seq",)).projection
         bw = random_bundle("X:WT", 12, 1, SEQ_ROLES)
         bm = random_bundle("X:M", 12, 2, SEQ_ROLES)
         out = fused_values(bw, bm, proj)
         assert all(v.shape == (8,) for v in out)
 
     def test_two_track_width_is_2_dproj(self):
-        proj = TrackProjection.create(("struct", "seq"), 12, 8,
-                                      np.random.default_rng(0), ("cls", "pos"))
+        proj = build_ensemble(12, 8, 0, ("struct", "seq")).projection
         bw = random_bundle("X:WT", 12, 1)
         bm = random_bundle("X:M", 12, 2)
         out = fused_values(bw, bm, proj)
@@ -96,35 +99,39 @@ class TestProjectAndFuse:
 
 
 def head1_oracle(a_w, a_m, p):
+    a = p.arrays
     flat = np.outer(a_m, a_w).ravel()
-    return float((p.out.weight @ (p.mix.weight @ flat + p.mix.bias) + p.out.bias)[0])
+    return float((a["out.weight"] @ (a["mix.weight"] @ flat + a["mix.bias"])
+                  + a["out.bias"])[0])
 
 
 def head2_oracle(cls_w, cls_m, a_w, a_m, p):
     def ln(x, g, b):
         return g * (x - x.mean()) / np.sqrt(x.var() + DEFAULT_LAYERNORM_EPS) + b
 
+    a = p.arrays
     feat = np.concatenate([
-        ln(cls_w - cls_m, p.ln_cls.gamma, p.ln_cls.beta),
-        ln(a_w - a_m, p.ln_pos.gamma, p.ln_pos.beta),
+        ln(cls_w - cls_m, a["ln_cls.gamma"], a["ln_cls.beta"]),
+        ln(a_w - a_m, a["ln_pos.gamma"], a["ln_pos.beta"]),
     ])
-    return float((p.out.weight @ feat + p.out.bias)[0])
+    return float((a["out.weight"] @ feat + a["out.bias"])[0])
 
 
 class TestHead1:
     def test_zero_input_isolates_bias_chain(self):
         rng = np.random.default_rng(3)
-        p = HeadParams.create(HeadKind.HEAD1_OUTER, 4, rng)
-        p.mix.bias[:] = rng.normal(size=4)
-        p.out.bias[:] = rng.normal(size=1)
-        expected = float((p.out.weight @ p.mix.bias + p.out.bias)[0])
+        p = head_params(HeadKind.HEAD1_OUTER, 4, 3)
+        p.arrays["mix.bias"][:] = rng.normal(size=4)
+        p.arrays["out.bias"][:] = rng.normal(size=1)
+        expected = float((p.arrays["out.weight"] @ p.arrays["mix.bias"]
+                          + p.arrays["out.bias"])[0])
         got = run_head(head1_forward, p, np.zeros(4), rng.normal(size=4))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_matrix_case(self):
         p = HeadParams(HeadKind.HEAD1_OUTER,
-                       out=LinearParams(np.ones((1, 2)), np.zeros(1)),
-                       mix=LinearParams(np.ones((2, 4)), np.zeros(2)))
+                       {"mix.weight": np.ones((2, 4)), "mix.bias": np.zeros(2),
+                        "out.weight": np.ones((1, 2)), "out.bias": np.zeros(1)})
         # outer(a_m, a_w) = [[0,0],[1,0]] -> flat [0,0,1,0] -> mix [1,1] -> 2
         assert run_head(head1_forward, p, [1.0, 0.0], [0.0, 1.0]) == \
             pytest.approx(2.0)
@@ -132,20 +139,20 @@ class TestHead1:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(10 + seed)
-        p = HeadParams.create(HeadKind.HEAD1_OUTER, 6, rng)
+        p = head_params(HeadKind.HEAD1_OUTER, 6, 10 + seed)
         a_w, a_m = rng.normal(size=6), rng.normal(size=6)
         assert run_head(head1_forward, p, a_w, a_m) == pytest.approx(
             head1_oracle(a_w, a_m, p), rel=1e-12)
 
     def test_shape_law(self):
-        p = HeadParams.create(HeadKind.HEAD1_OUTER, 4, np.random.default_rng(0))
-        assert p.mix.weight.shape == (4, 16)
-        assert p.out.weight.shape == (1, 4)
+        p = head_params(HeadKind.HEAD1_OUTER, 4, 0)
+        assert p.arrays["mix.weight"].shape == (4, 16)
+        assert p.arrays["out.weight"].shape == (1, 4)
 
     def test_intermediate_shapes_on_tape(self):
         # the fused outer product has d^2 entries, the mixed vector d
         rng = np.random.default_rng(1)
-        p = HeadParams.create(HeadKind.HEAD1_OUTER, 5, rng)
+        p = head_params(HeadKind.HEAD1_OUTER, 5, 1)
         t = Tape()
         head1_forward(t, t.leaf(rng.normal(size=5)), t.leaf(rng.normal(size=5)), p)
         op_shapes = [out.value.shape for out, _, _ in t._records]
@@ -155,20 +162,20 @@ class TestHead1:
 class TestHead2:
     def test_self_mutation_collapses_to_beta_channel(self):
         rng = np.random.default_rng(4)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng)
-        p.ln_cls.beta[:] = rng.normal(size=5)
-        p.ln_pos.beta[:] = rng.normal(size=5)
+        p = head_params(HeadKind.HEAD2_LNDIFF, 5, 4)
+        p.arrays["ln_cls.beta"][:] = rng.normal(size=5)
+        p.arrays["ln_pos.beta"][:] = rng.normal(size=5)
         v = rng.normal(size=5)
         c = rng.normal(size=5)
-        expected = float((p.out.weight @ np.concatenate([p.ln_cls.beta,
-                                                         p.ln_pos.beta])
-                          + p.out.bias)[0])
+        expected = float((p.arrays["out.weight"] @ np.concatenate(
+            [p.arrays["ln_cls.beta"], p.arrays["ln_pos.beta"]])
+                          + p.arrays["out.bias"])[0])
         assert run_head(head2_forward, p, c, c, v, v) == pytest.approx(
             expected, rel=1e-12)
 
     def test_self_mutation_zero_differences(self):
         rng = np.random.default_rng(5)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 5, rng)
+        p = head_params(HeadKind.HEAD2_LNDIFF, 5, 5)
         v, c = rng.normal(size=5), rng.normal(size=5)
         dcls, dpos, _ = head2_intermediates(p, c, c, v, v)
         assert np.array_equal(dcls, np.zeros(5))
@@ -176,7 +183,7 @@ class TestHead2:
 
     def test_swap_antisymmetry_of_core(self):
         rng = np.random.default_rng(6)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 6, rng)
+        p = head_params(HeadKind.HEAD2_LNDIFF, 6, 6)
         cw, cm = rng.normal(size=6), rng.normal(size=6)
         aw, am = rng.normal(size=6), rng.normal(size=6)
         _, _, feat = head2_intermediates(p, cw, cm, aw, am)
@@ -185,15 +192,15 @@ class TestHead2:
         # prediction offset flips around the output bias
         y = run_head(head2_forward, p, cw, cm, aw, am)
         y_swapped = run_head(head2_forward, p, cm, cw, am, aw)
-        b = float(p.out.bias[0])
+        b = float(p.arrays["out.bias"][0])
         assert (y_swapped - b) == pytest.approx(-(y - b), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_straight_line_oracle(self, seed):
         rng = np.random.default_rng(20 + seed)
-        p = HeadParams.create(HeadKind.HEAD2_LNDIFF, 8, rng)
-        p.ln_cls.gamma[:] = rng.normal(size=8)
-        p.ln_pos.beta[:] = rng.normal(size=8)
+        p = head_params(HeadKind.HEAD2_LNDIFF, 8, 20 + seed)
+        p.arrays["ln_cls.gamma"][:] = rng.normal(size=8)
+        p.arrays["ln_pos.beta"][:] = rng.normal(size=8)
         cw, cm = rng.normal(size=8), rng.normal(size=8)
         aw, am = rng.normal(size=8), rng.normal(size=8)
         assert run_head(head2_forward, p, cw, cm, aw, am) == pytest.approx(
@@ -203,33 +210,34 @@ class TestHead2:
 class TestAblationHeads:
     def test_mut_concat_zero_inputs_gives_bias(self):
         rng = np.random.default_rng(7)
-        p = HeadParams.create(HeadKind.MUT_CONCAT, 4, rng)
-        p.out.bias[:] = [2.5]
+        p = head_params(HeadKind.MUT_CONCAT, 4, 7)
+        p.arrays["out.bias"][:] = [2.5]
         got = run_head(mut_concat_forward, p, np.zeros(4), np.zeros(4))
         assert got == pytest.approx(2.5)
 
     def test_lincomb_difference_collapse(self):
         rng = np.random.default_rng(8)
-        p = HeadParams.create(HeadKind.MUT_LINCOMB, 4, rng)
-        p.alpha[:] = [1.0]
-        p.beta[:] = [-1.0]
-        p.out.bias[:] = [1.25]
+        p = head_params(HeadKind.MUT_LINCOMB, 4, 8)
+        p.arrays["alpha"][:] = [1.0]
+        p.arrays["beta"][:] = [-1.0]
+        p.arrays["out.bias"][:] = [1.25]
         v = rng.normal(size=4)
         got = run_head(lincomb_forward, p, v, v)
         assert got == pytest.approx(1.25)
 
     def test_lincomb_matches_formula(self):
         rng = np.random.default_rng(9)
-        p = HeadParams.create(HeadKind.CLS_LINCOMB, 5, rng)
-        p.alpha[:] = [0.7]
-        p.beta[:] = [0.2]
+        p = head_params(HeadKind.CLS_LINCOMB, 5, 9)
+        p.arrays["alpha"][:] = [0.7]
+        p.arrays["beta"][:] = [0.2]
         xw, xm = rng.normal(size=5), rng.normal(size=5)
-        expected = float((p.out.weight @ (0.7 * xw + 0.2 * xm) + p.out.bias)[0])
+        expected = float((p.arrays["out.weight"] @ (0.7 * xw + 0.2 * xm)
+                          + p.arrays["out.bias"])[0])
         got = run_head(lincomb_forward, p, xw, xm)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_kind_mismatch_rejected(self):
-        p = HeadParams.create(HeadKind.MUT_CONCAT, 4, np.random.default_rng(0))
+        p = head_params(HeadKind.MUT_CONCAT, 4, 0)
         with pytest.raises(ConfigError):
             run_head(lincomb_forward, p, np.zeros(4), np.zeros(4))
 
@@ -251,9 +259,9 @@ class TestEnsemble:
         assert np.array_equal(dcls, np.zeros(4))
         assert np.array_equal(dpos, np.zeros(4))
         # so head2 predicts from its LayerNorm beta channels alone
-        h2 = model.head2
-        beta_only = float((h2.out.weight @ np.concatenate(
-            [h2.ln_cls.beta, h2.ln_pos.beta]) + h2.out.bias)[0])
+        h2 = model.head2.arrays
+        beta_only = float((h2["out.weight"] @ np.concatenate(
+            [h2["ln_cls.beta"], h2["ln_pos.beta"]]) + h2["out.bias"])[0])
         assert model.predict(b, b).y2 == pytest.approx(beta_only, rel=1e-12)
 
     def test_same_seed_same_params(self):

@@ -261,5 +261,3 @@ class TestOneCycle:
             OneCycleSchedule(max_lr=0.0, total_steps=10)
         with pytest.raises(ConfigError):
             OneCycleSchedule(max_lr=0.1, total_steps=0)
-        with pytest.raises(ConfigError):
-            OneCycleSchedule(max_lr=0.1, total_steps=10, pct_start=1.0)

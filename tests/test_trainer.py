@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import pytest
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.data import synth_bundles
 from meltshift.errors import ConfigError, DataError, NumericError
+from meltshift.heads import build_model
 from meltshift.metrics import compute_report
+from meltshift.optim import AdamState
 from meltshift.trainer import (
     LossBreakdown,
     TrainConfig,
@@ -255,6 +260,64 @@ class TestCheckpoint:
         ckpt = load_checkpoint(path)
         assert sorted(ckpt.adam.m) == sorted(ckpt.adam.v) == sorted(result.adam.m)
         assert not any(name.startswith("proj.") for name in ckpt.adam.m)
+
+    def test_arrays_in_another_order_resave_canonically(self, desk_data,
+                                                        tmp_path):
+        records, bundles = desk_data
+        cfg = desk_config(epochs=1)
+        result = train(records, bundles, cfg)
+        path, shuffled, resaved = (tmp_path / n for n in ("a.ckpt", "b.ckpt",
+                                                          "c.ckpt"))
+        save_checkpoint(path, result.model, cfg.to_dict(), result.adam)
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + n])
+        chunks, offset = [], 12 + n
+        for entry in header["arrays"]:
+            size = 8 * math.prod(entry["shape"])
+            chunks.append((entry, blob[offset:offset + size]))
+            offset += size
+        chunks.reverse()
+        header["arrays"] = [entry for entry, _ in chunks]
+        text = json.dumps(header).encode()
+        shuffled.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                             + b"".join(data for _, data in chunks))
+        ckpt = load_checkpoint(shuffled)
+        assert ([n for n, _ in ckpt.model.named_parameters()]
+                == [n for n, _ in result.model.named_parameters()])
+        for (_, a), (_, b) in zip(ckpt.model.named_parameters(),
+                                  result.model.named_parameters()):
+            assert np.array_equal(a, b)
+        save_checkpoint(resaved, ckpt.model, ckpt.config, ckpt.adam)
+        assert resaved.read_bytes() == blob
+
+    def test_load_peak_is_the_array_bytes(self, tmp_path):
+        # a 6.5 MB array section, moments included: each array is read
+        # straight into its owner, with no copy of the file or of an array
+        model = build_model("ensemble", 64, 32, 0, ("seq", "struct"))
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, model,
+                        adam=AdamState.init(dict(model.named_parameters())))
+        array_bytes = 3 * 8 * model.param_count()
+        tracemalloc.start()
+        try:
+            ckpt = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < array_bytes + 4e6, (peak, array_bytes)
+        assert ckpt.model.param_count() == model.param_count()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_named_at_load(self, value, tmp_path):
+        from meltshift.errors import FormatError
+        model = build_model("mut_lincomb", 6, 4, 0)
+        adam = AdamState.init(dict(model.named_parameters()))
+        adam.v["head.alpha"][0] = value
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, model, adam=adam)
+        with pytest.raises(FormatError, match=r"adam_v\.head\.alpha.*non-finite"):
+            load_checkpoint(path)
 
     def test_corrupt_magic(self, tmp_path):
         from meltshift.errors import FormatError
