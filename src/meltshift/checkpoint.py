@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .data import TRACK_SETS
+from .errors import ConfigError, FormatError
 from .heads import MODEL_KINDS, Model, assemble_model, model_layout
 from .optim import AdamState
 
@@ -61,6 +62,9 @@ class Checkpoint:
 
 def _model_meta(model: Model) -> dict:
     proj = model.projection
+    if proj.modalities not in TRACK_SETS.values():
+        raise ConfigError(f"cannot save modalities {list(proj.modalities)}: "
+                          f"a checkpoint holds a track set {list(TRACK_SETS)}")
     return {
         "kind": model.kind_name,
         "d_raw": proj.d_raw,
@@ -128,10 +132,11 @@ def _check_header(path, header) -> None:
                 f"{path}: header {key} must be an int >= {low}, got {header[key]!r}"
             )
     modalities = header["modalities"]
-    if not (isinstance(modalities, list) and modalities
-            and all(isinstance(m, str) for m in modalities)):
+    if not (isinstance(modalities, list)
+            and tuple(modalities) in TRACK_SETS.values()):
         raise FormatError(
-            f"{path}: header modalities must be a non-empty list of strings"
+            f"{path}: header modalities must be one of "
+            f"{[list(m) for m in TRACK_SETS.values()]}, got {modalities!r}"
         )
     arrays = header["arrays"]
     if not (isinstance(arrays, list) and all(map(_is_array_entry, arrays))):

@@ -14,6 +14,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import canonical_json, load_checkpoint, sha256_hex
 from .data import (
+    TRACK_ROLES,
     TRACK_SETS,
     EmbeddingBundle,
     load_dataset,
@@ -217,8 +219,12 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
     if args.mutations:
         specs.extend(s for s in args.mutations.split(",") if s)
     if args.mutations_file:
-        with open(args.mutations_file) as fh:
-            specs.extend(line.strip() for line in fh if line.strip())
+        try:
+            with open(args.mutations_file, encoding="utf-8") as fh:
+                specs.extend(line.strip() for line in fh if line.strip())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{args.mutations_file}: not UTF-8 text: {exc.reason}") from None
     if not specs:
         raise ConfigError("no mutations given: use --mutations or --mutations-file")
     out = []
@@ -249,14 +255,19 @@ def cmd_predict(args) -> int:
 
 def _random_gradcheck_bundle(vid: str, d_raw: int,
                              rng: np.random.Generator) -> EmbeddingBundle:
-    roles = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
-    return EmbeddingBundle(vid, {r: rng.normal(size=d_raw) for r in roles})
+    return EmbeddingBundle(vid, {r: rng.normal(size=d_raw) for r in TRACK_ROLES})
 
 
 def cmd_gradcheck(args) -> int:
     if args.d < 1:
         raise ConfigError(f"--d must be >= 1, got {args.d}")
-    d_raw = args.d_raw if args.d_raw else args.d + 3
+    if args.d_raw is not None and args.d_raw < 1:
+        raise ConfigError(f"--d-raw must be >= 1, got {args.d_raw}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise ConfigError(f"--step must be a finite number > 0, got {args.step}")
+    d_raw = args.d + 3 if args.d_raw is None else args.d_raw
     worst = None
     for seed in range(args.seed, args.seed + args.seeds):
         model = build_model(args.head, d_raw, args.d, seed)

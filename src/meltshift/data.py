@@ -22,6 +22,7 @@ avg=4. Values are stored as float32 and upcast to float64 in memory.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import struct
@@ -140,11 +141,23 @@ class MutationRecord:
         return f"{self.protein_id}:{self.mutation.code}"
 
 
+@contextlib.contextmanager
+def text_errors(path):
+    """Turn a read of ``path`` that is not UTF-8 text, or a CSV field past
+    the csv module's size limit, into a DataError naming the path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_dataset(path) -> list[MutationRecord]:
     """Read a dataset file, validating every record. Errors carry line numbers."""
     records: list[MutationRecord] = []
     seen: dict[tuple[str, str], int] = {}  # (protein, normalized code) -> line
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, text_errors(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -178,7 +191,7 @@ def load_dataset(path) -> list[MutationRecord]:
 
 
 def write_dataset(path, records) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
         for r in records:

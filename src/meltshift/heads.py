@@ -377,6 +377,8 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
         raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
     if not modalities:
         raise ConfigError("projection needs at least one modality")
+    if len(set(modalities)) != len(modalities):
+        raise ConfigError(f"projection repeats a modality: {list(modalities)}")
     if kind_name == "ensemble":
         suffixes = ("cls", "pos")
         heads = (("head1", HeadKind.HEAD1_OUTER), ("head2", HeadKind.HEAD2_LNDIFF))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import text_errors
 from .errors import ConfigError, DataError
 
 DEFAULT_KMER = 5
@@ -171,7 +172,7 @@ def split_records(records, threshold: float = DEFAULT_IDENTITY,
 
 def write_split(path, split: SplitAssignment) -> None:
     """Write the split manifest: one sorted row per protein."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPLIT_HEADER)
         for pid in sorted(split.assignment):
@@ -181,7 +182,7 @@ def write_split(path, split: SplitAssignment) -> None:
 def read_split(path) -> dict[str, str]:
     """Read a split manifest back to a protein_id -> side map."""
     out: dict[str, str] = {}
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh, text_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SPLIT_HEADER:
@@ -201,7 +202,7 @@ def load_clusters_tsv(path) -> list[Cluster]:
     """Import externally computed clusters (representative<TAB>member rows)."""
     members: dict[str, list[str]] = {}
     seen: set[str] = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, text_errors(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -2,9 +2,8 @@
 
 All model arithmetic runs through this module: each primitive records its
 inputs and a backward closure on a :class:`Tape`, and ``Tape.backward``
-replays the records in exact reverse order, accumulating gradients into
-every leaf. One finite-difference proof of this machinery covers every
-head architecture built on top of it.
+replays the records in exact reverse order. One finite-difference proof of
+this machinery covers every head architecture built on top of it.
 
 Conventions
 -----------
@@ -16,6 +15,14 @@ Conventions
 * Parameters enter a tape via :meth:`Tape.leaf` with a unique name;
   binding the same array object twice returns the same node, so shared
   parameters accumulate gradients correctly.
+* A backward closure returns its inputs' gradients, in the order of the
+  record's inputs, and touches no node. ``Tape.backward`` is the one place
+  that sums them, and it sums out of place, so no gradient array is
+  written after it is made and closures may hand on ``g`` or a view of it.
+* Only unnamed (input) leaves are scanned for non-finite entries.
+  Parameters are finite where they enter (``build_model`` makes them so,
+  ``load_checkpoint`` checks them) and stay finite, because
+  ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
 """
 
@@ -39,11 +46,6 @@ class Node:
         self.value = value
         self.grad: Array | None = None
         self.name = name
-
-    def add_grad(self, g: Array) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = f" name={self.name!r}" if self.name else ""
@@ -73,7 +75,8 @@ class Tape:
 
         Passing the same array object again returns the existing node,
         so a parameter used in several places receives one accumulated
-        gradient.
+        gradient. Unnamed (input) arrays are checked for non-finite
+        entries; named parameters are checked where they enter instead.
         """
         key = id(value) if isinstance(value, np.ndarray) else None
         if key is not None and key in self._leaf_by_id:
@@ -86,8 +89,8 @@ class Tape:
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"leaf {name or '<input>'}: non-finite entries")
+        if name is None and not np.all(np.isfinite(arr)):
+            raise NumericError("leaf <input>: non-finite entries")
         if name is not None:
             if name in self._names:
                 raise ConfigError(f"duplicate parameter name on tape: {name!r}")
@@ -109,22 +112,12 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ConfigError(f"add: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-        def backward(g: Array) -> None:
-            a.add_grad(g)
-            b.add_grad(g)
-
-        return self._emit(a.value + b.value, (a, b), backward)
+        return self._emit(a.value + b.value, (a, b), lambda g: (g, g))
 
     def sub(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ConfigError(f"sub: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-        def backward(g: Array) -> None:
-            a.add_grad(g)
-            b.add_grad(-g)
-
-        return self._emit(a.value - b.value, (a, b), backward)
+        return self._emit(a.value - b.value, (a, b), lambda g: (g, -g))
 
     def scale(self, s: Node, x: Node) -> Node:
         """Learned scalar times tensor: ``s`` must have shape (1,)."""
@@ -132,20 +125,15 @@ class Tape:
             raise ConfigError(f"scale: scalar must have shape (1,), got {s.value.shape}")
         sval, xval = s.value, x.value
 
-        def backward(g: Array) -> None:
-            s.add_grad(np.array([np.sum(g * xval)]))
-            x.add_grad(sval[0] * g)
+        def backward(g: Array) -> tuple[Array, ...]:
+            return np.array([np.sum(g * xval)]), sval[0] * g
 
         return self._emit(sval[0] * xval, (s, x), backward)
 
     def const_scale(self, c: float, x: Node) -> Node:
         """Fixed constant times tensor; no gradient flows to ``c``."""
         c = float(c)
-
-        def backward(g: Array) -> None:
-            x.add_grad(c * g)
-
-        return self._emit(c * x.value, (x,), backward)
+        return self._emit(c * x.value, (x,), lambda g: (c * g,))
 
     def linear(self, W: Node, x: Node, b: Node) -> Node:
         """Affine map ``x @ W.T + b`` with W (m,n), x (n,) or (B,n), b (m,)."""
@@ -162,11 +150,9 @@ class Tape:
             )
         Wval, xval = W.value, x.value
 
-        def backward(g: Array) -> None:
+        def backward(g: Array) -> tuple[Array, ...]:
             rows = g.reshape(-1, m)
-            W.add_grad(rows.T @ xval.reshape(-1, n))
-            x.add_grad(g @ Wval)
-            b.add_grad(rows.sum(axis=0))
+            return rows.T @ xval.reshape(-1, n), g @ Wval, rows.sum(axis=0)
 
         return self._emit(xval @ Wval.T + b.value, (W, x, b), backward)
 
@@ -180,10 +166,9 @@ class Tape:
         *lead, d = u.value.shape
         uval, vval = u.value, v.value
 
-        def backward(g: Array) -> None:
+        def backward(g: Array) -> tuple[Array, ...]:
             G = g.reshape(*lead, d, d)
-            u.add_grad((G @ vval[..., None])[..., 0])
-            v.add_grad((uval[..., None, :] @ G)[..., 0, :])
+            return (G @ vval[..., None])[..., 0], (uval[..., None, :] @ G)[..., 0, :]
 
         out = (uval[..., :, None] * vval[..., None, :]).reshape(*lead, d * d)
         return self._emit(out, (u, v), backward)
@@ -205,16 +190,16 @@ class Tape:
         xhat = (x.value - mu) * inv_std
         gval = gamma.value
 
-        def backward(g: Array) -> None:
-            gamma.add_grad((g * xhat).reshape(-1, n).sum(axis=0))
-            beta.add_grad(g.reshape(-1, n).sum(axis=0))
+        def backward(g: Array) -> tuple[Array, ...]:
+            dgamma = (g * xhat).reshape(-1, n).sum(axis=0)
+            dbeta = g.reshape(-1, n).sum(axis=0)
             dxhat = g * gval
             # standard layernorm input gradient with population variance
             dx = (inv_std / n) * (
                 n * dxhat - dxhat.sum(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
             )
-            x.add_grad(dx)
+            return dx, dgamma, dbeta
 
         return self._emit(gval * xhat + beta.value, (x, gamma, beta), backward)
 
@@ -229,9 +214,8 @@ class Tape:
                                   f"{[q.value.shape for q in parts]}")
         offsets = np.cumsum([0] + [p.value.shape[-1] for p in parts])
 
-        def backward(g: Array) -> None:
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p.add_grad(g[..., lo:hi])
+        def backward(g: Array) -> tuple[Array, ...]:
+            return tuple(g[..., lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:]))
 
         return self._emit(np.concatenate([p.value for p in parts], axis=-1),
                           tuple(parts), backward)
@@ -246,19 +230,19 @@ class Tape:
         diff = x.value - t
         n = diff.size
 
-        def backward(g: Array) -> None:
-            x.add_grad((2.0 / n) * diff * g[0])
-
-        return self._emit(np.array([np.mean(diff * diff)]), (x,), backward)
+        return self._emit(np.array([np.mean(diff * diff)]), (x,),
+                          lambda g: ((2.0 / n) * diff * g[0],))
 
     # ------------------------------------------------------------------
     # reverse pass
 
-    def backward(self, output: Node, seed: float = 1.0) -> dict[str, Array]:
+    def backward(self, output: Node) -> dict[str, Array]:
         """Run the reverse pass from a scalar output node.
 
         Returns gradients for every named leaf (zeros if the forward never
         touched it). Unnamed leaves keep their gradient on ``node.grad``.
+        A returned array may be shared with another leaf or be a view of a
+        larger gradient, so callers must not write into it.
         Gradients are not checked for finiteness here: the training step
         checks them once, in ``optim.clip_scale``.
         """
@@ -271,10 +255,12 @@ class Tape:
                 f"backward: output must be scalar shape (1,), got {output.value.shape}"
             )
         self._consumed = True
-        output.grad = np.array([float(seed)])
-        for out, _inputs, bwd in reversed(self._records):
-            if out.grad is not None:
-                bwd(out.grad)
+        output.grad = np.array([1.0])
+        for out, inputs, bwd in reversed(self._records):
+            if out.grad is None:
+                continue
+            for node, g in zip(inputs, bwd(out.grad)):
+                node.grad = g if node.grad is None else node.grad + g
         grads: dict[str, Array] = {}
         for node in self._leaves:
             if node.name is None:

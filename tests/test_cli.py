@@ -284,6 +284,10 @@ def _rename(old, new):
                  id="modalities_empty"),
     pytest.param(lambda h: {**h, "modalities": "seq"}, "modalities",
                  id="modalities_str"),
+    pytest.param(lambda h: {**h, "modalities": ["seq", "seq"]}, "modalities",
+                 id="modalities_repeated"),
+    pytest.param(lambda h: {**h, "modalities": ["bogus"]}, "modalities",
+                 id="modalities_unknown"),
     pytest.param(lambda h: {**h, "arrays": 5}, "arrays", id="arrays_int"),
     pytest.param(lambda h: _edit_arrays(h, lambda e: {"name": e["name"]}),
                  "arrays", id="array_no_shape"),
@@ -377,6 +381,42 @@ def test_bundle_width_other_than_checkpoint_is_data_error(command, pipeline,
             "but the model's d_raw is 10") in err
 
 
+@pytest.mark.parametrize("command,corrupt,code", [
+    ("train", "dataset", 3), ("train", "split", 3), ("eval", "dataset", 3),
+    ("prepare-split", "dataset", 3), ("prepare-split", "clusters", 3),
+    ("predict", "mutations", 2),
+])
+def test_non_utf8_text_input_gets_its_exit_code(command, corrupt, code, pipeline,
+                                                 tmp_path, capsys):
+    dataset, bundles, split = pipeline
+    first = load_dataset(dataset)[0]
+    texts = {
+        "dataset": dataset.read_bytes(),
+        "split": split.read_bytes(),
+        "clusters": b"".join(f"{r.protein_id}\t{r.protein_id}\n".encode()
+                             for r in load_dataset(dataset)),
+        "mutations": f"{first.protein_id}:{first.mutation.code}\n".encode(),
+    }
+    paths = {name: tmp_path / f"{name}.txt" for name in texts}
+    for name, content in texts.items():
+        paths[name].write_bytes(content + (b"\xff\n" if name == corrupt else b""))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+    argv = {
+        "train": ["train", paths["dataset"], bundles, "--out", tmp_path / "run",
+                  "--split", paths["split"], "--epochs", 1, "--d-proj", 4],
+        "eval": ["eval", ckpt, paths["dataset"], bundles],
+        "prepare-split": ["prepare-split", paths["dataset"], "--out",
+                          tmp_path / "s.csv", "--clusters-tsv", paths["clusters"]],
+        "predict": ["predict", ckpt, bundles, "--mutations-file",
+                    paths["mutations"]],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert f"{paths[corrupt]}: not UTF-8 text" in err
+
+
 class TestStepLog:
     def _train(self, pipeline, rundir, *flags):
         dataset, bundles, split = pipeline
@@ -440,6 +480,14 @@ class TestGradcheckCommand:
 
     def test_bad_width_is_config_error(self):
         assert run("gradcheck", "--d", 0) == 2
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", 0), ("--step", 0), ("--step", -1e-4), ("--step", "nan"),
+        ("--step", "inf"), ("--d-raw", 0),
+    ])
+    def test_bad_flag_is_config_error(self, flag, value, capsys):
+        assert run("gradcheck", "--d", 2, flag, value) == 2
+        assert f"config error: {flag} must be" in capsys.readouterr().err
 
     def test_absurd_fd_step_is_numeric_error(self, capsys):
         # a huge step makes central differences diverge from the analytic

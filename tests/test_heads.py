@@ -357,3 +357,9 @@ def test_param_shapes_are_the_built_shapes(kind, modalities):
     model = build_model(kind, 7, 3, 0, modalities)
     built = {name: arr.shape for name, arr in model.named_parameters()}
     assert param_shapes(kind, 7, 3, modalities) == built
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "mut_concat"])
+def test_repeated_modality_rejected(kind):
+    with pytest.raises(ConfigError, match="repeats a modality"):
+        build_model(kind, 7, 3, 0, ("seq", "seq"))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from meltshift.errors import ConfigError, StateError
+from meltshift.errors import ConfigError, NumericError, StateError
 from meltshift.gradcheck import GRAD_TOLERANCE, compare_grads, finite_diff
 from meltshift.tape import Tape
 
@@ -186,13 +186,10 @@ class TestBackward:
         with pytest.raises(ConfigError):
             t.backward(y)
 
-    def test_seed_scales_gradients(self):
-        w = np.array([3.0])
-        t = Tape()
-        wx = t.scale(t.leaf(w, "w"), t.leaf(np.array([2.0])))
-        loss = t.mse(wx, np.array([0.0]))
-        grads = t.backward(loss, seed=2.0)
-        assert grads["w"][0] == pytest.approx(48.0, abs=1e-12)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_leaf_rejected(self, bad):
+        with pytest.raises(NumericError, match="<input>"):
+            Tape().leaf(np.array([1.0, bad]))
 
     def test_shared_leaf_accumulates(self):
         # loss = mean((x + x - t)^2); dx = 2*2*(2x - t)/n
@@ -202,6 +199,19 @@ class TestBackward:
         loss = t.mse(t.add(xn, xn), np.array([0.0, 0.0]))
         grads = t.backward(loss)
         assert np.allclose(grads["x"], 2.0 * 2.0 * (2.0 * x) / 2.0)
+
+    def test_shared_gradient_array_is_not_written(self):
+        # the outer add hands one array to (a + b) and to a; a's second
+        # contribution must not leak into b's gradient through that array
+        a, b = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+        target = np.array([1.0, 1.0])
+        t = Tape()
+        an, bn = t.leaf(a, "a"), t.leaf(b, "b")
+        loss = t.mse(t.add(t.add(an, bn), an), target)
+        grads = t.backward(loss)
+        dy = (2.0 / 2) * (2.0 * a + b - target)
+        assert np.array_equal(grads["b"], dy)
+        assert np.array_equal(grads["a"], 2.0 * dy)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,12 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="magic"):
             load_checkpoint(path)
 
+    def test_track_set_outside_the_format_not_saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match="track set"):
+            save_checkpoint(path, build_model("head1", 6, 4, 0, ("struct", "seq")))
+        assert not path.exists()
+
     def test_truncated_arrays(self, desk_data, tmp_path):
         from meltshift.errors import FormatError
         records, bundles = desk_data
