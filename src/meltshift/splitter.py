@@ -6,15 +6,22 @@ clustering tool: the point of the split is that no similar-sequence
 cluster spans train and validation. Externally produced cluster tables
 (tab-separated ``representative<TAB>member`` lines) can be imported with
 :func:`load_clusters_tsv` to use a real aligner's clustering instead.
+
+K-mers are integer codes, and clustering counts shared k-mers from one
+table of (code, protein) entries sorted by code, so proteins that share
+no k-mer are never compared (the prefilter idea of MMseqs2, Steinegger &
+Söding 2017, kept exact).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import text_errors
 from .errors import ConfigError, DataError
@@ -23,7 +30,12 @@ DEFAULT_KMER = 5
 DEFAULT_IDENTITY = 0.5
 DEFAULT_RATIO = (8, 2)
 
+# Most (protein, protein) pair instances, and most cells of the dense
+# shared-k-mer count, that one block of the clustering holds at once.
+PAIR_BLOCK = 1 << 18
+
 SPLIT_HEADER = ["protein_id", "split", "cluster_rep"]
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -49,24 +61,61 @@ class SplitAssignment:
         return sorted(p for p, s in self.assignment.items() if s == split)
 
 
-def kmer_set(seq: str, k: int = DEFAULT_KMER) -> frozenset[str]:
-    """All length-k substrings; sequences shorter than k hash whole."""
+def _code_points(seq: str) -> np.ndarray:
+    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def kmer_set(seq: str, k: int, letters: np.ndarray) -> np.ndarray:
+    """Distinct k-mers of ``seq`` as integer codes, sorted.
+
+    A letter's digit is 1 + its index in ``letters`` (sorted code points),
+    and a k-mer's code reads its digits in base ``len(letters) + 1``. A
+    sequence shorter than k is padded with 0 to one k-mer, which no full
+    k-mer equals. When ``base**k`` overflows int64 the k-mers come back as
+    distinct rows of digits instead, for :func:`kmer_codes` to rank.
+    """
     if k < 1:
         raise ConfigError(f"k-mer length must be >= 1, got {k}")
     if not seq:
         raise DataError("empty sequence")
-    if len(seq) < k:
-        return frozenset((seq,))
-    return frozenset(seq[i : i + k] for i in range(len(seq) - k + 1))
+    digits = np.searchsorted(letters, _code_points(seq)) + 1
+    if len(digits) < k:
+        digits = np.pad(digits, (0, k - len(digits)))
+    base = len(letters) + 1
+    if k >= 64 or base ** k > _INT64_MAX:
+        rows = sliding_window_view(digits.astype(np.min_scalar_type(base)), k)
+        return np.unique(rows, axis=0)
+    n = len(digits) - k + 1
+    codes = digits[:n].copy()
+    for p in range(1, k):
+        codes *= base
+        codes += digits[p:p + n]
+    codes.sort()
+    return codes[_run_heads(codes)]
+
+
+def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
+    """Each sequence's distinct k-mer codes, all in one code space.
+
+    The alphabet is the letters of ``seqs``. k is capped at one more than
+    the longest sequence, where every sequence is already one padded k-mer.
+    """
+    letters = np.unique(_code_points("".join(seqs)))
+    k = min(k, max(map(len, seqs)) + 1)
+    sets = [kmer_set(seq, k, letters) for seq in seqs]
+    if sets[0].ndim == 1:
+        return sets
+    _, rank = np.unique(np.concatenate(sets), axis=0, return_inverse=True)
+    return np.split(rank.reshape(-1), np.cumsum([len(s) for s in sets[:-1]]))
 
 
 def estimate_identity(seq_a: str, seq_b: str, k: int = DEFAULT_KMER) -> float:
     """Jaccard similarity of k-mer sets: symmetric, 1.0 on identical input."""
-    a, b = kmer_set(seq_a, k), kmer_set(seq_b, k)
-    inter = len(a & b)
+    a, b = kmer_codes([seq_a, seq_b], k)
+    inter = len(np.intersect1d(a, b, assume_unique=True))
     if inter == 0:
         return 0.0
-    return inter / len(a | b)
+    return inter / (len(a) + len(b) - inter)
 
 
 def greedy_cluster(proteins, threshold: float,
@@ -84,19 +133,120 @@ def greedy_cluster(proteins, threshold: float,
         if not seq:
             raise DataError(f"{pid}: empty sequence")
     ordered = sorted(items, key=lambda pid: (-len(items[pid]), pid))
+    if not ordered:
+        return []
+    reps = _representatives([items[pid] for pid in ordered], k, threshold)
     clusters: list[Cluster] = []
-    rep_kmers: list[frozenset[str]] = []
-    for pid in ordered:
-        mers = kmer_set(items[pid], k)
-        for cluster, rk in zip(clusters, rep_kmers):
-            inter = len(mers & rk)
-            if inter and inter / len(mers | rk) >= threshold:
-                cluster.members.append(pid)
-                break
+    founded: dict[int, Cluster] = {}
+    for j, pid in enumerate(ordered):
+        if reps[j] == j:
+            founded[j] = Cluster(pid, [pid])
+            clusters.append(founded[j])
         else:
-            clusters.append(Cluster(pid, [pid]))
-            rep_kmers.append(mers)
+            founded[reps[j]].members.append(pid)
     return clusters
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``values`` that differ from the one before."""
+    head = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    return head
+
+
+def _representatives(seqs: list[str], k: int, threshold: float) -> list[int]:
+    """Greedy representative of each sequence, as an index into ``seqs``.
+
+    Sequence j joins the earliest representative i < j whose k-mer
+    Jaccard with it reaches ``threshold``, else represents itself.
+    """
+    reps = list(range(len(seqs)))
+    is_rep = np.ones(len(seqs), dtype=bool)
+    for j0, j1, later, earlier in _passing_pairs(kmer_codes(seqs, k), threshold):
+        bounds = np.searchsorted(later, np.arange(j0, j1 + 1)).tolist()
+        for j in range(j0, j1):
+            lo, hi = bounds[j - j0], bounds[j - j0 + 1]
+            if lo == hi:
+                continue
+            candidates = earlier[lo:hi]
+            hits = candidates[is_rep[candidates]]
+            if len(hits):
+                reps[j] = int(hits[0])
+                is_rep[j] = False
+    return reps
+
+
+def _passing_pairs(sets: list[np.ndarray], threshold: float):
+    """Every pair i < j with ``|A & B| / |A | B| >= threshold``, by blocks of j.
+
+    Yields ``(j0, j1, later, earlier)``: the passing pairs (earlier, later)
+    with later in [j0, j1), sorted by later, then earlier.
+    Intersections come from one table of (code, owner) entries sorted by
+    code, then owner: an entry shares its k-mer with the entries before it
+    in its run. Pairs that share no k-mer are never formed. A block of
+    later owners holds at most ``PAIR_BLOCK`` counts, and generates its
+    pair instances at most ``PAIR_BLOCK`` at a time.
+    """
+    n = len(sets)
+    sizes = np.array([len(s) for s in sets])
+    entry_start = np.concatenate(([0], np.cumsum(sizes)))
+    codes = np.concatenate(sets)
+    del sets
+    total = len(codes)
+    if int(codes.max()) * total + total - 1 > _INT64_MAX:
+        codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
+    # code * total + entry sorts by code, then by entry: a stable argsort
+    codes *= total
+    codes += np.arange(total)
+    codes.sort()
+    order = codes % total
+    codes //= total
+    run_start = np.where(_run_heads(codes), np.arange(total), 0)
+    del codes
+    np.maximum.accumulate(run_start, out=run_start)
+    # per entry, in owner order: where its run starts in the sorted table,
+    # and how many entries of earlier owners precede it there
+    index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    first = np.empty(total, dtype=index)
+    first[order] = run_start
+    earlier_count = np.empty(total, dtype=index)
+    earlier_count[order] = np.arange(total) - run_start
+    del run_start
+    owner = np.repeat(np.arange(n, dtype=index), sizes)
+    sorted_owner = owner[order]
+    del order
+
+    j0 = 0
+    while j0 < n:
+        # the most rows whose (rows x j1) count matrix fits PAIR_BLOCK
+        rows = max(1, (math.isqrt(j0 * j0 + 4 * PAIR_BLOCK) - j0) // 2)
+        j1 = min(n, j0 + rows)
+        cells = (j1 - j0) * j1
+        shared = np.zeros(cells, dtype=np.intp)
+        base = entry_start[j0]
+        pairs_before = np.concatenate(
+            ([0], np.cumsum(earlier_count[base:entry_start[j1]])))
+        e0, e_end = 0, len(pairs_before) - 1
+        while e0 < e_end:
+            e1 = np.searchsorted(pairs_before, pairs_before[e0] + PAIR_BLOCK,
+                                 side="right") - 1
+            e1 = min(max(e1, e0 + 1), e_end)
+            chunk = slice(base + e0, base + e1)
+            counts = earlier_count[chunk]
+            offset = first[chunk] - (pairs_before[e0:e1] - pairs_before[e0])
+            earlier = sorted_owner[np.repeat(offset, counts)
+                                   + np.arange(pairs_before[e1] - pairs_before[e0])]
+            later = np.repeat(owner[chunk] - j0, counts)
+            shared += np.bincount(later * j1 + earlier, minlength=cells)
+            e0 = e1
+        cell = np.flatnonzero(shared)
+        inter = shared[cell]
+        del shared
+        later, earlier = np.divmod(cell, j1)
+        later += j0
+        passing = inter / (sizes[later] + sizes[earlier] - inter) >= threshold
+        yield j0, j1, later[passing], earlier[passing]
+        j0 = j1
 
 
 def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,

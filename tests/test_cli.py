@@ -2,6 +2,7 @@ import json
 import logging
 import struct
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -118,6 +119,18 @@ class TestTrainEvalPredict:
         history = json.loads((rundir / "history.json").read_text())
         assert len(history) == 2
         assert history[0]["losses"]["l_total"] > 0
+
+    def test_diverging_run_exits_4_without_numpy_warnings(self, pipeline,
+                                                          tmp_path, capsys):
+        dataset, bundles, split = pipeline
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("train", dataset, bundles, "--out", tmp_path / "run",
+                       "--split", split, "--epochs", 2, "--d-proj", 4,
+                       "--max-lr", 1e300, "--batch-size", 6, "--seed", 1)
+        assert code == 4
+        assert "numeric error: non-finite loss" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_eval_checkpoint(self, pipeline, tmp_path, capsys):
         dataset, bundles, split = pipeline

@@ -1,14 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from meltshift import splitter
 from meltshift.data import AMINO_ACIDS
 from meltshift.errors import ConfigError, DataError
 from meltshift.splitter import (
     Cluster,
     estimate_identity,
     greedy_cluster,
+    kmer_codes,
     load_clusters_tsv,
     read_split,
     split_clusters,
@@ -21,6 +26,80 @@ from conftest import random_records, records_with_homologs
 
 def random_sequence(rng, length):
     return "".join(AMINO_ACIDS[i] for i in rng.integers(0, 20, size=length))
+
+
+# ---------------------------------------------------------------------------
+# quadratic reference: string k-mer sets, each protein against every
+# representative in creation order
+
+
+def reference_kmer_set(seq, k):
+    if len(seq) < k:
+        return frozenset((seq,))
+    return frozenset(seq[i:i + k] for i in range(len(seq) - k + 1))
+
+
+def reference_identity(seq_a, seq_b, k):
+    a, b = reference_kmer_set(seq_a, k), reference_kmer_set(seq_b, k)
+    inter = len(a & b)
+    return inter / len(a | b) if inter else 0.0
+
+
+def reference_greedy_cluster(proteins, threshold, k=5):
+    items = dict(proteins)
+    ordered = sorted(items, key=lambda pid: (-len(items[pid]), pid))
+    clusters, rep_kmers = [], []
+    for pid in ordered:
+        mers = reference_kmer_set(items[pid], k)
+        for cluster, rk in zip(clusters, rep_kmers):
+            inter = len(mers & rk)
+            if inter and inter / len(mers | rk) >= threshold:
+                cluster.members.append(pid)
+                break
+        else:
+            clusters.append(Cluster(pid, [pid]))
+            rep_kmers.append(mers)
+    return clusters
+
+
+def as_pairs(clusters):
+    return [(c.representative, c.members) for c in clusters]
+
+
+# the amino acids plus letters a dataset file would reject
+LETTERS = AMINO_ACIDS + "BJOUXZ*-é"
+
+
+@st.composite
+def corpora(draw):
+    letters = draw(st.sampled_from([AMINO_ACIDS, "A", "AC", "ACDE", "ABCDEFGH",
+                                    LETTERS]))
+    sequences = st.text(alphabet=letters, min_size=1, max_size=30)
+    return draw(st.dictionaries(st.integers(0, 999).map(lambda i: f"P{i}"),
+                                sequences, min_size=1, max_size=25))
+
+
+# k of 13 and up with 20 or more letters takes the path for base**k
+# beyond int64
+kmer_lengths = st.sampled_from([5, 1, 2, 3, 4, 6, 13, 15, 20, 31, 40])
+# every ratio of small counts, so thresholds equal to a Jaccard value
+# occur, and the least positive float, which passes any pair sharing a k-mer
+# (sampled_from favours its first entry, so the defaults come first)
+thresholds = st.sampled_from(
+    [0.5, *sorted({a / b for b in range(1, 13) for a in range(1, b + 1)}),
+     5e-324])
+
+
+def polya_corpus(n, length, substitutions, seed=0):
+    """Poly-A proteins with scattered substitutions: every pair shares k-mers."""
+    rng = np.random.default_rng(seed)
+    proteins = {}
+    for i in range(n):
+        seq = ["A"] * length
+        for pos in rng.choice(length, substitutions, replace=False):
+            seq[pos] = AMINO_ACIDS[1 + int(rng.integers(0, 19))]
+        proteins[f"P{i:04d}"] = "".join(seq)
+    return proteins
 
 
 class TestIdentity:
@@ -47,6 +126,13 @@ class TestIdentity:
     def test_empty_sequence(self):
         with pytest.raises(DataError):
             estimate_identity("", "MKIL")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.text(alphabet=LETTERS, min_size=1, max_size=30),
+           st.text(alphabet=LETTERS, min_size=1, max_size=30), kmer_lengths)
+    def test_matches_string_jaccard(self, seq_a, seq_b, k):
+        assert estimate_identity(seq_a, seq_b, k) == \
+            reference_identity(seq_a, seq_b, k)
 
 
 class TestGreedyCluster:
@@ -101,6 +187,56 @@ class TestGreedyCluster:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             greedy_cluster({"P1": "MKIL"}, 0.0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(corpora(), kmer_lengths, thresholds)
+    def test_matches_quadratic_reference(self, proteins, k, threshold):
+        assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
+            as_pairs(reference_greedy_cluster(proteins, threshold, k))
+
+    @pytest.mark.parametrize("k", [13, 15])
+    def test_wide_kmers_match_reference(self, k):
+        rng = np.random.default_rng(3)
+        proteins = {f"P{i}": random_sequence(rng, int(rng.integers(10, 30)))
+                    for i in range(30)}
+        proteins.update({f"H{i}": seq[:-2] + "XZ"
+                         for i, seq in enumerate(list(proteins.values())[:8])})
+        letters = np.unique([ord(c) for c in "".join(proteins.values())])
+        # 22 letters, base 23: 23**13 fits int64 but code * entries does
+        # not, so codes are ranked before the sort; 23**15 does not fit,
+        # so k-mers come as digit rows and are ranked in kmer_codes
+        assert splitter.kmer_set(proteins["P0"], k, letters).ndim == (k > 13) + 1
+        for threshold in (0.2, 0.5, 1.0):
+            assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
+                as_pairs(reference_greedy_cluster(proteins, threshold, k))
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_small_blocks_match_reference(self, block, monkeypatch):
+        monkeypatch.setattr(splitter, "PAIR_BLOCK", block)
+        proteins = polya_corpus(40, 30, 4, seed=block)
+        rng = np.random.default_rng(block)
+        proteins.update({f"R{i}": random_sequence(rng, 25) for i in range(20)})
+        for threshold in (0.3, 0.6):
+            assert as_pairs(greedy_cluster(proteins, threshold, 3)) == \
+                as_pairs(reference_greedy_cluster(proteins, threshold, 3))
+
+    def test_peak_memory_held_to_block_budget(self):
+        proteins = polya_corpus(800, 150, 10)
+        sets = kmer_codes(list(proteins.values()), 5)
+        entries = sum(len(s) for s in sets)
+        _, owners = np.unique(np.concatenate(sets), return_counts=True)
+        pair_instances = int((owners * (owners - 1) // 2).sum())
+        # working arrays per pair slot of a block, and table arrays per entry
+        bound = 48 * splitter.PAIR_BLOCK + 64 * entries
+        # one int64 per pair instance alone would be twice the bound
+        assert 8 * pair_instances > 2 * bound
+        tracemalloc.start()
+        try:
+            greedy_cluster(proteins, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def equal_clusters(n, size=1):
@@ -189,6 +325,19 @@ class TestManifest:
         write_split(p2, split_records(records, seed=4))
         assert p1.read_bytes() == p2.read_bytes()
         assert read_split(p1) == split.assignment
+
+    def test_manifests_match_reference_clustering(self, tmp_path):
+        for seed in range(20):
+            records, _ = records_with_homologs(seed=seed)
+            proteins = {r.protein_id: r.wt_sequence for r in records}
+            counts = {}
+            for r in records:
+                counts[r.protein_id] = counts.get(r.protein_id, 0) + 1
+            got, want = tmp_path / f"got{seed}.csv", tmp_path / f"want{seed}.csv"
+            write_split(got, split_records(records, seed=seed))
+            write_split(want, split_clusters(
+                reference_greedy_cluster(proteins, 0.5), (8, 2), seed, counts, 0.5))
+            assert got.read_bytes() == want.read_bytes(), seed
 
     def test_read_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
