@@ -38,7 +38,6 @@ from .heads import (
     EnsemblePrediction,
     HeadKind,
     HeadParams,
-    SingleHeadModel,
     TrackProjection,
     build_ensemble,
     build_model,

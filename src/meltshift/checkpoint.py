@@ -36,7 +36,7 @@ import numpy as np
 
 from .data import TRACK_SETS
 from .errors import ConfigError, FormatError
-from .heads import MODEL_KINDS, Model, assemble_model, model_layout
+from .heads import MODEL_KINDS, EnsembleModel, assemble_model, model_layout
 from .optim import AdamState
 
 CKPT_MAGIC = b"MSCK"
@@ -55,12 +55,12 @@ def sha256_hex(blob: bytes) -> str:
 
 @dataclass
 class Checkpoint:
-    model: Model
+    model: EnsembleModel
     config: dict | None
     adam: AdamState | None
 
 
-def _model_meta(model: Model) -> dict:
+def _model_meta(model: EnsembleModel) -> dict:
     proj = model.projection
     if proj.modalities not in TRACK_SETS.values():
         raise ConfigError(f"cannot save modalities {list(proj.modalities)}: "
@@ -74,7 +74,7 @@ def _model_meta(model: Model) -> dict:
     }
 
 
-def save_checkpoint(path, model: Model, config: dict | None = None,
+def save_checkpoint(path, model: EnsembleModel, config: dict | None = None,
                     adam: AdamState | None = None) -> None:
     arrays: list[tuple[str, np.ndarray]] = [
         (f"model.{name}", arr) for name, arr in model.named_parameters()

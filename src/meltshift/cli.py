@@ -240,16 +240,19 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     bundles = read_bundles(args.bundles)
-    pairs = _parse_mutation_specs(args)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["protein_id", "mutation", "y1", "y2", "y_ens"])
-    for pid, code in pairs:
+    # every spec is predicted before the first line is written, so a
+    # failing spec leaves stdout empty
+    rows = []
+    for pid, code in _parse_mutation_specs(args):
         wt_id, mut_id = f"{pid}:WT", f"{pid}:{code}"
         for vid in (wt_id, mut_id):
             if vid not in bundles:
                 raise DataError(f"no bundle for variant {vid}")
-        y1, y2, y_ens = ckpt.model.predict(bundles[wt_id], bundles[mut_id])
-        writer.writerow([pid, code, repr(y1), repr(y2), repr(y_ens)])
+        y = ckpt.model.predict(bundles[wt_id], bundles[mut_id])
+        rows.append([pid, code, *map(repr, y)])
+    writer = csv.writer(sys.stdout)
+    writer.writerow(["protein_id", "mutation", "y1", "y2", "y_ens"])
+    writer.writerows(rows)
     return 0
 
 

@@ -16,16 +16,17 @@ consume these fused rows:
 * ``mut_lincomb`` / ``cls_lincomb`` / ``avgpool_lincomb``: learned scalar
   mix ``alpha * x_w + beta * x_m`` followed by a linear output.
 
-The ensemble model runs head1 and head2 on one shared projection and
-averages their predictions. Both model classes share one interface: a
-single head is an ensemble of one, predicting ``(y, y, y)``.
+One class, :class:`EnsembleModel`, runs every model kind, and one table,
+``MODEL_HEADS``, says which fused vectors and heads each kind has. The
+``ensemble`` kind runs head1 and head2 on one shared projection and
+averages their predictions; every other kind is an ensemble of one head,
+predicting ``(y, y, y)``.
 
 Parameters are described once, by :func:`model_layout`: the name, shape
 and starting value of every parameter of a model kind, in
 ``named_parameters`` and checkpoint order. ``build_model`` draws or fills
-each entry in that order, ``param_shapes`` reads its shapes, and the
-checkpoint reader assembles a model from the arrays it reads in that
-order (:func:`assemble_model`).
+each entry in that order, and the checkpoint reader assembles a model
+from the arrays it reads in that order (:func:`assemble_model`).
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, params: HeadParams,
     return tape.linear(Wo, mixed, bo)
 
 
-# per single-head kind: the fused vectors it reads, and its forward pass
+# per head kind: the fused vectors it reads, and its forward pass
 SINGLE_HEADS = {
     HeadKind.HEAD1_OUTER: (("pos",), head1_forward),
     HeadKind.HEAD2_LNDIFF: (("cls", "pos"), head2_forward),
@@ -225,69 +226,81 @@ SINGLE_HEADS = {
     HeadKind.AVGPOOL_LINCOMB: (("avg",), lincomb_forward),
 }
 
-MODEL_KINDS = ("ensemble",) + tuple(k.value for k in HeadKind)
+# per model kind: the fused vectors its heads share, and its heads as
+# (prefix, kind) in forward, parameter and checkpoint order
+MODEL_HEADS = {
+    "ensemble": (("cls", "pos"), (("head1", HeadKind.HEAD1_OUTER),
+                                  ("head2", HeadKind.HEAD2_LNDIFF))),
+    **{kind.value: (reads, (("head", kind),))
+       for kind, (reads, _) in SINGLE_HEADS.items()},
+}
+
+MODEL_KINDS = tuple(MODEL_HEADS)
 
 
 # ---------------------------------------------------------------------------
-# models
+# the model
 
 
-class _ModelBase:
-    """The interface both models share: a single head is an ensemble of one.
+@dataclass
+class EnsembleModel:
+    """One shared projection feeding the heads of a model kind.
 
-    ``forward_nodes`` gives the (y1, y2, y_ens) nodes of a batch of pairs,
-    each a ``(B, 1)`` row block, and ``batch_loss`` reports the ``head1``,
-    ``head2``, ``ensemble`` and ``total`` loss terms.
+    The ``ensemble`` kind runs head1 and head2 and averages them; every
+    other kind is an ensemble of one head. ``forward_nodes`` gives the
+    (y1, y2, y_ens) nodes of a batch of pairs, each a ``(B, 1)`` row block,
+    and ``batch_loss`` reports the ``head1``, ``head2``, ``ensemble`` and
+    ``total`` loss terms.
     """
+
+    kind_name: str
+    projection: TrackProjection
+    heads: dict[str, HeadParams]  # prefix -> parameters, in MODEL_HEADS order
+    seed: int = 0
+
+    def named_parameters(self) -> Iterator[tuple[str, Array]]:
+        yield from self.projection.named_parameters()
+        for prefix, params in self.heads.items():
+            yield from params.named_parameters(prefix)
 
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.named_parameters())
+
+    def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
+                      bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
+        suffixes = MODEL_HEADS[self.kind_name][0]
+        nodes = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
+        fused = {s: nodes[2 * i:2 * i + 2] for i, s in enumerate(suffixes)}
+        ys = []
+        for prefix, params in self.heads.items():
+            reads, forward = SINGLE_HEADS[params.kind]
+            inputs = [node for s in reads for node in fused[s]]
+            ys.append(forward(tape, *inputs, params, prefix))
+        if len(ys) == 1:
+            return ys[0], ys[0], ys[0]
+        y1, y2 = ys
+        return y1, y2, tape.const_scale(0.5, tape.add(y1, y2))
 
     def predict(self, bundle_w: EmbeddingBundle,
                 bundle_m: EmbeddingBundle) -> EnsemblePrediction:
         nodes = self.forward_nodes(Tape(), [bundle_w], [bundle_m])
         return EnsemblePrediction(*(float(y.value[0, 0]) for y in nodes))
 
-    def _batch_forward(self, tape: Tape, samples):
-        """Forward nodes and the ``(B, 1)`` label target of a batch of samples."""
+    def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
+        """Mean per-head MSE terms plus the halved ensemble term; a single
+        head's one MSE is reported as the ``head1`` term.
+
+        ``samples`` is a list of (bundle_w, bundle_m, label) triples.
+        """
         if not samples:
             raise ConfigError("batch_loss: empty batch")
         bundles_w, bundles_m, labels = zip(*samples)
         target = np.array(labels, dtype=np.float64).reshape(-1, 1)
-        return self.forward_nodes(tape, list(bundles_w), list(bundles_m)), target
-
-
-@dataclass
-class EnsembleModel(_ModelBase):
-    """Shared projection feeding head1 and head2; prediction is their mean."""
-
-    projection: TrackProjection
-    head1: HeadParams
-    head2: HeadParams
-    seed: int = 0
-
-    kind_name = "ensemble"
-
-    def named_parameters(self) -> Iterator[tuple[str, Array]]:
-        yield from self.projection.named_parameters()
-        yield from self.head1.named_parameters("head1")
-        yield from self.head2.named_parameters("head2")
-
-    def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
-                      bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
-        cls_w, cls_m, a_w, a_m = fuse_pair(tape, self.projection, bundles_w,
-                                           bundles_m, ("cls", "pos"))
-        y1 = head1_forward(tape, a_w, a_m, self.head1, "head1")
-        y2 = head2_forward(tape, cls_w, cls_m, a_w, a_m, self.head2, "head2")
-        y_ens = tape.const_scale(0.5, tape.add(y1, y2))
-        return y1, y2, y_ens
-
-    def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
-        """Mean per-head MSE terms plus the halved ensemble term.
-
-        ``samples`` is a list of (bundle_w, bundle_m, label) triples.
-        """
-        (y1, y2, y_ens), target = self._batch_forward(tape, samples)
+        y1, y2, y_ens = self.forward_nodes(tape, list(bundles_w), list(bundles_m))
+        if len(self.heads) == 1:
+            total = tape.mse(y1, target)
+            mse = float(total.value[0])
+            return total, {"head1": mse, "head2": 0.0, "ensemble": 0.0, "total": mse}
         l1 = tape.mse(y1, target)
         l2 = tape.mse(y2, target)
         le = tape.const_scale(0.5, tape.mse(y_ens, target))
@@ -299,40 +312,6 @@ class EnsembleModel(_ModelBase):
             "total": float(total.value[0]),
         }
         return total, components
-
-
-@dataclass
-class SingleHeadModel(_ModelBase):
-    """One projection plus one head; used for the ablation architectures."""
-
-    projection: TrackProjection
-    head: HeadParams
-    seed: int = 0
-
-    @property
-    def kind_name(self) -> str:
-        return self.head.kind.value
-
-    def named_parameters(self) -> Iterator[tuple[str, Array]]:
-        yield from self.projection.named_parameters()
-        yield from self.head.named_parameters("head")
-
-    def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
-                      bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
-        suffixes, forward = SINGLE_HEADS[self.head.kind]
-        inputs = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
-        y = forward(tape, *inputs, self.head)
-        return y, y, y
-
-    def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
-        """Mean MSE of the one head, reported as the ``head1`` term."""
-        (y, _, _), target = self._batch_forward(tape, samples)
-        total = tape.mse(y, target)
-        mse = float(total.value[0])
-        return total, {"head1": mse, "head2": 0.0, "ensemble": 0.0, "total": mse}
-
-
-Model = EnsembleModel | SingleHeadModel
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +349,9 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
     ``named_parameters`` and checkpoint order.
 
     ``start`` is the value the parameter starts at, or None for a uniform
-    draw in +-1/sqrt(fan-in). The one place that says which parameters
-    each kind has; nothing the size of the model is allocated.
+    draw in +-1/sqrt(fan-in). Which parameters each kind has follows from
+    its :data:`MODEL_HEADS` entry; nothing the size of the model is
+    allocated. An unknown kind raises ValueError.
     """
     if d_raw < 1 or d_proj < 1:
         raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
@@ -379,13 +359,10 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
         raise ConfigError("projection needs at least one modality")
     if len(set(modalities)) != len(modalities):
         raise ConfigError(f"projection repeats a modality: {list(modalities)}")
-    if kind_name == "ensemble":
-        suffixes = ("cls", "pos")
-        heads = (("head1", HeadKind.HEAD1_OUTER), ("head2", HeadKind.HEAD2_LNDIFF))
-    else:
-        kind = HeadKind(kind_name)
-        suffixes = SINGLE_HEADS[kind][0]
-        heads = (("head", kind),)
+    if kind_name not in MODEL_HEADS:
+        raise ValueError(f"unknown model kind {kind_name!r}, "
+                         f"expected one of {MODEL_KINDS}")
+    suffixes, heads = MODEL_HEADS[kind_name]
     proj = TrackProjection(tuple(modalities), d_raw, d_proj, {})
     roles = sorted(r for suffix in suffixes for r in proj.roles(suffix))
     layout = [e for role in roles
@@ -396,16 +373,9 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
     return layout
 
 
-def param_shapes(kind_name: str, d_raw: int, d_proj: int,
-                 modalities: tuple[str, ...] = ("seq",)) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter ``build_model`` would make."""
-    return {name: shape for name, shape, _ in
-            model_layout(kind_name, d_raw, d_proj, modalities)}
-
-
 def assemble_model(kind_name: str, d_raw: int, d_proj: int,
                    modalities: tuple[str, ...], seed: int,
-                   arrays: dict[str, Array]) -> Model:
+                   arrays: dict[str, Array]) -> EnsembleModel:
     """The model that holds ``arrays`` (full names, in layout order) as its
     parameters, without copying them."""
     def part(prefix: str) -> dict[str, Array]:
@@ -417,17 +387,13 @@ def assemble_model(kind_name: str, d_raw: int, d_proj: int,
     projection = TrackProjection(tuple(modalities), d_raw, d_proj, {
         role: LinearParams(proj[f"{role}.weight"], proj[f"{role}.bias"])
         for role in roles})
-    if kind_name == "ensemble":
-        return EnsembleModel(projection,
-                             HeadParams(HeadKind.HEAD1_OUTER, part("head1")),
-                             HeadParams(HeadKind.HEAD2_LNDIFF, part("head2")),
-                             seed=seed)
-    return SingleHeadModel(projection, HeadParams(HeadKind(kind_name), part("head")),
-                           seed=seed)
+    heads = {prefix: HeadParams(kind, part(prefix))
+             for prefix, kind in MODEL_HEADS[kind_name][1]}
+    return EnsembleModel(kind_name, projection, heads, seed)
 
 
 def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
-                modalities: tuple[str, ...] = ("seq",)) -> Model:
+                modalities: tuple[str, ...] = ("seq",)) -> EnsembleModel:
     """Build by name: ``ensemble`` or any :class:`HeadKind` value.
 
     Parameters are made in layout order from one ``default_rng(seed)``.
@@ -449,5 +415,5 @@ def build_ensemble(d_raw: int, d_proj: int, seed: int,
 
 
 def build_single_head(kind: HeadKind, d_raw: int, d_proj: int, seed: int,
-                      modalities: tuple[str, ...] = ("seq",)) -> SingleHeadModel:
+                      modalities: tuple[str, ...] = ("seq",)) -> EnsembleModel:
     return build_model(HeadKind(kind).value, d_raw, d_proj, seed, modalities)

@@ -349,9 +349,16 @@ def read_split(path) -> dict[str, str]:
 
 
 def load_clusters_tsv(path) -> list[Cluster]:
-    """Import externally computed clusters (representative<TAB>member rows)."""
+    """Import externally computed clusters (representative<TAB>member rows).
+
+    Every protein, representative or member, belongs to one cluster: a
+    representative listed as another cluster's member, or a member listed
+    as another cluster's representative, is rejected like a member listed
+    in two clusters.
+    """
     members: dict[str, list[str]] = {}
-    seen: set[str] = set()
+    rep_of: dict[str, str] = {}  # every protein seen -> its representative
+    seen: set[str] = set()  # proteins listed as members
     with open(path, encoding="utf-8") as fh, text_errors(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -361,8 +368,11 @@ def load_clusters_tsv(path) -> list[Cluster]:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected rep<TAB>member")
             rep, member = parts
+            for name in (rep, member):
+                if rep_of.setdefault(name, rep) != rep:
+                    raise DataError(f"{path}:{lineno}: {name!r} in two clusters")
             if member in seen:
-                raise DataError(f"{path}:{lineno}: {member!r} in two clusters")
+                raise DataError(f"{path}:{lineno}: {member!r} listed twice")
             seen.add(member)
             members.setdefault(rep, []).append(member)
     clusters = []
@@ -370,6 +380,5 @@ def load_clusters_tsv(path) -> list[Cluster]:
         group = members[rep]
         if rep not in group:
             group.insert(0, rep)
-            seen.add(rep)
         clusters.append(Cluster(rep, group))
     return clusters

@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import TRACK_SETS, EmbeddingBundle, MutationRecord
 from .errors import ConfigError, DataError, NumericError
-from .heads import MODEL_KINDS, Model, build_model
+from .heads import MODEL_KINDS, EnsembleModel, build_model
 from .metrics import MetricsReport, compute_report
 from .optim import AdamState, ClipConfig, OneCycleSchedule, adam_step, \
     clip_scale, onecycle_lr
@@ -174,7 +174,7 @@ class TrainResult:
     """``val`` is the last epoch's validation of the final model, or None
     without a validation side or when its metrics are undefined."""
 
-    model: Model
+    model: EnsembleModel
     history: list[EpochStats]
     adam: AdamState
     step_log: list[StepStats]
@@ -292,7 +292,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
     return result
 
 
-def evaluate(model: Model, records,
+def evaluate(model: EnsembleModel, records,
              bundles: dict[str, EmbeddingBundle]) -> EvalResult:
     """Predict every record and score; missing bundles are listed, never silent.
 
@@ -300,26 +300,26 @@ def evaluate(model: Model, records,
     with its one output. The report scores ``y_ens``.
     """
     rows: list[PredictionRow] = []
-    skipped: list[str] = []
+    skipped: set[str] = set()
     for r in records:
-        absent = [v for v in (r.wt_variant_id, r.mut_variant_id)
-                  if v not in bundles]
+        absent = {r.wt_variant_id, r.mut_variant_id} - bundles.keys()
         if absent:
-            skipped.extend(absent)
+            skipped |= absent
             continue
         y1, y2, y_ens = model.predict(*_bundle_pair(r, bundles))
         rows.append(PredictionRow(r.protein_id, r.mutation.code, r.dtm,
                                   y1, y2, y_ens))
     if skipped:
-        logger.warning("skipped %d record(s) with missing bundles", len(skipped))
+        logger.warning("skipped %d record(s) with missing bundles",
+                       len(records) - len(rows))
     if not rows:
         raise DataError("no evaluable records (all bundles missing?)")
     report = compute_report([row.y_ens for row in rows],
                             [row.label for row in rows])
-    return EvalResult(report, rows, sorted(set(skipped)))
+    return EvalResult(report, rows, sorted(skipped))
 
 
-def validate(model: Model, records, bundles: dict[str, EmbeddingBundle],
+def validate(model: EnsembleModel, records, bundles: dict[str, EmbeddingBundle],
              when: str) -> EvalResult | None:
     """Evaluate a validation side; None when its metrics are undefined.
 

@@ -162,6 +162,21 @@ class TestTrainEvalPredict:
         assert code == 3
         assert "A999C" in capsys.readouterr().err
 
+    def test_predict_writes_nothing_when_a_later_spec_fails(self, pipeline,
+                                                           tmp_path, capsys):
+        dataset, bundles, split = pipeline
+        rundir = tmp_path / "run"
+        run("train", dataset, bundles, "--out", rundir, "--epochs", 1,
+            "--d-proj", 4, "--max-lr", 1e-2, "--seed", 1)
+        first = load_dataset(dataset)[0]
+        capsys.readouterr()
+        code = run("predict", rundir / "checkpoint.bin", bundles, "--mutations",
+                   f"{first.protein_id}:{first.mutation.code},P999:A1C")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: no bundle for variant P999:WT" in captured.err
+
     def test_single_head_training(self, pipeline, tmp_path):
         dataset, bundles, split = pipeline
         rundir = tmp_path / "run_mc"

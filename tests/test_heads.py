@@ -17,8 +17,8 @@ from meltshift.heads import (
     head1_forward,
     head2_forward,
     lincomb_forward,
+    model_layout,
     mut_concat_forward,
-    param_shapes,
 )
 from meltshift.tape import DEFAULT_LAYERNORM_EPS, Tape
 
@@ -38,7 +38,7 @@ def identity_projection(d, roles):
 
 def head_params(kind, width, seed):
     """Freshly built parameters of one head of ``width``."""
-    return build_single_head(kind, d_raw=3, d_proj=width, seed=seed).head
+    return build_single_head(kind, d_raw=3, d_proj=width, seed=seed).heads["head"]
 
 
 def fused_values(bw, bm, proj):
@@ -255,11 +255,11 @@ class TestEnsemble:
         model = build_ensemble(d_raw=10, d_proj=4, seed=0)
         b = random_bundle("X:WT", 10, 3)
         cls_w, cls_m, a_w, a_m = fused_values(b, b, model.projection)
-        dcls, dpos, _ = head2_intermediates(model.head2, cls_w, cls_m, a_w, a_m)
+        dcls, dpos, _ = head2_intermediates(model.heads["head2"], cls_w, cls_m, a_w, a_m)
         assert np.array_equal(dcls, np.zeros(4))
         assert np.array_equal(dpos, np.zeros(4))
         # so head2 predicts from its LayerNorm beta channels alone
-        h2 = model.head2.arrays
+        h2 = model.heads["head2"].arrays
         beta_only = float((h2["out.weight"] @ np.concatenate(
             [h2["ln_cls.beta"], h2["ln_pos.beta"]]) + h2["out.bias"])[0])
         assert model.predict(b, b).y2 == pytest.approx(beta_only, rel=1e-12)
@@ -354,9 +354,13 @@ def test_build_model_by_name():
 @pytest.mark.parametrize("modalities", [("seq",), ("seq", "struct")])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_param_shapes_are_the_built_shapes(kind, modalities):
+    # a checkpoint is written and read in named_parameters order, so the
+    # built parameters must follow the layout in order, not just as a set
     model = build_model(kind, 7, 3, 0, modalities)
-    built = {name: arr.shape for name, arr in model.named_parameters()}
-    assert param_shapes(kind, 7, 3, modalities) == built
+    built = [(name, arr.shape) for name, arr in model.named_parameters()]
+    layout = [(name, shape) for name, shape, _ in
+              model_layout(kind, 7, 3, modalities)]
+    assert built == layout
 
 
 @pytest.mark.parametrize("kind", ["ensemble", "mut_concat"])

@@ -357,3 +357,13 @@ class TestManifest:
         path.write_text("R1\tP9\nR2\tP9\n")
         with pytest.raises(DataError):
             load_clusters_tsv(path)
+
+    @pytest.mark.parametrize("rows", [
+        "A\tB\nC\tA\n",  # a representative, then another cluster's member
+        "A\tB\nB\tC\n",  # a member, then another cluster's representative
+    ], ids=["rep_then_member", "member_then_rep"])
+    def test_cluster_tsv_protein_in_rep_and_member_roles(self, tmp_path, rows):
+        path = tmp_path / "clusters.tsv"
+        path.write_text(rows)
+        with pytest.raises(DataError, match=r"clusters\.tsv:2: .* in two clusters"):
+            load_clusters_tsv(path)
