@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import hashlib
 import json
 import math
 import sys
@@ -40,16 +41,28 @@ from .splitter import load_clusters_tsv, read_split, split_clusters, \
     split_records, write_split
 from .trainer import TrainConfig, evaluate, train
 
+
 def _file_digest(path) -> str:
-    return sha256_hex(Path(path).read_bytes())
+    """SHA-256 of a file, read in 1 MiB blocks so a large input is never
+    held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _input_digests(paths) -> dict[str, str]:
+    return {str(p): _file_digest(p) for p in paths}
 
 
 def _write_manifest(out_path, command: str, options: dict,
-                    inputs: list) -> None:
+                    inputs: dict[str, str]) -> None:
+    """``inputs`` maps each input path to its digest (:func:`_input_digests`)."""
     manifest = {
         "command": command,
         "config_hash": sha256_hex(canonical_json(options)),
-        "inputs": {str(p): _file_digest(p) for p in inputs},
+        "inputs": inputs,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -102,7 +115,8 @@ def cmd_prepare_split(args) -> int:
     inputs = [args.dataset] + ([args.clusters_tsv] if args.clusters_tsv else [])
     _write_manifest(str(args.out) + ".manifest.json", "prepare-split",
                     {"identity": args.identity, "ratio": list(ratio),
-                     "seed": args.seed, "kmer": args.kmer}, inputs)
+                     "seed": args.seed, "kmer": args.kmer},
+                    _input_digests(inputs))
     return 0
 
 
@@ -116,7 +130,7 @@ def cmd_synth_embed(args) -> int:
     print(f"wrote {args.out}: {len(bundles)} bundles, d_raw={args.d_raw}")
     _write_manifest(str(args.out) + ".manifest.json", "synth-embed",
                     {"d_raw": args.d_raw, "seed": args.seed,
-                     "tracks": args.tracks}, [args.dataset])
+                     "tracks": args.tracks}, _input_digests([args.dataset]))
     return 0
 
 
@@ -173,6 +187,9 @@ def cmd_train(args) -> int:
         json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
     if args.split:
         (rundir / "split.csv").write_bytes(Path(args.split).read_bytes())
+    # digest the inputs as they were read, before the run can outlast an edit
+    inputs = [args.dataset, args.bundles] + ([args.split] if args.split else [])
+    digests = _input_digests(inputs + ([args.config] if args.config else []))
 
     result = train(records, bundles, config, split,
                    checkpoint_path=rundir / "checkpoint.bin")
@@ -190,11 +207,8 @@ def cmd_train(args) -> int:
                             rundir / "predictions.csv")
         print(format_report(result.val.report))
 
-    inputs = [args.dataset, args.bundles] + ([args.split] if args.split else [])
-    if args.config:
-        inputs.append(args.config)
-    _write_manifest(rundir / "run_manifest.json", "train",
-                    config.to_dict(), inputs)
+    _write_manifest(rundir / "run_manifest.json", "train", config.to_dict(),
+                    digests)
     return 0
 
 
@@ -210,7 +224,8 @@ def cmd_eval(args) -> int:
     _write_eval_outputs(result, args.out, args.per_sample)
     if args.out:
         _write_manifest(str(args.out) + ".manifest.json", "eval", {},
-                        [args.checkpoint, args.dataset, args.bundles])
+                        _input_digests([args.checkpoint, args.dataset,
+                                        args.bundles]))
     return 0
 
 

@@ -153,10 +153,22 @@ def text_errors(path):
         raise DataError(f"{path}: {exc}") from None
 
 
+def wild_types(records) -> dict[str, str]:
+    """protein_id -> wild-type sequence; a protein whose records give two
+    sequences raises DataError."""
+    seqs: dict[str, str] = {}
+    for r in records:
+        if seqs.setdefault(r.protein_id, r.wt_sequence) != r.wt_sequence:
+            raise DataError(
+                f"{r.protein_id}: conflicting wild-type sequences across records")
+    return seqs
+
+
 def load_dataset(path) -> list[MutationRecord]:
     """Read a dataset file, validating every record. Errors carry line numbers."""
     records: list[MutationRecord] = []
     seen: dict[tuple[str, str], int] = {}  # (protein, normalized code) -> line
+    wt_line: dict[str, tuple[str, int]] = {}  # protein -> (sequence, first line)
     with open(path, encoding="utf-8", newline="") as fh, text_errors(path):
         reader = csv.reader(fh)
         try:
@@ -186,6 +198,10 @@ def load_dataset(path) -> list[MutationRecord]:
                 raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
                                 f"same variant as line {seen[key]}")
             seen[key] = lineno
+            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
+            if wt_seq != seq:
+                raise DataError(f"{path}:{lineno}: {pid} has another wt_sequence "
+                                f"than on line {first}")
             records.append(record)
     return records
 
@@ -361,14 +377,7 @@ def synth_embed(record: MutationRecord, variant: str, d_raw: int, seed: int,
 def synth_bundles(records, d_raw: int, seed: int,
                   modalities: tuple[str, ...] = ("seq",)) -> dict[str, EmbeddingBundle]:
     """WT bundle per protein (deduplicated) plus MUT bundle per record."""
-    wt_seqs: dict[str, str] = {}
-    for r in records:
-        prior = wt_seqs.get(r.protein_id)
-        if prior is not None and prior != r.wt_sequence:
-            raise DataError(
-                f"{r.protein_id}: conflicting wild-type sequences across records"
-            )
-        wt_seqs[r.protein_id] = r.wt_sequence
+    wild_types(records)  # one WT bundle per protein needs one sequence
     bundles: dict[str, EmbeddingBundle] = {}
     for r in records:
         for variant, vid in (("WT", r.wt_variant_id), ("MUT", r.mut_variant_id)):

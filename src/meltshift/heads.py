@@ -16,17 +16,16 @@ consume these fused rows:
 * ``mut_lincomb`` / ``cls_lincomb`` / ``avgpool_lincomb``: learned scalar
   mix ``alpha * x_w + beta * x_m`` followed by a linear output.
 
-One class, :class:`EnsembleModel`, runs every model kind, and one table,
-``MODEL_HEADS``, says which fused vectors and heads each kind has. The
-``ensemble`` kind runs head1 and head2 on one shared projection and
-averages their predictions; every other kind is an ensemble of one head,
-predicting ``(y, y, y)``.
+Each head kind is one row of ``HEADS``: the fused vectors it reads, its
+parameters and its forward pass. One class, :class:`EnsembleModel`, runs
+every model kind; ``MODEL_HEADS``, derived from ``HEADS``, names each
+kind's shared fused vectors and heads. The ``ensemble`` kind runs head1
+and head2 on one shared projection and averages their predictions; every
+other kind is an ensemble of one head, predicting ``(y, y, y)``.
 
-Parameters are described once, by :func:`model_layout`: the name, shape
-and starting value of every parameter of a model kind, in
-``named_parameters`` and checkpoint order. ``build_model`` draws or fills
-each entry in that order, and the checkpoint reader assembles a model
-from the arrays it reads in that order (:func:`assemble_model`).
+:func:`model_layout` lists every parameter (name, shape, start) of a model
+kind in ``named_parameters`` and checkpoint order; ``build_model`` and the
+checkpoint reader fill it in that order (:func:`assemble_model`).
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ class HeadKind(str, enum.Enum):
     AVGPOOL_LINCOMB = "avgpool_lincomb"
 
 
-LINCOMB_KINDS = (HeadKind.MUT_LINCOMB, HeadKind.CLS_LINCOMB,
-                 HeadKind.AVGPOOL_LINCOMB)
-
-
 class EnsemblePrediction(NamedTuple):
     y1: float
     y2: float
@@ -63,6 +58,20 @@ class EnsemblePrediction(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # parameter containers
+
+
+# (name, shape, start): start is a fill value, or None for a uniform draw
+LayoutEntry = tuple[str, tuple[int, ...], float | None]
+
+
+def _linear_layout(prefix: str, n_out: int, n_in: int) -> list[LayoutEntry]:
+    return [(f"{prefix}.weight", (n_out, n_in), None),
+            (f"{prefix}.bias", (n_out,), 0.0)]
+
+
+def track_roles(modalities: tuple[str, ...], suffix: str) -> list[str]:
+    """Track roles behind one fused vector: ``avg``, or one per modality."""
+    return ["avg"] if suffix == "avg" else [f"{m}_{suffix}" for m in modalities]
 
 
 @dataclass
@@ -84,12 +93,6 @@ class TrackProjection:
     d_proj: int
     layers: dict[str, LinearParams]
 
-    def roles(self, suffix: str) -> list[str]:
-        """Track roles behind one fused vector: ``avg``, or one per modality."""
-        if suffix == "avg":
-            return ["avg"]
-        return [f"{m}_{suffix}" for m in self.modalities]
-
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         for role in sorted(self.layers):
             yield f"proj.{role}.weight", self.layers[role].weight
@@ -107,7 +110,8 @@ class TrackProjection:
     def fuse(self, tape: Tape, bundles: list[EmbeddingBundle],
              suffix: str) -> Node:
         """Concatenate the projections of the roles behind ``suffix``."""
-        parts = [self.project(tape, bundles, role) for role in self.roles(suffix)]
+        parts = [self.project(tape, bundles, role)
+                 for role in track_roles(self.modalities, suffix)]
         return parts[0] if len(parts) == 1 else tape.concat(parts)
 
 
@@ -117,32 +121,18 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
     """Fused wild-type and mutant rows, ``(w, m)`` per suffix in tape order.
 
     Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``.
-    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every bundle must
-    have the projection's width ``d_raw``, and every track role behind the
-    vectors must be on both bundles of each pair; both are checked pair by
-    pair, and roles modality by modality, before anything is projected.
+    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every bundle
+    must have the projection's ``d_raw`` and every track role behind the
+    vectors; both are checked pair by pair before anything is projected.
     """
-    for bundle_w, bundle_m in zip(bundles_w, bundles_m):
-        for bundle in (bundle_w, bundle_m):
-            if bundle.d_raw != proj.d_raw:
-                raise DataError(
-                    f"bundle {bundle.variant_id} has width {bundle.d_raw}, "
-                    f"but the model's d_raw is {proj.d_raw}"
-                )
-        for roles in zip(*(proj.roles(s) for s in suffixes)):
-            for role in roles:
-                in_w = role in bundle_w.tracks
-                in_m = role in bundle_m.tracks
-                if in_w != in_m:
-                    missing = bundle_m if in_w else bundle_w
-                    raise DataError(
-                        f"track-set mismatch: {missing.variant_id} lacks {role!r}"
-                    )
-                if not in_w:
-                    raise DataError(
-                        f"{bundle_w.variant_id}/{bundle_m.variant_id}: "
-                        f"missing track {role!r}"
-                    )
+    roles = [r for s in suffixes for r in track_roles(proj.modalities, s)]
+    for bundle in [b for pair in zip(bundles_w, bundles_m) for b in pair]:
+        if bundle.d_raw != proj.d_raw:
+            raise DataError(f"bundle {bundle.variant_id} has width {bundle.d_raw}, "
+                            f"but the model's d_raw is {proj.d_raw}")
+        missing = [r for r in roles if r not in bundle.tracks]
+        if missing:
+            raise DataError(f"bundle {bundle.variant_id} lacks track {missing[0]!r}")
     return [proj.fuse(tape, bundles, s) for s in suffixes
             for bundles in (bundles_w, bundles_m)]
 
@@ -155,17 +145,12 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
 class HeadParams:
     """Learnable parameters of one regression head, keyed by their name
     inside the head (``mix.weight``, ``ln_cls.gamma``, ``alpha``, ...);
-    :func:`model_layout` says which names each kind has."""
+    the head kind's :data:`HEADS` layout says which names it has."""
 
-    kind: HeadKind
     arrays: dict[str, Array]
 
     def bind(self, tape: Tape, prefix: str, *names: str) -> list[Node]:
         return [tape.leaf(self.arrays[n], f"{prefix}.{n}") for n in names]
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Array]]:
-        for name, arr in self.arrays.items():
-            yield f"{prefix}.{name}", arr
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +160,6 @@ class HeadParams:
 def head1_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
                   prefix: str = "head") -> Node:
     """Outer-product head: N1(mix(flatten(a_m (x) a_w)))."""
-    if params.kind != HeadKind.HEAD1_OUTER:
-        raise ConfigError(f"head1_forward needs HEAD1_OUTER params, got {params.kind}")
     flat = tape.outer_flatten(a_m, a_w)
     Wm, bm = params.bind(tape, prefix, "mix.weight", "mix.bias")
     hidden = tape.linear(Wm, flat, bm)
@@ -187,8 +170,6 @@ def head1_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
 def head2_forward(tape: Tape, cls_w: Node, cls_m: Node, a_w: Node, a_m: Node,
                   params: HeadParams, prefix: str = "head") -> Node:
     """Difference head: N2(LN(cls_w - cls_m) ++ LN(a_w - a_m))."""
-    if params.kind != HeadKind.HEAD2_LNDIFF:
-        raise ConfigError(f"head2_forward needs HEAD2_LNDIFF params, got {params.kind}")
     gc, bc, gp, bp = params.bind(tape, prefix, "ln_cls.gamma", "ln_cls.beta",
                                  "ln_pos.gamma", "ln_pos.beta")
     norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), gc, bc)
@@ -200,30 +181,48 @@ def head2_forward(tape: Tape, cls_w: Node, cls_m: Node, a_w: Node, a_m: Node,
 
 def mut_concat_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
                        prefix: str = "head") -> Node:
-    if params.kind != HeadKind.MUT_CONCAT:
-        raise ConfigError(f"mut_concat_forward needs MUT_CONCAT params, got {params.kind}")
     Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, tape.concat([a_w, a_m]), bo)
 
 
 def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, params: HeadParams,
                     prefix: str = "head") -> Node:
-    if params.kind not in LINCOMB_KINDS:
-        raise ConfigError(f"lincomb_forward needs a lincomb head, got {params.kind}")
     alpha, beta = params.bind(tape, prefix, "alpha", "beta")
     mixed = tape.add(tape.scale(alpha, x_w), tape.scale(beta, x_m))
     Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
     return tape.linear(Wo, mixed, bo)
 
 
-# per head kind: the fused vectors it reads, and its forward pass
-SINGLE_HEADS = {
-    HeadKind.HEAD1_OUTER: (("pos",), head1_forward),
-    HeadKind.HEAD2_LNDIFF: (("cls", "pos"), head2_forward),
-    HeadKind.MUT_CONCAT: (("pos",), mut_concat_forward),
-    HeadKind.MUT_LINCOMB: (("pos",), lincomb_forward),
-    HeadKind.CLS_LINCOMB: (("cls",), lincomb_forward),
-    HeadKind.AVGPOOL_LINCOMB: (("avg",), lincomb_forward),
+def _head1_layout(width: int) -> list[LayoutEntry]:
+    return (_linear_layout("mix", width, width * width)
+            + _linear_layout("out", 1, width))
+
+
+def _head2_layout(width: int) -> list[LayoutEntry]:
+    return [(f"{ln}.{name}", (width,), start) for ln in ("ln_cls", "ln_pos")
+            for name, start in (("gamma", 1.0), ("beta", 0.0))
+            ] + _linear_layout("out", 1, 2 * width)
+
+
+def _mut_concat_layout(width: int) -> list[LayoutEntry]:
+    return _linear_layout("out", 1, 2 * width)
+
+
+def _lincomb_layout(width: int) -> list[LayoutEntry]:
+    # difference-style start: alpha=1, beta=-1
+    return ([("alpha", (1,), 1.0), ("beta", (1,), -1.0)]
+            + _linear_layout("out", 1, width))
+
+
+# per head kind: the fused vectors it reads, its parameters inside the head
+# as layout(width) for fused vectors of that width, and its forward pass
+HEADS = {
+    HeadKind.HEAD1_OUTER: (("pos",), _head1_layout, head1_forward),
+    HeadKind.HEAD2_LNDIFF: (("cls", "pos"), _head2_layout, head2_forward),
+    HeadKind.MUT_CONCAT: (("pos",), _mut_concat_layout, mut_concat_forward),
+    HeadKind.MUT_LINCOMB: (("pos",), _lincomb_layout, lincomb_forward),
+    HeadKind.CLS_LINCOMB: (("cls",), _lincomb_layout, lincomb_forward),
+    HeadKind.AVGPOOL_LINCOMB: (("avg",), _lincomb_layout, lincomb_forward),
 }
 
 # per model kind: the fused vectors its heads share, and its heads as
@@ -232,7 +231,7 @@ MODEL_HEADS = {
     "ensemble": (("cls", "pos"), (("head1", HeadKind.HEAD1_OUTER),
                                   ("head2", HeadKind.HEAD2_LNDIFF))),
     **{kind.value: (reads, (("head", kind),))
-       for kind, (reads, _) in SINGLE_HEADS.items()},
+       for kind, (reads, _, _) in HEADS.items()},
 }
 
 MODEL_KINDS = tuple(MODEL_HEADS)
@@ -261,21 +260,22 @@ class EnsembleModel:
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters()
         for prefix, params in self.heads.items():
-            yield from params.named_parameters(prefix)
+            for name, arr in params.arrays.items():
+                yield f"{prefix}.{name}", arr
 
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.named_parameters())
 
     def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
                       bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
-        suffixes = MODEL_HEADS[self.kind_name][0]
+        suffixes, heads = MODEL_HEADS[self.kind_name]
         nodes = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
         fused = {s: nodes[2 * i:2 * i + 2] for i, s in enumerate(suffixes)}
         ys = []
-        for prefix, params in self.heads.items():
-            reads, forward = SINGLE_HEADS[params.kind]
+        for prefix, kind in heads:
+            reads, _, forward = HEADS[kind]
             inputs = [node for s in reads for node in fused[s]]
-            ys.append(forward(tape, *inputs, params, prefix))
+            ys.append(forward(tape, *inputs, self.heads[prefix], prefix))
         if len(ys) == 1:
             return ys[0], ys[0], ys[0]
         y1, y2 = ys
@@ -318,40 +318,15 @@ class EnsembleModel:
 # layout and factories
 
 
-# (name, shape, start): start is a fill value, or None for a uniform draw
-LayoutEntry = tuple[str, tuple[int, ...], float | None]
-
-
-def _linear_layout(prefix: str, n_out: int, n_in: int) -> list[LayoutEntry]:
-    return [(f"{prefix}.weight", (n_out, n_in), None),
-            (f"{prefix}.bias", (n_out,), 0.0)]
-
-
-def _head_layout(kind: HeadKind, width: int, prefix: str) -> list[LayoutEntry]:
-    if kind == HeadKind.HEAD1_OUTER:
-        return (_linear_layout(f"{prefix}.mix", width, width * width)
-                + _linear_layout(f"{prefix}.out", 1, width))
-    if kind == HeadKind.HEAD2_LNDIFF:
-        return [(f"{prefix}.{ln}.{name}", (width,), start)
-                for ln in ("ln_cls", "ln_pos")
-                for name, start in (("gamma", 1.0), ("beta", 0.0))
-                ] + _linear_layout(f"{prefix}.out", 1, 2 * width)
-    if kind == HeadKind.MUT_CONCAT:
-        return _linear_layout(f"{prefix}.out", 1, 2 * width)
-    # lincomb heads: difference-style start, alpha=1, beta=-1
-    return ([(f"{prefix}.alpha", (1,), 1.0), (f"{prefix}.beta", (1,), -1.0)]
-            + _linear_layout(f"{prefix}.out", 1, width))
-
-
 def model_layout(kind_name: str, d_raw: int, d_proj: int,
                  modalities: tuple[str, ...]) -> list[LayoutEntry]:
     """Every parameter of a model as ``(name, shape, start)``, in
     ``named_parameters`` and checkpoint order.
 
     ``start`` is the value the parameter starts at, or None for a uniform
-    draw in +-1/sqrt(fan-in). Which parameters each kind has follows from
-    its :data:`MODEL_HEADS` entry; nothing the size of the model is
-    allocated. An unknown kind raises ValueError.
+    draw in +-1/sqrt(fan-in): the projection's layers, then each head's
+    :data:`HEADS` layout under the head's name. Nothing the size of the
+    model is allocated. An unknown kind raises ValueError.
     """
     if d_raw < 1 or d_proj < 1:
         raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
@@ -363,14 +338,12 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
         raise ValueError(f"unknown model kind {kind_name!r}, "
                          f"expected one of {MODEL_KINDS}")
     suffixes, heads = MODEL_HEADS[kind_name]
-    proj = TrackProjection(tuple(modalities), d_raw, d_proj, {})
-    roles = sorted(r for suffix in suffixes for r in proj.roles(suffix))
+    roles = sorted(r for s in suffixes for r in track_roles(modalities, s))
     layout = [e for role in roles
               for e in _linear_layout(f"proj.{role}", d_proj, d_raw)]
     width = d_proj if suffixes == ("avg",) else len(modalities) * d_proj
-    for prefix, kind in heads:
-        layout += _head_layout(kind, width, prefix)
-    return layout
+    return layout + [(f"{prefix}.{name}", shape, start) for prefix, kind in heads
+                     for name, shape, start in HEADS[kind][1](width)]
 
 
 def assemble_model(kind_name: str, d_raw: int, d_proj: int,
@@ -387,8 +360,8 @@ def assemble_model(kind_name: str, d_raw: int, d_proj: int,
     projection = TrackProjection(tuple(modalities), d_raw, d_proj, {
         role: LinearParams(proj[f"{role}.weight"], proj[f"{role}.bias"])
         for role in roles})
-    heads = {prefix: HeadParams(kind, part(prefix))
-             for prefix, kind in MODEL_HEADS[kind_name][1]}
+    heads = {prefix: HeadParams(part(prefix))
+             for prefix, _ in MODEL_HEADS[kind_name][1]}
     return EnsembleModel(kind_name, projection, heads, seed)
 
 
@@ -398,6 +371,8 @@ def build_model(kind_name: str, d_raw: int, d_proj: int, seed: int,
 
     Parameters are made in layout order from one ``default_rng(seed)``.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape, start in model_layout(kind_name, d_raw, d_proj, modalities):

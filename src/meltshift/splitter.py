@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import text_errors
+from .data import text_errors, wild_types
 from .errors import ConfigError, DataError
 
 DEFAULT_KMER = 5
@@ -262,6 +262,8 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
     train_part, val_part = ratio
     if train_part <= 0 or val_part <= 0:
         raise ConfigError(f"ratio parts must be positive, got {ratio}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not clusters:
         raise ConfigError("no clusters to split")
     target = val_part / (train_part + val_part)
@@ -302,17 +304,10 @@ def split_records(records, threshold: float = DEFAULT_IDENTITY,
                   ratio=DEFAULT_RATIO, seed: int = 0,
                   k: int = DEFAULT_KMER) -> SplitAssignment:
     """Cluster the proteins behind ``records`` and split by mutation count."""
-    proteins: dict[str, str] = {}
     counts: dict[str, int] = {}
     for r in records:
-        prior = proteins.get(r.protein_id)
-        if prior is not None and prior != r.wt_sequence:
-            raise DataError(
-                f"{r.protein_id}: conflicting wild-type sequences across records"
-            )
-        proteins[r.protein_id] = r.wt_sequence
         counts[r.protein_id] = counts.get(r.protein_id, 0) + 1
-    clusters = greedy_cluster(proteins, threshold, k)
+    clusters = greedy_cluster(wild_types(records), threshold, k)
     return split_clusters(clusters, ratio, seed, counts, threshold)
 
 
@@ -342,6 +337,8 @@ def read_split(path) -> dict[str, str]:
                 continue
             if len(row) != 3 or row[1] not in ("train", "val"):
                 raise DataError(f"{path}:{lineno}: bad split row {row!r}")
+            if not row[0]:
+                raise DataError(f"{path}:{lineno}: empty protein id")
             if row[0] in out:
                 raise DataError(f"{path}:{lineno}: duplicate protein {row[0]!r}")
             out[row[0]] = row[1]
@@ -368,6 +365,8 @@ def load_clusters_tsv(path) -> list[Cluster]:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected rep<TAB>member")
             rep, member = parts
+            if not rep or not member:
+                raise DataError(f"{path}:{lineno}: empty protein id")
             for name in (rep, member):
                 if rep_of.setdefault(name, rep) != rep:
                     raise DataError(f"{path}:{lineno}: {name!r} in two clusters")

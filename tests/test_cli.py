@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import struct
@@ -6,6 +7,7 @@ import warnings
 
 import pytest
 
+from meltshift import cli
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
 from meltshift.data import load_dataset, read_bundles, write_dataset
@@ -72,6 +74,13 @@ class TestPrepareSplit:
         assert run("prepare-split", three_record_dataset, "--out", out,
                    "--clusters-tsv", tsv) == 0
         assert len(read_split(out)) == 3
+
+
+    def test_negative_seed_is_config_error(self, dataset_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("prepare-split", dataset_path, "--out", out, "--seed", -1) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthEmbed:
@@ -517,6 +526,10 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--d", 2, flag, value) == 2
         assert f"config error: {flag} must be" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, capsys):
+        assert run("gradcheck", "--d", 2, "--seed", -1) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+
     def test_absurd_fd_step_is_numeric_error(self, capsys):
         # a huge step makes central differences diverge from the analytic
         # gradients, exercising the numeric failure exit class
@@ -532,3 +545,37 @@ def test_train_copies_split_into_rundir(pipeline, tmp_path):
                "--epochs", 1, "--d-proj", 4, "--max-lr", 1e-2,
                "--seed", 1) == 0
     assert (rundir / "split.csv").read_bytes() == split.read_bytes()
+
+
+def test_input_digest_reads_in_blocks(tmp_path):
+    path = tmp_path / "big.bin"
+    blob = bytes(range(256)) * (32 * 4096)  # 32 MiB
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        digest = cli._file_digest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(blob).hexdigest()
+    assert peak < 4 * 2**20, peak
+
+
+def test_train_manifest_digests_inputs_as_read(pipeline, tmp_path, monkeypatch):
+    dataset, bundles, _ = pipeline
+    original = hashlib.sha256(dataset.read_bytes()).hexdigest()
+    real_train = cli.train
+
+    def train_then_edit(*args, **kwargs):
+        result = real_train(*args, **kwargs)
+        with open(dataset, "a") as fh:
+            fh.write("\n")
+        return result
+
+    monkeypatch.setattr(cli, "train", train_then_edit)
+    rundir = tmp_path / "run"
+    assert run("train", dataset, bundles, "--out", rundir, "--epochs", 1,
+               "--d-proj", 4, "--max-lr", 1e-2) == 0
+    assert hashlib.sha256(dataset.read_bytes()).hexdigest() != original
+    manifest = json.loads((rundir / "run_manifest.json").read_text())
+    assert manifest["inputs"][str(dataset)] == original

@@ -16,10 +16,12 @@ from meltshift.data import (
     read_bundles,
     synth_bundles,
     synth_embed,
+    wild_types,
     write_bundles,
     write_dataset,
 )
 from meltshift.errors import DataError, FormatError
+from meltshift.splitter import split_records
 
 from conftest import random_records
 
@@ -119,6 +121,15 @@ class TestDataset:
             "P1,AKIL,A01C,1.0\nP1,AKIL,A1C,2.0\n"
         )
         with pytest.raises(DataError, match=r":3: duplicate .* line 2"):
+            load_dataset(path)
+
+    def test_conflicting_wt_sequence_names_both_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "protein_id,wt_sequence,mutation,dtm\n"
+            "P1,MKIL,L4A,1.0\nP2,ACDEF,A1C,2.0\nP1,MKIV,K2C,-0.5\n"
+        )
+        with pytest.raises(DataError, match=r":4: P1 .*wt_sequence.* line 2"):
             load_dataset(path)
 
     def test_bad_header(self, tmp_path):
@@ -264,3 +275,16 @@ class TestSynthEmbed:
     def test_invalid_d_raw(self, tiny_records):
         with pytest.raises(DataError):
             synth_embed(tiny_records[0], "WT", 0, seed=1)
+
+
+def test_one_wild_type_per_protein_in_memory():
+    records = [MutationRecord("P2", "ACDEF", Mutation(1, "A", "C"), 2.0),
+               MutationRecord("P1", "MKIL", Mutation(4, "L", "A"), 1.5),
+               MutationRecord("P2", "ACDEF", Mutation(2, "C", "D"), 0.5)]
+    assert list(wild_types(records).items()) == [("P2", "ACDEF"), ("P1", "MKIL")]
+    # the helper is the one conflict check behind bundles and splits
+    records.append(MutationRecord("P1", "MKIV", Mutation(2, "K", "C"), -0.5))
+    for reader in (wild_types, split_records,
+                   lambda records: synth_bundles(records, 4, seed=0)):
+        with pytest.raises(DataError, match="P1: conflicting wild-type sequences"):
+            reader(records)

@@ -129,8 +129,7 @@ class TestHead1:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_matrix_case(self):
-        p = HeadParams(HeadKind.HEAD1_OUTER,
-                       {"mix.weight": np.ones((2, 4)), "mix.bias": np.zeros(2),
+        p = HeadParams({"mix.weight": np.ones((2, 4)), "mix.bias": np.zeros(2),
                         "out.weight": np.ones((1, 2)), "out.bias": np.zeros(1)})
         # outer(a_m, a_w) = [[0,0],[1,0]] -> flat [0,0,1,0] -> mix [1,1] -> 2
         assert run_head(head1_forward, p, [1.0, 0.0], [0.0, 1.0]) == \
@@ -235,11 +234,6 @@ class TestAblationHeads:
                           + p.arrays["out.bias"])[0])
         got = run_head(lincomb_forward, p, xw, xm)
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_kind_mismatch_rejected(self):
-        p = head_params(HeadKind.MUT_CONCAT, 4, 0)
-        with pytest.raises(ConfigError):
-            run_head(lincomb_forward, p, np.zeros(4), np.zeros(4))
 
 
 class TestEnsemble:

@@ -345,6 +345,20 @@ class TestManifest:
         with pytest.raises(DataError):
             read_split(path)
 
+    def test_read_rejects_empty_protein_id(self, tmp_path):
+        path = tmp_path / "split.csv"
+        path.write_text("protein_id,split,cluster_rep\nP1,train,P1\n,train,X\n")
+        with pytest.raises(DataError, match=r"split\.csv:3: empty protein id"):
+            read_split(path)
+
+    @pytest.mark.parametrize("rows", ["R1\tR1\nA\t\n", "R1\tR1\n\tB\n"],
+                             ids=["empty_member", "empty_representative"])
+    def test_cluster_tsv_rejects_empty_protein_id(self, tmp_path, rows):
+        path = tmp_path / "clusters.tsv"
+        path.write_text(rows)
+        with pytest.raises(DataError, match=r"clusters\.tsv:2: empty protein id"):
+            load_clusters_tsv(path)
+
     def test_cluster_tsv_import(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("R1\tR1\nR1\tP9\nR2\tR2\n")
