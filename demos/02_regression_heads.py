@@ -46,7 +46,7 @@ print("mut_concat triple:",
 
 # --- a self-mutation zeroes the difference head's inputs, so its
 # LayerNorms output their beta channels alone ---------------------------
-h2 = ensemble.heads["head2"].arrays
+h2 = ensemble.heads["head2"]
 beta_only = h2["out.weight"] @ np.concatenate([h2["ln_cls.beta"], h2["ln_pos.beta"]])
 print("\nself-mutation residual:",
       abs(ensemble.predict(bw, bw).y2 - float((beta_only + h2["out.bias"])[0])))

@@ -37,7 +37,6 @@ from .heads import (
     EnsembleModel,
     EnsemblePrediction,
     HeadKind,
-    HeadParams,
     TrackProjection,
     build_ensemble,
     build_model,

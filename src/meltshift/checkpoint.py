@@ -9,7 +9,7 @@ Layout (little-endian)::
     arrays     raw float64 bytes, in the order header["arrays"] declares
 
 The header carries the model kind, widths, modalities, seed, the
-training-config snapshot and its hash, and Adam hyperparameters; every
+training-config snapshot and its hash, and Adam's step count; every
 value is type-checked on load. The array section holds every model
 parameter (prefix ``model.``) and, when optimizer state is included, the
 Adam moments of the trained parameters (prefixes ``adam_m.``, ``adam_v.``).
@@ -83,8 +83,7 @@ def save_checkpoint(path, model: EnsembleModel, config: dict | None = None,
     header["config"] = config
     header["config_hash"] = sha256_hex(canonical_json(config)) if config else None
     if adam is not None:
-        header["adam"] = {"beta1": adam.beta1, "beta2": adam.beta2,
-                          "eps": adam.eps, "t": adam.t}
+        header["adam"] = {"t": adam.t}
         for name in sorted(adam.m):
             arrays.append((f"adam_m.{name}", adam.m[name]))
         for name in sorted(adam.v):
@@ -105,10 +104,6 @@ def save_checkpoint(path, model: EnsembleModel, config: dict | None = None,
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_array_entry(entry) -> bool:
@@ -144,10 +139,9 @@ def _check_header(path, header) -> None:
             f"{path}: header arrays must be a list of {{name, shape}} entries "
             "with non-negative int dimensions"
         )
+    # other adam keys (the recipe constants older files carry) are ignored
     adam = header.get("adam")
-    if adam is not None and not (
-            isinstance(adam, dict) and _is_int(adam.get("t"))
-            and all(_is_number(adam.get(k)) for k in ("beta1", "beta2", "eps"))):
+    if adam is not None and not (isinstance(adam, dict) and _is_int(adam.get("t"))):
         raise FormatError(f"{path}: bad adam header {adam!r}")
 
 
@@ -237,6 +231,5 @@ def load_checkpoint(path) -> Checkpoint:
     model = assemble_model(*meta, header["seed"], params)
     adam = None
     if adam_meta is not None:
-        adam = AdamState(adam_meta["beta1"], adam_meta["beta2"],
-                         adam_meta["eps"], adam_meta["t"], m, v)
+        adam = AdamState(adam_meta["t"], m, v)
     return Checkpoint(model, header.get("config"), adam)

@@ -83,12 +83,6 @@ def _parse_ratio(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_tracks(text: str) -> tuple[str, ...]:
-    if text not in TRACK_SETS:
-        raise ConfigError(f"tracks must be 'seq' or 'seq+struct', got {text!r}")
-    return TRACK_SETS[text]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,7 +118,7 @@ def cmd_synth_embed(args) -> int:
     if args.d_raw < 1:
         raise ConfigError(f"--d-raw must be >= 1, got {args.d_raw}")
     records = load_dataset(args.dataset)
-    modalities = _parse_tracks(args.tracks)
+    modalities = TRACK_SETS[args.tracks]
     bundles = synth_bundles(records, args.d_raw, args.seed, modalities)
     write_bundles(args.out, bundles)
     print(f"wrote {args.out}: {len(bundles)} bundles, d_raw={args.d_raw}")
@@ -153,7 +147,7 @@ def _load_train_config(args) -> TrainConfig:
         "clip_max_norm": args.clip_norm,
     }
     if args.tracks is not None:
-        overrides["modalities"] = list(_parse_tracks(args.tracks))
+        overrides["modalities"] = list(TRACK_SETS[args.tracks])
     for key, value in overrides.items():
         if value is not None:
             base[key] = value
@@ -247,8 +241,8 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
         if ":" not in spec:
             raise ConfigError(f"mutation spec must be PROTEIN:CODE, got {spec!r}")
         pid, code = spec.split(":", 1)
-        parse_mutation(code)  # validate the code early
-        out.append((pid, code))
+        # bundles are named by the canonical code, as load_dataset names them
+        out.append((pid, parse_mutation(code).code))
     return out
 
 
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--d-raw", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tracks", default="seq", choices=["seq", "seq+struct"])
+    p.add_argument("--tracks", default="seq", choices=list(TRACK_SETS))
     p.set_defaults(func=cmd_synth_embed)
 
     p = sub.add_parser("train", help="train a model into a run directory")
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-norm", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--d-proj", type=int)
-    p.add_argument("--tracks", choices=["seq", "seq+struct"])
+    p.add_argument("--tracks", choices=list(TRACK_SETS))
     p.add_argument("--final-retrain", action="store_true",
                    help="train on train+val after model selection")
     p.set_defaults(func=cmd_train)

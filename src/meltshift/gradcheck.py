@@ -28,8 +28,8 @@ class GradCheckResult:
     worst_index: tuple
     n_checked: int
 
-    def ok(self, tol: float = GRAD_TOLERANCE) -> bool:
-        return self.max_rel_err < tol
+    def ok(self) -> bool:
+        return self.max_rel_err < GRAD_TOLERANCE
 
 
 def finite_diff(loss_fn: Callable[[], float], params: dict[str, Array],
@@ -85,8 +85,8 @@ def compare_grads(analytic: dict[str, Array],
 def check_model(model, samples, step: float = DEFAULT_FD_STEP) -> GradCheckResult:
     """Check a model's analytic batch-loss gradients against central differences.
 
-    ``model`` needs ``named_parameters()`` and ``batch_loss(tape, samples)``;
-    both ensemble and single-head models qualify.
+    ``model`` needs ``named_parameters()`` and ``batch_loss(tape, samples)``,
+    as every :class:`~meltshift.heads.EnsembleModel` has.
     """
     params = dict(model.named_parameters())
 

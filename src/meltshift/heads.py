@@ -26,6 +26,12 @@ other kind is an ensemble of one head, predicting ``(y, y, y)``.
 :func:`model_layout` lists every parameter (name, shape, start) of a model
 kind in ``named_parameters`` and checkpoint order; ``build_model`` and the
 checkpoint reader fill it in that order (:func:`assemble_model`).
+
+Parameters are plain arrays, bound to a tape once per forward by their
+owner: :func:`fuse_pair` binds each projection layer and projects both
+sides of the pair with it, and ``EnsembleModel.forward_nodes`` binds each
+head's arrays under the head's name and hands its forward a
+``name -> Node`` dict.
 """
 
 from __future__ import annotations
@@ -79,10 +85,6 @@ class LinearParams:
     weight: Array  # (n_out, n_in)
     bias: Array    # (n_out,)
 
-    def bind(self, tape: Tape, prefix: str) -> tuple[Node, Node]:
-        return (tape.leaf(self.weight, f"{prefix}.weight"),
-                tape.leaf(self.bias, f"{prefix}.bias"))
-
 
 @dataclass
 class TrackProjection:
@@ -98,30 +100,22 @@ class TrackProjection:
             yield f"proj.{role}.weight", self.layers[role].weight
             yield f"proj.{role}.bias", self.layers[role].bias
 
-    def project(self, tape: Tape, bundles: list[EmbeddingBundle],
-                role: str) -> Node:
-        """Project one role of every bundle: a ``(B, d_proj)`` row block."""
-        if role not in self.layers:
-            raise ConfigError(f"projection has no layer for track role {role!r}")
-        W, b = self.layers[role].bind(tape, f"proj.{role}")
+    def project(self, tape: Tape, bundles: list[EmbeddingBundle], role: str,
+                weight: Node, bias: Node) -> Node:
+        """Project one role of every bundle through the bound layer of that
+        role: a ``(B, d_proj)`` row block."""
         x = tape.leaf(np.stack([bundle.tracks[role] for bundle in bundles]))
-        return tape.linear(W, x, b)
-
-    def fuse(self, tape: Tape, bundles: list[EmbeddingBundle],
-             suffix: str) -> Node:
-        """Concatenate the projections of the roles behind ``suffix``."""
-        parts = [self.project(tape, bundles, role)
-                 for role in track_roles(self.modalities, suffix)]
-        return parts[0] if len(parts) == 1 else tape.concat(parts)
+        return tape.linear(weight, x, bias)
 
 
 def fuse_pair(tape: Tape, proj: TrackProjection,
               bundles_w: list[EmbeddingBundle], bundles_m: list[EmbeddingBundle],
-              suffixes: tuple[str, ...]) -> list[Node]:
-    """Fused wild-type and mutant rows, ``(w, m)`` per suffix in tape order.
+              suffixes: tuple[str, ...]) -> dict[str, tuple[Node, Node]]:
+    """Fused wild-type and mutant rows, ``{suffix: (w, m)}``.
 
-    Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``.
-    ``("cls", "pos")`` gives ``[cls_w, cls_m, a_w, a_m]``. Every bundle
+    Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``. Each
+    role's layer is bound once and projects both sides; the wild-type
+    side of a suffix is recorded before its mutant side. Every bundle
     must have the projection's ``d_raw`` and every track role behind the
     vectors; both are checked pair by pair before anything is projected.
     """
@@ -133,64 +127,56 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
         missing = [r for r in roles if r not in bundle.tracks]
         if missing:
             raise DataError(f"bundle {bundle.variant_id} lacks track {missing[0]!r}")
-    return [proj.fuse(tape, bundles, s) for s in suffixes
-            for bundles in (bundles_w, bundles_m)]
+    fused = {}
+    for s in suffixes:
+        layers = {}
+        for role in track_roles(proj.modalities, s):
+            if role not in proj.layers:
+                raise ConfigError(f"projection has no layer for track role {role!r}")
+            layer = proj.layers[role]
+            layers[role] = (tape.leaf(layer.weight, f"proj.{role}.weight"),
+                            tape.leaf(layer.bias, f"proj.{role}.bias"))
+        sides = []
+        for bundles in (bundles_w, bundles_m):
+            parts = [proj.project(tape, bundles, role, *nodes)
+                     for role, nodes in layers.items()]
+            sides.append(parts[0] if len(parts) == 1 else tape.concat(parts))
+        fused[s] = tuple(sides)
+    return fused
 
 
 # ---------------------------------------------------------------------------
-# head parameters
+# head forward passes (tape level): each reads its fused rows and its
+# parameter nodes, keyed by their name inside the head (``mix.weight``,
+# ``ln_cls.gamma``, ``alpha``, ...)
 
 
-@dataclass
-class HeadParams:
-    """Learnable parameters of one regression head, keyed by their name
-    inside the head (``mix.weight``, ``ln_cls.gamma``, ``alpha``, ...);
-    the head kind's :data:`HEADS` layout says which names it has."""
-
-    arrays: dict[str, Array]
-
-    def bind(self, tape: Tape, prefix: str, *names: str) -> list[Node]:
-        return [tape.leaf(self.arrays[n], f"{prefix}.{n}") for n in names]
-
-
-# ---------------------------------------------------------------------------
-# head forward passes (tape level)
-
-
-def head1_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
-                  prefix: str = "head") -> Node:
+def head1_forward(tape: Tape, a_w: Node, a_m: Node, p: dict[str, Node]) -> Node:
     """Outer-product head: N1(mix(flatten(a_m (x) a_w)))."""
     flat = tape.outer_flatten(a_m, a_w)
-    Wm, bm = params.bind(tape, prefix, "mix.weight", "mix.bias")
-    hidden = tape.linear(Wm, flat, bm)
-    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
-    return tape.linear(Wo, hidden, bo)
+    hidden = tape.linear(p["mix.weight"], flat, p["mix.bias"])
+    return tape.linear(p["out.weight"], hidden, p["out.bias"])
 
 
 def head2_forward(tape: Tape, cls_w: Node, cls_m: Node, a_w: Node, a_m: Node,
-                  params: HeadParams, prefix: str = "head") -> Node:
+                  p: dict[str, Node]) -> Node:
     """Difference head: N2(LN(cls_w - cls_m) ++ LN(a_w - a_m))."""
-    gc, bc, gp, bp = params.bind(tape, prefix, "ln_cls.gamma", "ln_cls.beta",
-                                 "ln_pos.gamma", "ln_pos.beta")
-    norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), gc, bc)
-    norm_pos = tape.layernorm(tape.sub(a_w, a_m), gp, bp)
+    norm_cls = tape.layernorm(tape.sub(cls_w, cls_m), p["ln_cls.gamma"],
+                              p["ln_cls.beta"])
+    norm_pos = tape.layernorm(tape.sub(a_w, a_m), p["ln_pos.gamma"],
+                              p["ln_pos.beta"])
     feature = tape.concat([norm_cls, norm_pos])
-    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
-    return tape.linear(Wo, feature, bo)
+    return tape.linear(p["out.weight"], feature, p["out.bias"])
 
 
-def mut_concat_forward(tape: Tape, a_w: Node, a_m: Node, params: HeadParams,
-                       prefix: str = "head") -> Node:
-    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
-    return tape.linear(Wo, tape.concat([a_w, a_m]), bo)
+def mut_concat_forward(tape: Tape, a_w: Node, a_m: Node,
+                       p: dict[str, Node]) -> Node:
+    return tape.linear(p["out.weight"], tape.concat([a_w, a_m]), p["out.bias"])
 
 
-def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, params: HeadParams,
-                    prefix: str = "head") -> Node:
-    alpha, beta = params.bind(tape, prefix, "alpha", "beta")
-    mixed = tape.add(tape.scale(alpha, x_w), tape.scale(beta, x_m))
-    Wo, bo = params.bind(tape, prefix, "out.weight", "out.bias")
-    return tape.linear(Wo, mixed, bo)
+def lincomb_forward(tape: Tape, x_w: Node, x_m: Node, p: dict[str, Node]) -> Node:
+    mixed = tape.add(tape.scale(p["alpha"], x_w), tape.scale(p["beta"], x_m))
+    return tape.linear(p["out.weight"], mixed, p["out.bias"])
 
 
 def _head1_layout(width: int) -> list[LayoutEntry]:
@@ -254,13 +240,15 @@ class EnsembleModel:
 
     kind_name: str
     projection: TrackProjection
-    heads: dict[str, HeadParams]  # prefix -> parameters, in MODEL_HEADS order
+    # prefix -> {name inside the head: array}, in MODEL_HEADS order; the
+    # head kind's HEADS layout says which names a head has
+    heads: dict[str, dict[str, Array]]
     seed: int = 0
 
     def named_parameters(self) -> Iterator[tuple[str, Array]]:
         yield from self.projection.named_parameters()
-        for prefix, params in self.heads.items():
-            for name, arr in params.arrays.items():
+        for prefix, arrays in self.heads.items():
+            for name, arr in arrays.items():
                 yield f"{prefix}.{name}", arr
 
     def param_count(self) -> int:
@@ -269,13 +257,13 @@ class EnsembleModel:
     def forward_nodes(self, tape: Tape, bundles_w: list[EmbeddingBundle],
                       bundles_m: list[EmbeddingBundle]) -> tuple[Node, Node, Node]:
         suffixes, heads = MODEL_HEADS[self.kind_name]
-        nodes = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
-        fused = {s: nodes[2 * i:2 * i + 2] for i, s in enumerate(suffixes)}
+        fused = fuse_pair(tape, self.projection, bundles_w, bundles_m, suffixes)
         ys = []
         for prefix, kind in heads:
             reads, _, forward = HEADS[kind]
-            inputs = [node for s in reads for node in fused[s]]
-            ys.append(forward(tape, *inputs, self.heads[prefix], prefix))
+            params = {name: tape.leaf(arr, f"{prefix}.{name}")
+                      for name, arr in self.heads[prefix].items()}
+            ys.append(forward(tape, *(n for s in reads for n in fused[s]), params))
         if len(ys) == 1:
             return ys[0], ys[0], ys[0]
         y1, y2 = ys
@@ -360,8 +348,7 @@ def assemble_model(kind_name: str, d_raw: int, d_proj: int,
     projection = TrackProjection(tuple(modalities), d_raw, d_proj, {
         role: LinearParams(proj[f"{role}.weight"], proj[f"{role}.bias"])
         for role in roles})
-    heads = {prefix: HeadParams(part(prefix))
-             for prefix, _ in MODEL_HEADS[kind_name][1]}
+    heads = {prefix: part(prefix) for prefix, _ in MODEL_HEADS[kind_name][1]}
     return EnsembleModel(kind_name, projection, heads, seed)
 
 

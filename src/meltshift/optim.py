@@ -111,11 +111,9 @@ def clip_global_norm(grads: dict[str, Array],
 
 @dataclass
 class AdamState:
-    """Moment estimates and step count; shapes mirror the parameters."""
+    """Moment estimates and step count; shapes mirror the parameters.
+    The decay rates and epsilon are the fixed recipe's ``ADAM_*``."""
 
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     t: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -153,7 +151,7 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
                     f"adam_step: {name} {kind} must be C-contiguous of shape {p.shape}"
                 )
     state.t += 1
-    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
+    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     size = min(CHUNK, max((p.size for p in params.values()), default=0))

@@ -12,9 +12,10 @@ Conventions
 * An activation is a vector ``(d,)`` or a block of rows ``(B, d)``, one
   sample per row. Primitives act on the last axis, so one code path
   serves both, and parameter gradients are summed over the rows.
-* Parameters enter a tape via :meth:`Tape.leaf` with a unique name;
-  binding the same array object twice returns the same node, so shared
-  parameters accumulate gradients correctly.
+* Parameters enter a tape via :meth:`Tape.leaf` with a unique name, once
+  per tape: the owner of an array binds it and hands the node to every
+  op that reads it, so all its uses accumulate into one gradient. A
+  second binding under the same name raises ConfigError.
 * A backward closure returns its inputs' gradients, in the order of the
   record's inputs, and touches no node. ``Tape.backward`` is the one place
   that sums them, and it sums out of place, so no gradient array is
@@ -63,7 +64,6 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[Node, tuple[Node, ...], object]] = []
         self._leaves: list[Node] = []
-        self._leaf_by_id: dict[int, Node] = {}
         self._names: set[str] = set()
         self._consumed = False
 
@@ -73,19 +73,11 @@ class Tape:
     def leaf(self, value, name: str | None = None) -> Node:
         """Register an input or parameter array and return its node.
 
-        Passing the same array object again returns the existing node,
-        so a parameter used in several places receives one accumulated
-        gradient. Unnamed (input) arrays are checked for non-finite
+        Each call makes a new node, so a parameter must be bound once per
+        tape and its node reused; a name already on the tape raises
+        ConfigError. Unnamed (input) arrays are checked for non-finite
         entries; named parameters are checked where they enter instead.
         """
-        key = id(value) if isinstance(value, np.ndarray) else None
-        if key is not None and key in self._leaf_by_id:
-            node = self._leaf_by_id[key]
-            if name is not None and node.name != name:
-                raise ConfigError(
-                    f"leaf bound twice under different names: {node.name!r} vs {name!r}"
-                )
-            return node
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1)
@@ -97,8 +89,6 @@ class Tape:
             self._names.add(name)
         node = Node(arr, name)
         self._leaves.append(node)
-        if key is not None:
-            self._leaf_by_id[key] = node
         return node
 
     def _emit(self, value: Array, inputs: tuple[Node, ...], backward) -> Node:

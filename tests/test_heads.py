@@ -7,7 +7,6 @@ from meltshift.gradcheck import check_model
 from meltshift.heads import (
     MODEL_KINDS,
     HeadKind,
-    HeadParams,
     LinearParams,
     TrackProjection,
     build_ensemble,
@@ -43,15 +42,20 @@ def head_params(kind, width, seed):
 
 def fused_values(bw, bm, proj):
     """(cls_w, cls_m, a_w, a_m) as arrays."""
-    nodes = fuse_pair(Tape(), proj, [bw], [bm], ("cls", "pos"))
-    return [n.value[0] for n in nodes]
+    fused = fuse_pair(Tape(), proj, [bw], [bm], ("cls", "pos"))
+    return [n.value[0] for pair in fused.values() for n in pair]
+
+
+def head_nodes(tape, params):
+    """A head's arrays bound to ``tape`` under their names inside the head."""
+    return {name: tape.leaf(arr, name) for name, arr in params.items()}
 
 
 def run_head(forward, params, *inputs):
     """Scalar prediction of a tape-level head forward on plain vectors."""
     tape = Tape()
     y = forward(tape, *(tape.leaf(np.asarray(x, dtype=float)) for x in inputs),
-                params)
+                head_nodes(tape, params))
     return float(y.value[0])
 
 
@@ -59,7 +63,7 @@ def head2_intermediates(params, cls_w, cls_m, a_w, a_m):
     """(cls difference, pos difference, pre-linear feature) off head2's tape."""
     tape = Tape()
     head2_forward(tape, *(tape.leaf(x) for x in (cls_w, cls_m, a_w, a_m)),
-                  params)
+                  head_nodes(tape, params))
     # records: sub, layernorm (cls); sub, layernorm (pos); concat; linear
     values = [out.value for out, _, _ in tape._records]
     return values[0], values[2], values[4]
@@ -98,18 +102,16 @@ class TestProjectAndFuse:
             model.predict(bw, bm)
 
 
-def head1_oracle(a_w, a_m, p):
-    a = p.arrays
+def head1_oracle(a_w, a_m, a):
     flat = np.outer(a_m, a_w).ravel()
     return float((a["out.weight"] @ (a["mix.weight"] @ flat + a["mix.bias"])
                   + a["out.bias"])[0])
 
 
-def head2_oracle(cls_w, cls_m, a_w, a_m, p):
+def head2_oracle(cls_w, cls_m, a_w, a_m, a):
     def ln(x, g, b):
         return g * (x - x.mean()) / np.sqrt(x.var() + DEFAULT_LAYERNORM_EPS) + b
 
-    a = p.arrays
     feat = np.concatenate([
         ln(cls_w - cls_m, a["ln_cls.gamma"], a["ln_cls.beta"]),
         ln(a_w - a_m, a["ln_pos.gamma"], a["ln_pos.beta"]),
@@ -121,16 +123,16 @@ class TestHead1:
     def test_zero_input_isolates_bias_chain(self):
         rng = np.random.default_rng(3)
         p = head_params(HeadKind.HEAD1_OUTER, 4, 3)
-        p.arrays["mix.bias"][:] = rng.normal(size=4)
-        p.arrays["out.bias"][:] = rng.normal(size=1)
-        expected = float((p.arrays["out.weight"] @ p.arrays["mix.bias"]
-                          + p.arrays["out.bias"])[0])
+        p["mix.bias"][:] = rng.normal(size=4)
+        p["out.bias"][:] = rng.normal(size=1)
+        expected = float((p["out.weight"] @ p["mix.bias"]
+                          + p["out.bias"])[0])
         got = run_head(head1_forward, p, np.zeros(4), rng.normal(size=4))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_matrix_case(self):
-        p = HeadParams({"mix.weight": np.ones((2, 4)), "mix.bias": np.zeros(2),
-                        "out.weight": np.ones((1, 2)), "out.bias": np.zeros(1)})
+        p = {"mix.weight": np.ones((2, 4)), "mix.bias": np.zeros(2),
+             "out.weight": np.ones((1, 2)), "out.bias": np.zeros(1)}
         # outer(a_m, a_w) = [[0,0],[1,0]] -> flat [0,0,1,0] -> mix [1,1] -> 2
         assert run_head(head1_forward, p, [1.0, 0.0], [0.0, 1.0]) == \
             pytest.approx(2.0)
@@ -145,15 +147,16 @@ class TestHead1:
 
     def test_shape_law(self):
         p = head_params(HeadKind.HEAD1_OUTER, 4, 0)
-        assert p.arrays["mix.weight"].shape == (4, 16)
-        assert p.arrays["out.weight"].shape == (1, 4)
+        assert p["mix.weight"].shape == (4, 16)
+        assert p["out.weight"].shape == (1, 4)
 
     def test_intermediate_shapes_on_tape(self):
         # the fused outer product has d^2 entries, the mixed vector d
         rng = np.random.default_rng(1)
         p = head_params(HeadKind.HEAD1_OUTER, 5, 1)
         t = Tape()
-        head1_forward(t, t.leaf(rng.normal(size=5)), t.leaf(rng.normal(size=5)), p)
+        head1_forward(t, t.leaf(rng.normal(size=5)), t.leaf(rng.normal(size=5)),
+                      head_nodes(t, p))
         op_shapes = [out.value.shape for out, _, _ in t._records]
         assert op_shapes == [(25,), (5,), (1,)]
 
@@ -162,13 +165,13 @@ class TestHead2:
     def test_self_mutation_collapses_to_beta_channel(self):
         rng = np.random.default_rng(4)
         p = head_params(HeadKind.HEAD2_LNDIFF, 5, 4)
-        p.arrays["ln_cls.beta"][:] = rng.normal(size=5)
-        p.arrays["ln_pos.beta"][:] = rng.normal(size=5)
+        p["ln_cls.beta"][:] = rng.normal(size=5)
+        p["ln_pos.beta"][:] = rng.normal(size=5)
         v = rng.normal(size=5)
         c = rng.normal(size=5)
-        expected = float((p.arrays["out.weight"] @ np.concatenate(
-            [p.arrays["ln_cls.beta"], p.arrays["ln_pos.beta"]])
-                          + p.arrays["out.bias"])[0])
+        expected = float((p["out.weight"] @ np.concatenate(
+            [p["ln_cls.beta"], p["ln_pos.beta"]])
+                          + p["out.bias"])[0])
         assert run_head(head2_forward, p, c, c, v, v) == pytest.approx(
             expected, rel=1e-12)
 
@@ -191,15 +194,15 @@ class TestHead2:
         # prediction offset flips around the output bias
         y = run_head(head2_forward, p, cw, cm, aw, am)
         y_swapped = run_head(head2_forward, p, cm, cw, am, aw)
-        b = float(p.arrays["out.bias"][0])
+        b = float(p["out.bias"][0])
         assert (y_swapped - b) == pytest.approx(-(y - b), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_straight_line_oracle(self, seed):
         rng = np.random.default_rng(20 + seed)
         p = head_params(HeadKind.HEAD2_LNDIFF, 8, 20 + seed)
-        p.arrays["ln_cls.gamma"][:] = rng.normal(size=8)
-        p.arrays["ln_pos.beta"][:] = rng.normal(size=8)
+        p["ln_cls.gamma"][:] = rng.normal(size=8)
+        p["ln_pos.beta"][:] = rng.normal(size=8)
         cw, cm = rng.normal(size=8), rng.normal(size=8)
         aw, am = rng.normal(size=8), rng.normal(size=8)
         assert run_head(head2_forward, p, cw, cm, aw, am) == pytest.approx(
@@ -210,16 +213,16 @@ class TestAblationHeads:
     def test_mut_concat_zero_inputs_gives_bias(self):
         rng = np.random.default_rng(7)
         p = head_params(HeadKind.MUT_CONCAT, 4, 7)
-        p.arrays["out.bias"][:] = [2.5]
+        p["out.bias"][:] = [2.5]
         got = run_head(mut_concat_forward, p, np.zeros(4), np.zeros(4))
         assert got == pytest.approx(2.5)
 
     def test_lincomb_difference_collapse(self):
         rng = np.random.default_rng(8)
         p = head_params(HeadKind.MUT_LINCOMB, 4, 8)
-        p.arrays["alpha"][:] = [1.0]
-        p.arrays["beta"][:] = [-1.0]
-        p.arrays["out.bias"][:] = [1.25]
+        p["alpha"][:] = [1.0]
+        p["beta"][:] = [-1.0]
+        p["out.bias"][:] = [1.25]
         v = rng.normal(size=4)
         got = run_head(lincomb_forward, p, v, v)
         assert got == pytest.approx(1.25)
@@ -227,11 +230,11 @@ class TestAblationHeads:
     def test_lincomb_matches_formula(self):
         rng = np.random.default_rng(9)
         p = head_params(HeadKind.CLS_LINCOMB, 5, 9)
-        p.arrays["alpha"][:] = [0.7]
-        p.arrays["beta"][:] = [0.2]
+        p["alpha"][:] = [0.7]
+        p["beta"][:] = [0.2]
         xw, xm = rng.normal(size=5), rng.normal(size=5)
-        expected = float((p.arrays["out.weight"] @ (0.7 * xw + 0.2 * xm)
-                          + p.arrays["out.bias"])[0])
+        expected = float((p["out.weight"] @ (0.7 * xw + 0.2 * xm)
+                          + p["out.bias"])[0])
         got = run_head(lincomb_forward, p, xw, xm)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -253,7 +256,7 @@ class TestEnsemble:
         assert np.array_equal(dcls, np.zeros(4))
         assert np.array_equal(dpos, np.zeros(4))
         # so head2 predicts from its LayerNorm beta channels alone
-        h2 = model.heads["head2"].arrays
+        h2 = model.heads["head2"]
         beta_only = float((h2["out.weight"] @ np.concatenate(
             [h2["ln_cls.beta"], h2["ln_pos.beta"]]) + h2["out.bias"])[0])
         assert model.predict(b, b).y2 == pytest.approx(beta_only, rel=1e-12)

@@ -191,6 +191,14 @@ class TestBackward:
         with pytest.raises(NumericError, match="<input>"):
             Tape().leaf(np.array([1.0, bad]))
 
+    def test_binding_a_name_twice_rejected(self):
+        # a parameter is bound once per tape; its node serves every use
+        w = np.array([1.0, 2.0])
+        t = Tape()
+        t.leaf(w, "w")
+        with pytest.raises(ConfigError, match="duplicate parameter name on tape: 'w'"):
+            t.leaf(w, "w")
+
     def test_shared_leaf_accumulates(self):
         # loss = mean((x + x - t)^2); dx = 2*2*(2x - t)/n
         x = np.array([1.0, 2.0])
