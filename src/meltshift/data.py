@@ -78,10 +78,11 @@ class Mutation:
 
 def parse_mutation(code: str) -> Mutation:
     """Parse a code like ``I4A`` into a :class:`Mutation`."""
-    if len(code) < 3 or not code[1:-1].isdigit():
+    digits = code[1:-1]
+    if len(code) < 3 or not (digits.isascii() and digits.isdigit()):
         raise DataError(f"malformed mutation code {code!r}")
     try:
-        return Mutation(int(code[1:-1]), code[0], code[-1])
+        return Mutation(int(digits), code[0], code[-1])
     except DataError as exc:
         raise DataError(f"bad mutation code {code!r}: {exc}") from None
 

@@ -7,10 +7,10 @@ cluster spans train and validation. Externally produced cluster tables
 (tab-separated ``representative<TAB>member`` lines) can be imported with
 :func:`load_clusters_tsv` to use a real aligner's clustering instead.
 
-K-mers are integer codes, and clustering counts shared k-mers from one
-table of (code, protein) entries sorted by code, so proteins that share
-no k-mer are never compared (the prefilter idea of MMseqs2, Steinegger &
-Söding 2017, kept exact).
+K-mer codes are built over blocks of whole sequences. Clustering counts
+shared k-mers from one table of (code, protein) entries sorted by code,
+so proteins that share no k-mer are never compared (the prefilter idea
+of MMseqs2, Steinegger & Söding 2017, kept exact).
 """
 
 from __future__ import annotations
@@ -65,48 +65,68 @@ def _code_points(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
-def kmer_set(seq: str, k: int, letters: np.ndarray) -> np.ndarray:
-    """Distinct k-mers of ``seq`` as integer codes, sorted.
+def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
+    """Each sequence's distinct k-mer codes, sorted, all in one code space.
 
-    A letter's digit is 1 + its index in ``letters`` (sorted code points),
-    and a k-mer's code reads its digits in base ``len(letters) + 1``. A
-    sequence shorter than k is padded with 0 to one k-mer, which no full
-    k-mer equals. When ``base**k`` overflows int64 the k-mers come back as
-    distinct rows of digits instead, for :func:`kmer_codes` to rank.
+    A letter's digit is 1 + its rank among the letters of ``seqs``, and a
+    k-mer's code reads its digits in base ``letters + 1``; a sequence
+    shorter than k is padded with 0 to one k-mer, which no full k-mer
+    equals. k is capped at the longest sequence + 1. Codes are rolled over
+    blocks of whole sequences of at most ``PAIR_BLOCK`` residues (or one
+    longer sequence), and each block sorts its ``owner * span + code`` keys
+    once. Where ``base**k`` overflows int64 the k-mers are digit rows,
+    ranked over the corpus; where only a key does, codes are ranked within
+    the block.
     """
     if k < 1:
         raise ConfigError(f"k-mer length must be >= 1, got {k}")
-    if not seq:
+    lengths = np.array([len(seq) for seq in seqs])
+    if not lengths.all():
         raise DataError("empty sequence")
-    digits = np.searchsorted(letters, _code_points(seq)) + 1
-    if len(digits) < k:
-        digits = np.pad(digits, (0, k - len(digits)))
-    base = len(letters) + 1
-    if k >= 64 or base ** k > _INT64_MAX:
-        rows = sliding_window_view(digits.astype(np.min_scalar_type(base)), k)
-        return np.unique(rows, axis=0)
-    n = len(digits) - k + 1
-    codes = digits[:n].copy()
-    for p in range(1, k):
-        codes *= base
-        codes += digits[p:p + n]
-    codes.sort()
-    return codes[_run_heads(codes)]
-
-
-def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
-    """Each sequence's distinct k-mer codes, all in one code space.
-
-    The alphabet is the letters of ``seqs``. k is capped at one more than
-    the longest sequence, where every sequence is already one padded k-mer.
-    """
-    letters = np.unique(_code_points("".join(seqs)))
-    k = min(k, max(map(len, seqs)) + 1)
-    sets = [kmer_set(seq, k, letters) for seq in seqs]
-    if sets[0].ndim == 1:
-        return sets
-    _, rank = np.unique(np.concatenate(sets), axis=0, return_inverse=True)
-    return np.split(rank.reshape(-1), np.cumsum([len(s) for s in sets[:-1]]))
+    k = min(k, int(lengths.max()) + 1)
+    points = _code_points("".join(seqs))
+    digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
+    base = int(digit[-1]) + 1
+    wide = k >= 64 or base ** k > _INT64_MAX
+    seq_start = np.concatenate(([0], np.cumsum(lengths)))
+    pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
+    parts, sizes, i0 = [], [], 0
+    while i0 < len(seqs):
+        i1 = int(np.searchsorted(pad_start, pad_start[i0] + PAIR_BLOCK, "right"))
+        i1 = min(max(i1 - 1, i0 + 1), len(seqs))
+        m, p0, n = i1 - i0, pad_start[i0], pad_start[i1] - pad_start[i0]
+        # digits padded with 0 to k per sequence, and k - 1 past the block
+        residues, to = slice(seq_start[i0], seq_start[i1]), slice(0, n)
+        if n > seq_start[i1] - seq_start[i0]:
+            to = np.repeat((pad_start - seq_start)[i0:i1] - p0, lengths[i0:i1])
+            to += np.arange(residues.start, residues.stop)
+        digits = np.zeros(n + k - 1, np.min_scalar_type(base) if wide else np.int64)
+        digits[to] = np.take(digit, points[residues])
+        if wide:
+            x = sliding_window_view(digits, k).copy()
+        else:
+            x = digits[:n].copy()
+            for p in range(1, k):
+                x *= base
+                x += digits[p:p + n]
+        # a window crossing into the next sequence repeats its owner's first
+        x[(pad_start[i0 + 1:i1 + 1] - p0)[:, None] - np.arange(1, k)] = \
+            x[pad_start[i0:i1] - p0, None]
+        values, span = None, base ** k
+        if wide or m * span > _INT64_MAX:
+            values, x = np.unique(x, axis=0, return_inverse=True)
+            x, span = x.reshape(-1), len(values)
+        x += np.repeat(np.arange(m) * span, np.diff(pad_start[i0:i1 + 1]))
+        x.sort()  # owner * span + code: each owner's codes in order
+        x = x[_run_heads(x)]
+        sizes.append(np.diff(np.searchsorted(x, np.arange(m + 1) * span)))
+        x -= np.repeat(np.arange(m) * span, sizes[-1])
+        parts.append(x if values is None else values[x])
+        i0 = i1
+    codes = np.concatenate(parts)
+    if wide:
+        codes = np.unique(codes, axis=0, return_inverse=True)[1].reshape(-1)
+    return np.split(codes, np.cumsum(np.concatenate(sizes)[:-1]))
 
 
 def estimate_identity(seq_a: str, seq_b: str, k: int = DEFAULT_KMER) -> float:

@@ -18,7 +18,9 @@ def test_every_benchmark_hook_resolves():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        # the batched tape averages a batch's losses inside Tape.mse
-        assert tracer.absent == ["meltshift.tape:Tape.mean_scalars"]
+        # the batched tape averages a batch's losses inside Tape.mse, and
+        # kmer_codes builds every protein's k-mers without a per-protein call
+        assert tracer.absent == ["meltshift.tape:Tape.mean_scalars",
+                                 "meltshift.splitter:kmer_set"]
     finally:
         tracer.uninstall()

@@ -101,6 +101,14 @@ class TestSynthEmbed:
         assert run("synth-embed", three_record_dataset,
                    "--out", tmp_path / "x.dtme", "--d-raw", 0) == 2
 
+    def test_non_ascii_position_in_dataset_is_data_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("protein_id,wt_sequence,mutation,dtm\n"
+                        "P1,MKIL,L4A,1.0\nP1,MKIL,A²G,1.0\n", encoding="utf-8")
+        assert run("synth-embed", path, "--out", tmp_path / "x.dtme") == 3
+        assert "d.csv:3: malformed mutation code 'A²G'" in capsys.readouterr().err
+
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert run("synth-embed", tmp_path / "nope.csv",
                    "--out", tmp_path / "x.dtme") == 3
@@ -203,6 +211,20 @@ class TestTrainEvalPredict:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
         assert f"\n{first.protein_id},{mu.code}," in outs[1]
+
+    @pytest.mark.parametrize("code", ["A²G", "A٤G"])
+    def test_predict_non_ascii_position_is_data_error(self, pipeline, tmp_path,
+                                                      capsys, code):
+        dataset, bundles, split = pipeline
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+        first = load_dataset(dataset)[0]
+        capsys.readouterr()
+        assert run("predict", ckpt, bundles, "--mutations",
+                   f"{first.protein_id}:{code}") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"malformed mutation code {code!r}" in captured.err
 
     def test_single_head_training(self, pipeline, tmp_path):
         dataset, bundles, split = pipeline

@@ -41,6 +41,12 @@ class TestParseMutation:
         with pytest.raises(DataError):
             parse_mutation(code)
 
+    @pytest.mark.parametrize("code", ["A²G", "A٤G", "A１G", "A1²G"])
+    def test_rejects_positions_not_in_ascii_digits(self, code):
+        # str.isdigit() accepts these; int() rejects some and reads others
+        with pytest.raises(DataError, match="malformed mutation code"):
+            parse_mutation(code)
+
     @given(
         pos=st.integers(min_value=1, max_value=9999),
         pair=st.tuples(st.sampled_from(AMINO_ACIDS),

@@ -205,7 +205,7 @@ class TestGreedyCluster:
         # 22 letters, base 23: 23**13 fits int64 but code * entries does
         # not, so codes are ranked before the sort; 23**15 does not fit,
         # so k-mers come as digit rows and are ranked in kmer_codes
-        assert splitter.kmer_set(proteins["P0"], k, letters).ndim == (k > 13) + 1
+        assert len(letters) == 22 and (23 ** k > np.iinfo(np.int64).max) == (k > 13)
         for threshold in (0.2, 0.5, 1.0):
             assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
                 as_pairs(reference_greedy_cluster(proteins, threshold, k))
@@ -219,6 +219,25 @@ class TestGreedyCluster:
         for threshold in (0.3, 0.6):
             assert as_pairs(greedy_cluster(proteins, threshold, 3)) == \
                 as_pairs(reference_greedy_cluster(proteins, threshold, 3))
+
+    @pytest.mark.parametrize("block", [1, 5, 64, splitter.PAIR_BLOCK])
+    @pytest.mark.parametrize("k", [1, 5, 13, 15])
+    def test_kmer_blocks_keep_sequence_boundaries(self, k, block, monkeypatch):
+        monkeypatch.setattr(splitter, "PAIR_BLOCK", block)
+        rng = np.random.default_rng(k)
+        seqs = [random_sequence(rng, n) for n in rng.integers(1, 30, size=30)]
+        # a window crossing from sequence i into i + 1 is a k-mer of their
+        # join; X and é make 22 letters, so k=13 takes the path that ranks
+        # codes within a block of over 18 sequences, and k=15 the digit rows
+        seqs += [seqs[i] + seqs[i + 1] for i in range(0, 20, 2)]
+        seqs += ["X" + seqs[0], seqs[1] + "é", "é", "X",
+                 random_sequence(rng, 100)]
+        sets = kmer_codes(seqs, k)
+        want = [reference_kmer_set(seq, k) for seq in seqs]
+        assert [len(s) for s in sets] == [len(w) for w in want]
+        for a, b in itertools.combinations(range(len(seqs)), 2):
+            assert len(np.intersect1d(sets[a], sets[b])) == \
+                len(want[a] & want[b]), (a, b)
 
     def test_peak_memory_held_to_block_budget(self):
         proteins = polya_corpus(800, 150, 10)
@@ -238,6 +257,22 @@ class TestGreedyCluster:
             tracemalloc.stop()
         assert peak <= bound
 
+
+    def test_long_corpus_peak_memory_held_to_residue_budget(self):
+        # 2.1M residues, eight PAIR_BLOCKs: the k-mer build holds one
+        # block of int64 working arrays, not every residue's
+        proteins = polya_corpus(100, 21_000, 20)
+        residues = sum(map(len, proteins.values()))
+        assert residues >= 8 * splitter.PAIR_BLOCK
+        entries = sum(len(s) for s in kmer_codes(list(proteins.values()), 5))
+        bound = 48 * splitter.PAIR_BLOCK + 64 * entries + 8 * residues
+        tracemalloc.start()
+        try:
+            greedy_cluster(proteins, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 def equal_clusters(n, size=1):
     return [Cluster(f"R{i}", [f"R{i}"] + [f"R{i}x{j}" for j in range(size - 1)])
