@@ -240,7 +240,9 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
     for spec in specs:
         if ":" not in spec:
             raise ConfigError(f"mutation spec must be PROTEIN:CODE, got {spec!r}")
-        pid, code = spec.split(":", 1)
+        # the code follows the last colon: codes hold none, protein ids
+        # may (PDB chains such as 1ABC:A)
+        pid, code = spec.rsplit(":", 1)
         # bundles are named by the canonical code, as load_dataset names them
         out.append((pid, parse_mutation(code).code))
     return out
@@ -370,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict listed mutations")
     p.add_argument("checkpoint")
     p.add_argument("bundles")
-    p.add_argument("--mutations", help="comma list of PROTEIN:CODE specs")
+    p.add_argument("--mutations", help="comma list of PROTEIN:CODE specs; the "
+                   "code follows the last colon")
     p.add_argument("--mutations-file", help="file with one PROTEIN:CODE per line")
     p.set_defaults(func=cmd_predict)
 

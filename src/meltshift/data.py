@@ -18,6 +18,13 @@ embedding vectors. Layout::
 
 Track roles and tags: seq_cls=0, seq_pos=1, struct_cls=2, struct_pos=3,
 avg=4. Values are stored as float32 and upcast to float64 in memory.
+
+:func:`read_bundles` maps the file read-only and indexes every record in
+one pass, then copies each role's vectors into one ``(variants, d_raw)``
+float64 table; a bundle's tracks are row views into those tables. The
+non-finite check runs once per table. The read peaks at about the tables'
+bytes (twice the file) plus a few hundred bytes per record. The file must
+not be rewritten or truncated while it is mapped.
 """
 
 from __future__ import annotations
@@ -25,7 +32,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import math
+import mmap
+import re
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +45,7 @@ from .errors import DataError, FormatError
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 _AA_SET = frozenset(AMINO_ACIDS)
+_RESIDUES = re.compile(f"[{AMINO_ACIDS}]+")
 
 TRACK_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
 _ROLE_TO_TAG = {role: i for i, role in enumerate(TRACK_ROLES)}
@@ -46,6 +58,7 @@ DATASET_HEADER = ["protein_id", "wt_sequence", "mutation", "dtm"]
 
 DTME_MAGIC = b"DTME"
 DTME_VERSION = 1
+_DTME_HEADER = 16  # magic, version, d_raw, count
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +100,8 @@ def parse_mutation(code: str) -> Mutation:
         raise DataError(f"bad mutation code {code!r}: {exc}") from None
 
 
-def apply_mutation(seq: str, mu: Mutation) -> str:
-    """Substitute the residue at the mutation position (1-based)."""
+def _check_site(seq: str, mu: Mutation) -> None:
+    """Raise DataError unless ``seq`` holds ``mu.wild_aa`` at ``mu.position``."""
     if mu.position > len(seq):
         raise DataError(
             f"mutation {mu.code} out of range for sequence of length {len(seq)}"
@@ -99,6 +112,11 @@ def apply_mutation(seq: str, mu: Mutation) -> str:
             f"mutation {mu.code}: expected {mu.wild_aa} at position "
             f"{mu.position}, found {found}"
         )
+
+
+def apply_mutation(seq: str, mu: Mutation) -> str:
+    """Substitute the residue at the mutation position (1-based)."""
+    _check_site(seq, mu)
     return seq[: mu.position - 1] + mu.mut_aa + seq[mu.position:]
 
 
@@ -120,13 +138,11 @@ class MutationRecord:
             raise DataError("empty protein_id")
         if not self.wt_sequence:
             raise DataError(f"{self.protein_id}: empty sequence")
-        bad = set(self.wt_sequence) - _AA_SET
-        if bad:
-            raise DataError(
-                f"{self.protein_id}: non-canonical residues {sorted(bad)}"
-            )
-        apply_mutation(self.wt_sequence, self.mutation)  # position/letter check
-        if not np.isfinite(self.dtm):
+        if not _RESIDUES.fullmatch(self.wt_sequence):
+            bad = sorted(set(self.wt_sequence) - _AA_SET)
+            raise DataError(f"{self.protein_id}: non-canonical residues {bad}")
+        _check_site(self.wt_sequence, self.mutation)
+        if not math.isfinite(self.dtm):
             raise DataError(f"{self.protein_id} {self.mutation.code}: non-finite dtm")
 
     @property
@@ -283,51 +299,94 @@ def write_bundles(path, bundles: dict[str, EmbeddingBundle]) -> None:
 
 
 def read_bundles(path) -> dict[str, EmbeddingBundle]:
-    """Read a DTME file back into float64 bundles keyed by variant_id."""
+    """Read a DTME file back into float64 bundles keyed by variant_id.
+
+    One pass over a read-only map of the file indexes the records; then
+    each role's vectors are copied into one float64 table, and every
+    bundle's track is a row view into its role's table.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != DTME_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header at offset {len(data)}")
-    version, d_raw, count = struct.unpack_from("<III", data, 4)
-    if version != DTME_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
-    offset = 16
+        head = fh.read(_DTME_HEADER)
+        if head[:4] != DTME_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
+        if len(head) < _DTME_HEADER:
+            raise FormatError(f"{path}: truncated header at offset {len(head)}")
+        version, d_raw, count = struct.unpack_from("<III", head, 4)
+        if version != DTME_VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at offset 4")
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:  # a pipe, say
+            raise FormatError(f"{path}: cannot map the file: {exc}") from None
+        with data:
+            rows, offsets = _index_records(path, data, d_raw, count)
+            tables = _role_tables(data, offsets, d_raw)
+    out = {}
+    for vid, per in rows.items():
+        for role, row in per.items():
+            per[role] = tables[role][row]
+        out[vid] = EmbeddingBundle(vid, per)
+    # Each bundle's own check words the first failure in file order; run
+    # them only when a whole-file test finds one. A float32 is below 2**128
+    # and a table holds under 2**64 of them, so a table's float64 sum cannot
+    # overflow: it is finite exactly when every entry is. An empty variant
+    # id and zero width are the other failures the bundle check reports.
+    if d_raw == 0 or "" in out or not all(
+            math.isfinite(t.sum()) for t in tables.values()):
+        for bundle in out.values():
+            bundle.validate()
+    return out
+
+
+def _index_records(path, data, d_raw: int, count: int):
+    """One pass over the records: variant -> role -> row in the role's
+    table, in file order, and role -> the file offset of each row's vector."""
+    size = len(data)
     vec_bytes = 4 * d_raw
-    tracks: dict[str, dict[str, np.ndarray]] = {}
+    rows: dict[str, dict[str, int]] = {}
+    offsets = {role: array("q") for role in TRACK_ROLES}
+    offset = _DTME_HEADER
     for _ in range(count):
-        if offset + 2 > len(data):
+        if offset + 2 > size:
             raise FormatError(f"{path}: truncated record at offset {offset}")
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        if offset + id_len + 1 + vec_bytes > len(data):
+        tag_at = offset + id_len
+        if tag_at + 1 + vec_bytes > size:
             raise FormatError(f"{path}: truncated record at offset {offset}")
         try:
-            vid = data[offset : offset + id_len].decode("utf-8")
+            vid = data[offset:tag_at].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(
                 f"{path}: variant id is not UTF-8 at offset {offset}") from None
-        offset += id_len
-        tag = data[offset]
-        offset += 1
-        if tag not in _TAG_TO_ROLE:
-            raise FormatError(f"{path}: unknown track tag {tag} at offset {offset - 1}")
-        role = _TAG_TO_ROLE[tag]
-        vec = np.frombuffer(data, dtype="<f4", count=d_raw, offset=offset)
-        offset += vec_bytes
-        per = tracks.setdefault(vid, {})
+        tag = data[tag_at]
+        role = _TAG_TO_ROLE.get(tag)
+        if role is None:
+            raise FormatError(f"{path}: unknown track tag {tag} at offset {tag_at}")
+        per = rows.setdefault(vid, {})
         if role in per:
             raise FormatError(f"{path}: duplicate track {vid}/{role}")
-        per[role] = vec.astype(np.float64)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at {offset}")
-    out = {}
-    for vid, per in tracks.items():
-        bundle = EmbeddingBundle(vid, per)
-        bundle.validate()
-        out[vid] = bundle
-    return out
+        at = offsets[role]
+        per[role] = len(at)
+        at.append(tag_at + 1)
+        offset = tag_at + 1 + vec_bytes
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes at {offset}")
+    return rows, offsets
+
+
+def _role_tables(data, offsets, d_raw: int) -> dict[str, np.ndarray]:
+    """Upcast each role's float32 vectors, at the given file offsets, into
+    the rows of one float64 table."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    vec_bytes = 4 * d_raw
+    tables = {}
+    for role, at in offsets.items():
+        if at:
+            table = tables[role] = np.empty((len(at), d_raw))
+            for row, offset in enumerate(at):
+                table[row] = raw[offset : offset + vec_bytes].view("<f4")
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,23 @@ class TestTrainEvalPredict:
         assert outs[0] == outs[1]
         assert f"\n{first.protein_id},{mu.code}," in outs[1]
 
+    def test_predict_protein_id_with_colon(self, tmp_path, capsys):
+        # PDB-chain ids such as 1ABC:A: the spec splits at its last colon
+        path = tmp_path / "chains.csv"
+        path.write_text("protein_id,wt_sequence,mutation,dtm\n"
+                        "1ABC:A,MKIL,L4A,1.5\n1ABC:A,MKIL,K2C,-0.5\n"
+                        "P2,ACDEF,A1C,2.0\nP2,ACDEF,C2D,0.5\n", encoding="utf-8")
+        bundles, rundir = tmp_path / "b.dtme", tmp_path / "run"
+        assert run("synth-embed", path, "--out", bundles, "--d-raw", 8) == 0
+        assert run("train", path, bundles, "--out", rundir, "--epochs", 1,
+                   "--d-proj", 4, "--seed", 1) == 0
+        capsys.readouterr()
+        assert run("predict", rundir / "checkpoint.bin", bundles,
+                   "--mutations", "1ABC:A:L4A,P2:A1C") == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["1ABC:A", "L4A"], ["P2", "A1C"]]
+
     @pytest.mark.parametrize("code", ["A²G", "A٤G"])
     def test_predict_non_ascii_position_is_data_error(self, pipeline, tmp_path,
                                                       capsys, code):

@@ -1,4 +1,6 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +233,62 @@ class TestBundleFormat:
         path.write_bytes(b"DTME" + struct.pack("<III", 9, 2, 0))
         with pytest.raises(FormatError, match="version"):
             read_bundles(path)
+
+
+def recipe_width_file(path, n_variants, d_raw=1280, roles=("seq_cls", "seq_pos",
+                                                           "avg")):
+    rng = np.random.default_rng(3)
+    write_bundles(path, {
+        f"P{i:03d}:WT": EmbeddingBundle(f"P{i:03d}:WT", {
+            role: rng.normal(size=d_raw).astype(np.float32).astype(np.float64)
+            for role in roles})
+        for i in range(n_variants)})
+
+
+class TestBundleTables:
+    def test_tracks_are_rows_of_one_table_per_role(self, tmp_path):
+        path = tmp_path / "b.dtme"
+        recipe_width_file(path, 5, d_raw=4)
+        back = read_bundles(path)
+        for role in ("seq_cls", "seq_pos", "avg"):
+            tables = {id(b.tracks[role].base) for b in back.values()}
+            assert len(tables) == 1
+            table = next(iter(back.values())).tracks[role].base
+            assert table.shape == (5, 4) and table.dtype == np.float64
+            for row, vid in enumerate(back):
+                assert np.shares_memory(back[vid].tracks[role], table[row])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_unmappable_file_is_format_error(self, tmp_path):
+        path = tmp_path / "b.dtme"
+        recipe_width_file(path, 1, d_raw=2)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes())
+            os.close(write_end)
+            with pytest.raises(FormatError, match="cannot map the file"):
+                read_bundles(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_read_peak_is_the_tables_plus_one_block(self, tmp_path):
+        # the float64 tables are 2x the float32 payload; beyond them the
+        # read holds the index and the bundle objects, under 320 bytes a
+        # record (about 250 measured), plus a fixed 64 KiB
+        n_variants, records, d_raw = 120, 360, 1280
+        path = tmp_path / "b.dtme"
+        recipe_width_file(path, n_variants, d_raw)
+        read_bundles(path)  # warm imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            back = read_bundles(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == n_variants
+        table_bytes = records * d_raw * 8
+        assert peak <= table_bytes + 320 * records + (64 << 10)
+        assert peak <= 2.1 * path.stat().st_size
 
 
 class TestSynthEmbed:
