@@ -235,13 +235,15 @@ class TestBundleFormat:
             read_bundles(path)
 
 
-def recipe_width_file(path, n_variants, d_raw=1280, roles=("seq_cls", "seq_pos",
-                                                           "avg")):
+ROLES = ("seq_cls", "seq_pos", "avg")
+
+
+def recipe_width_file(path, n_variants, d_raw=1280):
     rng = np.random.default_rng(3)
     write_bundles(path, {
         f"P{i:03d}:WT": EmbeddingBundle(f"P{i:03d}:WT", {
             role: rng.normal(size=d_raw).astype(np.float32).astype(np.float64)
-            for role in roles})
+            for role in ROLES})
         for i in range(n_variants)})
 
 
@@ -250,13 +252,12 @@ class TestBundleTables:
         path = tmp_path / "b.dtme"
         recipe_width_file(path, 5, d_raw=4)
         back = read_bundles(path)
-        for role in ("seq_cls", "seq_pos", "avg"):
-            tables = {id(b.tracks[role].base) for b in back.values()}
-            assert len(tables) == 1
-            table = next(iter(back.values())).tracks[role].base
+        for role in ROLES:
+            table = back["P000:WT"].tracks[role].base
             assert table.shape == (5, 4) and table.dtype == np.float64
-            for row, vid in enumerate(back):
-                assert np.shares_memory(back[vid].tracks[role], table[row])
+            for row, bundle in enumerate(back.values()):
+                assert bundle.tracks[role].base is table
+                assert np.shares_memory(bundle.tracks[role], table[row])
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_unmappable_file_is_format_error(self, tmp_path):

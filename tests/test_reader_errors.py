@@ -1,6 +1,6 @@
-"""Every error the dataset and DTME readers raise, word for word.
+"""The errors of dataset rows and DTME records, word for word.
 
-A row names its line; a DTME error names its byte offset, or the
+A row error names its line; a DTME error names its byte offset, or the
 ``variant/role`` it is about. The expected texts are exact, so a change
 to how the readers work cannot change what they report.
 """
