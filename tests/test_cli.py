@@ -664,3 +664,61 @@ def test_train_manifest_digests_inputs_as_read(pipeline, tmp_path, monkeypatch):
     assert hashlib.sha256(dataset.read_bytes()).hexdigest() != original
     manifest = json.loads((rundir / "run_manifest.json").read_text())
     assert manifest["inputs"][str(dataset)] == original
+
+
+def _exit_path_argv(case, dataset, bundles, tmp_path):
+    """The argv of one exit path that no other test runs."""
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+    records = load_dataset(dataset)
+    if case == "clusters_tsv_lacks_protein":
+        tsv = tmp_path / "clusters.tsv"
+        tsv.write_text("".join(f"{pid}\t{pid}\n" for pid in
+                               sorted({r.protein_id for r in records})[1:]))
+        return ["prepare-split", dataset, "--out", tmp_path / "s.csv",
+                "--clusters-tsv", tsv]
+    if case == "every_protein_on_val":
+        split = tmp_path / "all_val.csv"
+        split.write_text("protein_id,split,cluster_rep\n" + "".join(
+            f"{pid},val,{pid}\n" for pid in sorted({r.protein_id
+                                                    for r in records})))
+        return ["train", dataset, bundles, "--out", tmp_path / "run",
+                "--split", split, "--epochs", 1, "--d-proj", 4]
+    if case == "eval_no_bundle_matches":
+        other_data, other = tmp_path / "q.csv", tmp_path / "q.dtme"
+        other_data.write_text("protein_id,wt_sequence,mutation,dtm\n"
+                              "Q1,MKIL,L4A,1.0\n", encoding="utf-8")
+        assert run("synth-embed", other_data, "--out", other, "--d-raw", 10) == 0
+        return ["eval", ckpt, dataset, other]
+    return {
+        "ratio_one_part": ["prepare-split", dataset, "--out", tmp_path / "s.csv",
+                           "--ratio", "8"],
+        "ratio_not_integers": ["prepare-split", dataset, "--out",
+                               tmp_path / "s.csv", "--ratio", "a:b"],
+        "predict_no_specs": ["predict", ckpt, bundles],
+        "predict_spec_without_colon": ["predict", ckpt, bundles,
+                                       "--mutations", "L4A"],
+    }[case]
+
+
+@pytest.mark.parametrize("case,code,message", [
+    ("ratio_one_part", 2, "config error: ratio must look like 8:2, got '8'"),
+    ("ratio_not_integers", 2, "config error: ratio must be integers, got 'a:b'"),
+    ("clusters_tsv_lacks_protein", 3,
+     "data error: cluster table lacks proteins: ['P000']"),
+    ("predict_no_specs", 2, "config error: no mutations given: use --mutations "
+                            "or --mutations-file"),
+    ("predict_spec_without_colon", 2,
+     "config error: mutation spec must be PROTEIN:CODE, got 'L4A'"),
+    ("every_protein_on_val", 3, "data error: split leaves no training records"),
+    ("eval_no_bundle_matches", 3,
+     "data error: no evaluable records (all bundles missing?)"),
+])
+def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
+    dataset, bundles, _ = pipeline
+    argv = _exit_path_argv(case, dataset, bundles, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == message
+    assert captured.out == ""
