@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TRACK_SETS
+from .data import TRACK_SETS, _read_header
 from .errors import ConfigError, FormatError
 from .heads import MODEL_KINDS, EnsembleModel, assemble_model, model_layout
 from .optim import AdamState
@@ -176,14 +176,7 @@ def load_checkpoint(path) -> Checkpoint:
     declares them."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if head[:4] != CKPT_MAGIC:
-            raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
-        if len(head) < 12:
-            raise FormatError(f"{path}: truncated header at offset {len(head)}")
-        version, header_len = struct.unpack_from("<II", head, 4)
-        if version != CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        (header_len,) = _read_header(path, fh, CKPT_MAGIC, CKPT_VERSION, 1)
         if size < 12 + header_len:
             raise FormatError(f"{path}: truncated header at offset 12")
         try:

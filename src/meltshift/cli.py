@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -56,18 +57,21 @@ def _input_digests(paths) -> dict[str, str]:
     return {str(p): _file_digest(p) for p in paths}
 
 
+def _write_json(path, obj) -> None:
+    """The JSON form of every run record: sorted keys, indent 2, final newline."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _write_manifest(out_path, command: str, options: dict,
                     inputs: dict[str, str]) -> None:
     """``inputs`` maps each input path to its digest (:func:`_input_digests`)."""
-    manifest = {
+    _write_json(out_path, {
         "command": command,
         "config_hash": sha256_hex(canonical_json(options)),
         "inputs": inputs,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    Path(out_path).write_text(json.dumps(manifest, sort_keys=True, indent=2)
-                              + "\n")
+    })
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -140,24 +144,18 @@ def _load_train_config(args) -> TrainConfig:
             raise ConfigError(f"{args.config}: unreadable JSON: {exc}") from None
         if not isinstance(base, dict):
             raise ConfigError(f"{args.config}: config is not a JSON object")
-    overrides = {
-        "max_lr": args.max_lr, "epochs": args.epochs,
-        "batch_size": args.batch_size, "seed": args.seed,
-        "d_proj": args.d_proj, "head": args.head,
-        "clip_max_norm": args.clip_norm,
-    }
-    if args.tracks is not None:
-        overrides["modalities"] = list(TRACK_SETS[args.tracks])
-    for key, value in overrides.items():
+    for field in dataclasses.fields(TrainConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            base[key] = value
+            base[field.name] = value
+    if args.tracks is not None:
+        base["modalities"] = list(TRACK_SETS[args.tracks])
     return TrainConfig.from_dict(base)
 
 
 def _write_eval_outputs(result, report_path, rows_path) -> None:
     if report_path:
-        Path(report_path).write_text(
-            json.dumps(result.report.to_dict(), sort_keys=True, indent=2) + "\n")
+        _write_json(report_path, dataclasses.asdict(result.report))
     if rows_path:
         with open(rows_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -177,8 +175,7 @@ def cmd_train(args) -> int:
         split = None  # retrain on everything after model selection
     rundir = Path(args.out)
     rundir.mkdir(parents=True, exist_ok=True)
-    (rundir / "config.json").write_text(
-        json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_json(rundir / "config.json", config.to_dict())
     if args.split:
         (rundir / "split.csv").write_bytes(Path(args.split).read_bytes())
     # digest the inputs as they were read, before the run can outlast an edit
@@ -187,9 +184,8 @@ def cmd_train(args) -> int:
 
     result = train(records, bundles, config, split,
                    checkpoint_path=rundir / "checkpoint.bin")
-    history = [e.to_dict() for e in result.history]
-    (rundir / "history.json").write_text(
-        json.dumps(history, sort_keys=True, indent=2) + "\n")
+    _write_json(rundir / "history.json",
+                [dataclasses.asdict(e) for e in result.history])
     (rundir / "steps.jsonl").write_text("".join(
         json.dumps(s.to_dict(), sort_keys=True) + "\n" for s in result.step_log))
 
@@ -353,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--max-lr", type=float)
-    p.add_argument("--clip-norm", type=float)
+    p.add_argument("--clip-norm", type=float, dest="clip_max_norm")
     p.add_argument("--seed", type=int)
     p.add_argument("--d-proj", type=int)
     p.add_argument("--tracks", choices=list(TRACK_SETS))
@@ -398,15 +394,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except MeltshiftError as exc:  # pragma: no cover
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,11 +54,32 @@ _TAG_TO_ROLE = {i: role for i, role in enumerate(TRACK_ROLES)}
 # the ``--tracks`` names and the modalities each one declares
 TRACK_SETS = {"seq": ("seq",), "seq+struct": ("seq", "struct")}
 
+
+def track_roles(modalities: tuple[str, ...], suffix: str) -> list[str]:
+    """Track roles behind one fused vector: ``avg``, or one per modality."""
+    return ["avg"] if suffix == "avg" else [f"{m}_{suffix}" for m in modalities]
+
+
 DATASET_HEADER = ["protein_id", "wt_sequence", "mutation", "dtm"]
 
 DTME_MAGIC = b"DTME"
 DTME_VERSION = 1
 _DTME_HEADER = 16  # magic, version, d_raw, count
+
+
+def _read_header(path, fh, magic: bytes, version: int,
+                 n_fields: int) -> list[int]:
+    """Check magic, length and u32 version; return the u32 fields after."""
+    size = 8 + 4 * n_fields
+    head = fh.read(size)
+    if head[:4] != magic:
+        raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
+    if len(head) < size:
+        raise FormatError(f"{path}: truncated header at offset {len(head)}")
+    found, *fields = struct.unpack_from(f"<{1 + n_fields}I", head, 4)
+    if found != version:
+        raise FormatError(f"{path}: unsupported version {found} at offset 4")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +327,7 @@ def read_bundles(path) -> dict[str, EmbeddingBundle]:
     bundle's track is a row view into its role's table.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_DTME_HEADER)
-        if head[:4] != DTME_MAGIC:
-            raise FormatError(f"{path}: bad magic {head[:4]!r} at offset 0")
-        if len(head) < _DTME_HEADER:
-            raise FormatError(f"{path}: truncated header at offset {len(head)}")
-        version, d_raw, count = struct.unpack_from("<III", head, 4)
-        if version != DTME_VERSION:
-            raise FormatError(f"{path}: unsupported version {version} at offset 4")
+        d_raw, count = _read_header(path, fh, DTME_MAGIC, DTME_VERSION, 2)
         try:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError) as exc:  # a pipe, say
@@ -401,15 +415,12 @@ def _hash_values(seed: int, variant: str, role: str, sequence: str,
     numpy version, unlike Generator distribution methods.
     """
     key = f"{seed}|{variant}|{role}|{sequence}".encode("utf-8")
-    vals: list[float] = []
-    counter = 0
-    while len(vals) < n:
-        digest = hashlib.sha256(key + b"#" + counter.to_bytes(8, "little")).digest()
-        for k in range(0, 32, 8):
-            u = int.from_bytes(digest[k : k + 8], "little")
-            vals.append(u / 2.0**63 - 1.0)  # uniform in [-1, 1)
-        counter += 1
-    return np.array(vals[:n]).astype(np.float32).astype(np.float64)
+    digests = b"".join(
+        hashlib.sha256(key + b"#" + counter.to_bytes(8, "little")).digest()
+        for counter in range(-(-n // 4)))  # four u64 per digest
+    u = np.frombuffer(digests, dtype="<u8")[:n]
+    # uniform in [-1, 1); u64 -> float64 rounds as Python's int -> float does
+    return (u / 2.0**63 - 1.0).astype(np.float32).astype(np.float64)
 
 
 def synth_embed(record: MutationRecord, variant: str, d_raw: int, seed: int,
@@ -428,9 +439,9 @@ def synth_embed(record: MutationRecord, variant: str, d_raw: int, seed: int,
         raise DataError(f"variant must be WT or MUT, got {variant!r}")
     seq = record.wt_sequence if variant == "WT" else record.mut_sequence
     vid = record.wt_variant_id if variant == "WT" else record.mut_variant_id
-    roles = [f"{m}_{kind}" for m in modalities for kind in ("cls", "pos")]
-    roles.append("avg")
-    tracks = {role: _hash_values(seed, variant, role, seq, d_raw) for role in roles}
+    tracks = {role: _hash_values(seed, variant, role, seq, d_raw)
+              for suffix in ("cls", "pos", "avg")
+              for role in track_roles(modalities, suffix)}
     return EmbeddingBundle(vid, tracks)
 
 

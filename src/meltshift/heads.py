@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .data import EmbeddingBundle
+from .data import EmbeddingBundle, track_roles
 from .errors import ConfigError, DataError
 from .tape import Array, Node, Tape
 
@@ -73,11 +73,6 @@ LayoutEntry = tuple[str, tuple[int, ...], float | None]
 def _linear_layout(prefix: str, n_out: int, n_in: int) -> list[LayoutEntry]:
     return [(f"{prefix}.weight", (n_out, n_in), None),
             (f"{prefix}.bias", (n_out,), 0.0)]
-
-
-def track_roles(modalities: tuple[str, ...], suffix: str) -> list[str]:
-    """Track roles behind one fused vector: ``avg``, or one per modality."""
-    return ["avg"] if suffix == "avg" else [f"{m}_{suffix}" for m in modalities]
 
 
 @dataclass

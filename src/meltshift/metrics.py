@@ -17,9 +17,6 @@ class MetricsReport:
     rmse: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {"r": self.r, "mae": self.mae, "rmse": self.rmse, "n": self.n}
-
 
 def _pair(pred, label) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=np.float64)

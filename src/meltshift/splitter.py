@@ -16,15 +16,16 @@ of MMseqs2, Steinegger & Söding 2017, kept exact).
 from __future__ import annotations
 
 import csv
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import text_errors, wild_types
 from .errors import ConfigError, DataError
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_KMER = 5
 DEFAULT_IDENTITY = 0.5
@@ -74,9 +75,10 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     equals. k is capped at the longest sequence + 1. Codes are rolled over
     blocks of whole sequences of at most ``PAIR_BLOCK`` residues (or one
     longer sequence), and each block sorts its ``owner * span + code`` keys
-    once. Where ``base**k`` overflows int64 the k-mers are digit rows,
-    ranked over the corpus; where only a key does, codes are ranked within
-    the block.
+    once; where a key overflows int64, codes are ranked within the block.
+    Where ``base**k`` itself overflows int64, each distinct k-mer string is
+    numbered instead by its first appearance in ``seqs``, which holds one
+    dict entry per distinct k-mer.
     """
     if k < 1:
         raise ConfigError(f"k-mer length must be >= 1, got {k}")
@@ -87,7 +89,11 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     points = _code_points("".join(seqs))
     digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
     base = int(digit[-1]) + 1
-    wide = k >= 64 or base ** k > _INT64_MAX
+    if k >= 64 or base ** k > _INT64_MAX:
+        number: dict[str, int] = {}
+        return [np.unique([number.setdefault(seq[i:i + k], len(number))
+                           for i in range(max(len(seq) - k + 1, 1))])
+                for seq in seqs]
     seq_start = np.concatenate(([0], np.cumsum(lengths)))
     pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
     parts, sizes, i0 = [], [], 0
@@ -100,22 +106,19 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
         if n > seq_start[i1] - seq_start[i0]:
             to = np.repeat((pad_start - seq_start)[i0:i1] - p0, lengths[i0:i1])
             to += np.arange(residues.start, residues.stop)
-        digits = np.zeros(n + k - 1, np.min_scalar_type(base) if wide else np.int64)
+        digits = np.zeros(n + k - 1, np.int64)
         digits[to] = np.take(digit, points[residues])
-        if wide:
-            x = sliding_window_view(digits, k).copy()
-        else:
-            x = digits[:n].copy()
-            for p in range(1, k):
-                x *= base
-                x += digits[p:p + n]
+        x = digits[:n].copy()
+        for p in range(1, k):
+            x *= base
+            x += digits[p:p + n]
         # a window crossing into the next sequence repeats its owner's first
         x[(pad_start[i0 + 1:i1 + 1] - p0)[:, None] - np.arange(1, k)] = \
             x[pad_start[i0:i1] - p0, None]
         values, span = None, base ** k
-        if wide or m * span > _INT64_MAX:
-            values, x = np.unique(x, axis=0, return_inverse=True)
-            x, span = x.reshape(-1), len(values)
+        if m * span > _INT64_MAX:
+            values, x = np.unique(x, return_inverse=True)
+            span = len(values)
         x += np.repeat(np.arange(m) * span, np.diff(pad_start[i0:i1 + 1]))
         x.sort()  # owner * span + code: each owner's codes in order
         x = x[_run_heads(x)]
@@ -124,8 +127,6 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
         parts.append(x if values is None else values[x])
         i0 = i1
     codes = np.concatenate(parts)
-    if wide:
-        codes = np.unique(codes, axis=0, return_inverse=True)[1].reshape(-1)
     return np.split(codes, np.cumsum(np.concatenate(sizes)[:-1]))
 
 
@@ -295,7 +296,7 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
 
     rep = {m: c.representative for c in clusters for m in c.members}
     if len(clusters) == 1:
-        warnings.warn("single cluster: assigning everything to train")
+        logger.warning("single cluster: assigning everything to train")
         assignment = {m: "train" for m in clusters[0].members}
         return SplitAssignment(assignment, rep, seed, identity_threshold)
 

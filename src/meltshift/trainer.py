@@ -105,10 +105,6 @@ class LossBreakdown:
         return cls(parts["head1"], parts["head2"], parts["ensemble"],
                    parts["total"])
 
-    def to_dict(self) -> dict:
-        return {"l_head1": self.l_head1, "l_head2": self.l_head2,
-                "l_ensemble": self.l_ensemble, "l_total": self.l_total}
-
 
 def compute_losses(y1: float, y2: float, y_ens: float,
                    label: float) -> LossBreakdown:
@@ -136,9 +132,9 @@ class StepStats:
     losses: LossBreakdown
 
     def to_dict(self) -> dict:
-        return {"step": self.step, "epoch": self.epoch, "lr": self.lr,
-                "grad_norm": self.grad_norm, "clip_scale": self.clip_scale,
-                **self.losses.to_dict()}
+        row = asdict(self)
+        row.update(row.pop("losses"))
+        return row
 
 
 @dataclass
@@ -146,10 +142,6 @@ class EpochStats:
     epoch: int
     losses: LossBreakdown
     val: MetricsReport | None
-
-    def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "losses": self.losses.to_dict(),
-                "val": self.val.to_dict() if self.val else None}
 
 
 @dataclass
@@ -238,13 +230,10 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
     d_raw = _bundle_width(bundles)
     model = build_model(config.head, d_raw, config.d_proj, config.seed,
                         config.modalities)
-    params = dict(model.named_parameters())
+    trainable = dict(model.named_parameters())
     if config.freeze_projection:
-        trainable = {k: v for k, v in params.items() if not k.startswith("proj.")}
-        if not trainable:
-            raise ConfigError("freeze_projection left nothing to train")
-    else:
-        trainable = params
+        trainable = {k: v for k, v in trainable.items()
+                     if not k.startswith("proj.")}
     adam = AdamState.init(trainable)
 
     n_train = len(train_records)
@@ -282,7 +271,13 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
         mean_parts = {k: v / n_train for k, v in epoch_parts.items()}
         ev = None
         if val_records:
-            ev = validate(model, val_records, bundles, f"epoch {epoch}")
+            # pearson raises ConfigError below two records and NumericError
+            # on constant predictions or labels: the run goes on without it
+            try:
+                ev = evaluate(model, val_records, bundles)
+            except (ConfigError, NumericError) as exc:
+                logger.warning("epoch %d: validation metrics undefined (%s)",
+                               epoch, exc)
         history.append(EpochStats(epoch, LossBreakdown.from_components(mean_parts),
                                   ev.report if ev is not None else None))
 
@@ -299,16 +294,12 @@ def evaluate(model: EnsembleModel, records,
     Rows carry the (y1, y2, y_ens) triple; a single head fills all three
     with its one output. The report scores ``y_ens``.
     """
-    rows: list[PredictionRow] = []
-    skipped: set[str] = set()
-    for r in records:
-        absent = {r.wt_variant_id, r.mut_variant_id} - bundles.keys()
-        if absent:
-            skipped |= absent
-            continue
-        y1, y2, y_ens = model.predict(*_bundle_pair(r, bundles))
-        rows.append(PredictionRow(r.protein_id, r.mutation.code, r.dtm,
-                                  y1, y2, y_ens))
+    records = list(records)
+    skipped = _missing_bundles(records, bundles)
+    rows = [PredictionRow(r.protein_id, r.mutation.code, r.dtm,
+                          *model.predict(*_bundle_pair(r, bundles)))
+            for r in records
+            if r.wt_variant_id in bundles and r.mut_variant_id in bundles]
     if skipped:
         logger.warning("skipped %d record(s) with missing bundles",
                        len(records) - len(rows))
@@ -316,18 +307,4 @@ def evaluate(model: EnsembleModel, records,
         raise DataError("no evaluable records (all bundles missing?)")
     report = compute_report([row.y_ens for row in rows],
                             [row.label for row in rows])
-    return EvalResult(report, rows, sorted(skipped))
-
-
-def validate(model: EnsembleModel, records, bundles: dict[str, EmbeddingBundle],
-             when: str) -> EvalResult | None:
-    """Evaluate a validation side; None when its metrics are undefined.
-
-    ``pearson`` raises ConfigError below two records and NumericError on
-    constant predictions or labels; either is logged as a warning.
-    """
-    try:
-        return evaluate(model, records, bundles)
-    except (ConfigError, NumericError) as exc:
-        logger.warning("%s: validation metrics undefined (%s)", when, exc)
-        return None
+    return EvalResult(report, rows, skipped)

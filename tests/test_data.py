@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -21,6 +22,7 @@ from meltshift.data import (
     wild_types,
     write_bundles,
     write_dataset,
+    _hash_values,
 )
 from meltshift.errors import DataError, FormatError
 from meltshift.splitter import split_records
@@ -340,6 +342,22 @@ class TestSynthEmbed:
     def test_invalid_d_raw(self, tiny_records):
         with pytest.raises(DataError):
             synth_embed(tiny_records[0], "WT", 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 31, 1280, 1281])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_hash_values_match_the_digest_loop(self, n, seed):
+        # one value per 8 digest bytes, read and scaled in Python
+        key = f"{seed}|WT|seq_cls|MKIL".encode("utf-8")
+        vals, counter = [], 0
+        while len(vals) < n:
+            digest = hashlib.sha256(key + b"#" + counter.to_bytes(8, "little"))
+            for k in range(0, 32, 8):
+                u = int.from_bytes(digest.digest()[k:k + 8], "little")
+                vals.append(u / 2.0**63 - 1.0)
+            counter += 1
+        want = np.array(vals[:n]).astype(np.float32).astype(np.float64)
+        got = _hash_values(seed, "WT", "seq_cls", "MKIL", n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_one_wild_type_per_protein_in_memory():

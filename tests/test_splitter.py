@@ -1,4 +1,5 @@
 import itertools
+import logging
 import tracemalloc
 
 import numpy as np
@@ -79,8 +80,9 @@ def corpora(draw):
                                 sequences, min_size=1, max_size=25))
 
 
-# k of 13 and up with 20 or more letters takes the path for base**k
-# beyond int64
+# k of 13 and up with 20 or more letters takes the path that ranks codes
+# within a block or, for base**k beyond int64, the one that numbers k-mers
+# by first appearance
 kmer_lengths = st.sampled_from([5, 1, 2, 3, 4, 6, 13, 15, 20, 31, 40])
 # every ratio of small counts, so thresholds equal to a Jaccard value
 # occur, and the least positive float, which passes any pair sharing a k-mer
@@ -204,7 +206,7 @@ class TestGreedyCluster:
         letters = np.unique([ord(c) for c in "".join(proteins.values())])
         # 22 letters, base 23: 23**13 fits int64 but code * entries does
         # not, so codes are ranked before the sort; 23**15 does not fit,
-        # so k-mers come as digit rows and are ranked in kmer_codes
+        # so k-mers are numbered by first appearance in kmer_codes
         assert len(letters) == 22 and (23 ** k > np.iinfo(np.int64).max) == (k > 13)
         for threshold in (0.2, 0.5, 1.0):
             assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
@@ -228,7 +230,8 @@ class TestGreedyCluster:
         seqs = [random_sequence(rng, n) for n in rng.integers(1, 30, size=30)]
         # a window crossing from sequence i into i + 1 is a k-mer of their
         # join; X and é make 22 letters, so k=13 takes the path that ranks
-        # codes within a block of over 18 sequences, and k=15 the digit rows
+        # codes within a block of over 18 sequences, and k=15 the one that
+        # numbers k-mers by first appearance
         seqs += [seqs[i] + seqs[i + 1] for i in range(0, 20, 2)]
         seqs += ["X" + seqs[0], seqs[1] + "é", "é", "X",
                  random_sequence(rng, 100)]
@@ -309,9 +312,10 @@ class TestSplitClusters:
             sides = {split.assignment[m] for m in c.members}
             assert len(sides) == 1
 
-    def test_single_cluster_warns_all_train(self):
-        with pytest.warns(UserWarning, match="single cluster"):
+    def test_single_cluster_warns_all_train(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="meltshift.splitter"):
             split = split_clusters(equal_clusters(1, size=4), (8, 2), seed=0)
+        assert "single cluster: assigning everything to train" in caplog.text
         assert set(split.assignment.values()) == {"train"}
 
     def test_bad_ratio(self):
