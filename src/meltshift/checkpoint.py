@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TRACK_SETS, _read_header
-from .errors import ConfigError, FormatError
+from .data import _read_header, check_track_set
+from .errors import FormatError
 from .heads import MODEL_KINDS, EnsembleModel, assemble_model, model_layout
 from .optim import AdamState
 
@@ -62,14 +62,13 @@ class Checkpoint:
 
 def _model_meta(model: EnsembleModel) -> dict:
     proj = model.projection
-    if proj.modalities not in TRACK_SETS.values():
-        raise ConfigError(f"cannot save modalities {list(proj.modalities)}: "
-                          f"a checkpoint holds a track set {list(TRACK_SETS)}")
+    modalities = list(proj.modalities)
+    check_track_set(modalities)
     return {
         "kind": model.kind_name,
         "d_raw": proj.d_raw,
         "d_proj": proj.d_proj,
-        "modalities": list(proj.modalities),
+        "modalities": modalities,
         "seed": model.seed,
     }
 
@@ -126,13 +125,7 @@ def _check_header(path, header) -> None:
             raise FormatError(
                 f"{path}: header {key} must be an int >= {low}, got {header[key]!r}"
             )
-    modalities = header["modalities"]
-    if not (isinstance(modalities, list)
-            and tuple(modalities) in TRACK_SETS.values()):
-        raise FormatError(
-            f"{path}: header modalities must be one of "
-            f"{[list(m) for m in TRACK_SETS.values()]}, got {modalities!r}"
-        )
+    check_track_set(header["modalities"], FormatError, f"{path}: header ")
     arrays = header["arrays"]
     if not (isinstance(arrays, list) and all(map(_is_array_entry, arrays))):
         raise FormatError(

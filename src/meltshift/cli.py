@@ -32,13 +32,14 @@ from .data import (
     parse_mutation,
     read_bundles,
     synth_bundles,
+    variant_ids,
     write_bundles,
 )
 from .errors import ConfigError, DataError, MeltshiftError, NumericError
 from .gradcheck import GRAD_TOLERANCE, check_model
 from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
-from .splitter import load_clusters_tsv, read_split, split_clusters, \
+from .splitter import check_ratio, load_clusters_tsv, read_split, \
     split_records, write_split
 from .trainer import TrainConfig, evaluate, train
 
@@ -82,9 +83,7 @@ def _parse_ratio(text: str) -> tuple[int, int]:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
         raise ConfigError(f"ratio must be integers, got {text!r}") from None
-    if a <= 0 or b <= 0:
-        raise ConfigError(f"ratio parts must be positive, got {text!r}")
-    return a, b
+    return check_ratio((a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +93,8 @@ def _parse_ratio(text: str) -> tuple[int, int]:
 def cmd_prepare_split(args) -> int:
     records = load_dataset(args.dataset)
     ratio = _parse_ratio(args.ratio)
-    if args.clusters_tsv:
-        clusters = load_clusters_tsv(args.clusters_tsv)
-        known = {m for c in clusters for m in c.members}
-        missing = sorted({r.protein_id for r in records} - known)
-        if missing:
-            raise DataError(f"cluster table lacks proteins: {missing[:5]}")
-        counts: dict[str, int] = {}
-        for r in records:
-            counts[r.protein_id] = counts.get(r.protein_id, 0) + 1
-        split = split_clusters(clusters, ratio, args.seed, counts, args.identity)
-    else:
-        split = split_records(records, args.identity, ratio, args.seed, args.kmer)
+    clusters = load_clusters_tsv(args.clusters_tsv) if args.clusters_tsv else None
+    split = split_records(records, args.identity, ratio, args.seed, args.kmer, clusters)
     write_split(args.out, split)
     n_train = len(split.side("train"))
     n_val = len(split.side("val"))
@@ -209,8 +198,8 @@ def cmd_eval(args) -> int:
     result = evaluate(ckpt.model, records, bundles)
     print(format_report(result.report))
     if result.skipped:
-        print(f"skipped {len(result.skipped)} variant(s) with missing bundles",
-              file=sys.stderr)
+        print(f"skipped {len(records) - len(result.rows)} record(s) with missing "
+              f"bundles, e.g. {result.skipped[:5]}", file=sys.stderr)
     _write_eval_outputs(result, args.out, args.per_sample)
     if args.out:
         _write_manifest(str(args.out) + ".manifest.json", "eval", {},
@@ -251,7 +240,7 @@ def cmd_predict(args) -> int:
     # failing spec leaves stdout empty
     rows = []
     for pid, code in _parse_mutation_specs(args):
-        wt_id, mut_id = f"{pid}:WT", f"{pid}:{code}"
+        wt_id, mut_id = variant_ids(pid, code)
         for vid in (wt_id, mut_id):
             if vid not in bundles:
                 raise DataError(f"no bundle for variant {vid}")

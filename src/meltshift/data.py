@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 _AA_SET = frozenset(AMINO_ACIDS)
@@ -53,6 +53,15 @@ _TAG_TO_ROLE = {i: role for i, role in enumerate(TRACK_ROLES)}
 
 # the ``--tracks`` names and the modalities each one declares
 TRACK_SETS = {"seq": ("seq",), "seq+struct": ("seq", "struct")}
+
+
+def check_track_set(modalities, error=ConfigError, where: str = "") -> tuple[str, ...]:
+    """``modalities`` as a tuple; raise ``error`` unless it is a track set."""
+    if not (isinstance(modalities, (list, tuple))
+            and tuple(modalities) in TRACK_SETS.values()):
+        raise error(f"{where}modalities must be a track set, one of "
+                    f"{[list(m) for m in TRACK_SETS.values()]}, got {modalities!r}")
+    return tuple(modalities)
 
 
 def track_roles(modalities: tuple[str, ...], suffix: str) -> list[str]:
@@ -145,6 +154,11 @@ def apply_mutation(seq: str, mu: Mutation) -> str:
 # labeled records
 
 
+def variant_ids(protein_id: str, code: str) -> tuple[str, str]:
+    """The bundle ids of a mutation's wild type and mutant: ``P:WT``, ``P:CODE``."""
+    return f"{protein_id}:WT", f"{protein_id}:{code}"
+
+
 @dataclass(frozen=True)
 class MutationRecord:
     """One labeled sample: protein, wild-type sequence, mutation, dTm in C."""
@@ -172,11 +186,11 @@ class MutationRecord:
 
     @property
     def wt_variant_id(self) -> str:
-        return f"{self.protein_id}:WT"
+        return variant_ids(self.protein_id, self.mutation.code)[0]
 
     @property
     def mut_variant_id(self) -> str:
-        return f"{self.protein_id}:{self.mutation.code}"
+        return variant_ids(self.protein_id, self.mutation.code)[1]
 
 
 @contextlib.contextmanager

@@ -270,6 +270,14 @@ def _passing_pairs(sets: list[np.ndarray], threshold: float):
         j0 = j1
 
 
+def check_ratio(ratio) -> tuple[int, int]:
+    """The (train, val) parts of a split ratio; both must be positive."""
+    train_part, val_part = ratio
+    if train_part <= 0 or val_part <= 0:
+        raise ConfigError(f"ratio parts must be positive, got {train_part}:{val_part}")
+    return train_part, val_part
+
+
 def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
                    weights: dict[str, int] | None = None,
                    identity_threshold: float = DEFAULT_IDENTITY) -> SplitAssignment:
@@ -280,9 +288,7 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
     first (the shuffle breaks ties), and each goes to whichever side
     keeps the achieved validation fraction closest to the target.
     """
-    train_part, val_part = ratio
-    if train_part <= 0 or val_part <= 0:
-        raise ConfigError(f"ratio parts must be positive, got {ratio}")
+    train_part, val_part = check_ratio(ratio)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if not clusters:
@@ -322,13 +328,19 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
 
 
 def split_records(records, threshold: float = DEFAULT_IDENTITY,
-                  ratio=DEFAULT_RATIO, seed: int = 0,
-                  k: int = DEFAULT_KMER) -> SplitAssignment:
-    """Cluster the proteins behind ``records`` and split by mutation count."""
+                  ratio=DEFAULT_RATIO, seed: int = 0, k: int = DEFAULT_KMER,
+                  clusters: list[Cluster] | None = None) -> SplitAssignment:
+    """Cluster the proteins behind ``records``, or take ``clusters``, which
+    must cover them, and split by mutation count."""
     counts: dict[str, int] = {}
     for r in records:
         counts[r.protein_id] = counts.get(r.protein_id, 0) + 1
-    clusters = greedy_cluster(wild_types(records), threshold, k)
+    if clusters is None:
+        clusters = greedy_cluster(wild_types(records), threshold, k)
+    else:
+        missing = sorted(set(counts) - {m for c in clusters for m in c.members})
+        if missing:
+            raise DataError(f"cluster table lacks proteins: {missing[:5]}")
     return split_clusters(clusters, ratio, seed, counts, threshold)
 
 

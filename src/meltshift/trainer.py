@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import TRACK_SETS, EmbeddingBundle, MutationRecord
+from .data import EmbeddingBundle, MutationRecord, check_track_set
 from .errors import ConfigError, DataError, NumericError
 from .heads import MODEL_KINDS, EnsembleModel, build_model
 from .metrics import MetricsReport, compute_report
@@ -65,13 +65,7 @@ class TrainConfig:
             )
         if self.head not in MODEL_KINDS:
             raise ConfigError(f"head must be one of {MODEL_KINDS}, got {self.head!r}")
-        if not (isinstance(self.modalities, (list, tuple))
-                and tuple(self.modalities) in TRACK_SETS.values()):
-            raise ConfigError(
-                f"modalities must be one of {[list(m) for m in TRACK_SETS.values()]}, "
-                f"got {self.modalities!r}"
-            )
-        self.modalities = tuple(self.modalities)
+        self.modalities = check_track_set(self.modalities)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -289,7 +283,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
 
 def evaluate(model: EnsembleModel, records,
              bundles: dict[str, EmbeddingBundle]) -> EvalResult:
-    """Predict every record and score; missing bundles are listed, never silent.
+    """Predict and score each record with bundles; ``skipped`` names the missing ones.
 
     Rows carry the (y1, y2, y_ens) triple; a single head fills all three
     with its one output. The report scores ``y_ens``.
@@ -300,9 +294,6 @@ def evaluate(model: EnsembleModel, records,
                           *model.predict(*_bundle_pair(r, bundles)))
             for r in records
             if r.wt_variant_id in bundles and r.mut_variant_id in bundles]
-    if skipped:
-        logger.warning("skipped %d record(s) with missing bundles",
-                       len(records) - len(rows))
     if not rows:
         raise DataError("no evaluable records (all bundles missing?)")
     report = compute_report([row.y_ens for row in rows],

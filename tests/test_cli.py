@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from meltshift import cli
+from meltshift import cli, splitter
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
-from meltshift.data import load_dataset, read_bundles, write_dataset
-from meltshift.errors import FormatError
+from meltshift.data import load_dataset, read_bundles, write_bundles, write_dataset
+from meltshift.errors import ConfigError, FormatError
 from meltshift.heads import build_model
 from meltshift.optim import AdamState
 from meltshift.splitter import read_split
@@ -49,10 +49,18 @@ class TestPrepareSplit:
         assert "train" in split.values() and "val" in split.values()
         assert (tmp_path / "split.csv.manifest.json").exists()
 
-    def test_bad_ratio_is_config_error(self, dataset_path, tmp_path):
-        code = run("prepare-split", dataset_path, "--out", tmp_path / "s.csv",
-                   "--ratio", "0:10")
-        assert code == 2
+    def test_bad_ratio_is_config_error(self, dataset_path, tmp_path, monkeypatch,
+                                       capsys):
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("greedy_cluster ran before the ratio check")
+
+        monkeypatch.setattr(splitter, "greedy_cluster", no_clustering)
+        out = tmp_path / "s.csv"
+        assert run("prepare-split", dataset_path, "--out", out,
+                   "--ratio", "0:10") == 2
+        assert capsys.readouterr().err == (
+            "config error: ratio parts must be positive, got 0:10\n")
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, dataset_path, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -162,6 +170,29 @@ class TestTrainEvalPredict:
         assert "r(up)" in captured.out
         report = json.loads(out.read_text())
         assert set(report) == {"r", "mae", "rmse", "n"}
+
+    def test_eval_reports_skipped_records_once(self, pipeline, tmp_path, capsys,
+                                               caplog):
+        dataset, bundles, split = pipeline
+        rundir = tmp_path / "run"
+        assert run("train", dataset, bundles, "--out", rundir, "--epochs", 1,
+                   "--d-proj", 4, "--seed", 1) == 0
+        # one protein's wild type is gone: all of its records are lost
+        records = load_dataset(dataset)
+        wt_id = records[0].wt_variant_id
+        n_lost = sum(r.wt_variant_id == wt_id for r in records)
+        assert n_lost == 3
+        gap = read_bundles(bundles)
+        del gap[wt_id]
+        write_bundles(tmp_path / "gap.dtme", gap)
+        capsys.readouterr()
+        with caplog.at_level(logging.DEBUG):
+            assert run("eval", rundir / "checkpoint.bin", dataset,
+                       tmp_path / "gap.dtme") == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "skipped" in line] == [
+            f"skipped {n_lost} record(s) with missing bundles, e.g. {[wt_id]}"]
+        assert not [r for r in caplog.records if "skipped" in r.getMessage()]
 
     def test_predict_known_and_missing(self, pipeline, tmp_path, capsys):
         dataset, bundles, split = pipeline
@@ -415,6 +446,25 @@ def test_bad_checkpoint_header_is_data_error(edit, message, tmp_path, capsys):
     assert run("predict", path, tmp_path / "b.dtme", "--mutations",
                "P000:A1C") == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_bad_track_set_worded_once(tmp_path):
+    """The config, the checkpoint writer and the checkpoint reader reject a
+    track set in the same words, each with its own error class."""
+    bad = ("struct", "seq")
+    with pytest.raises(ConfigError) as config:
+        TrainConfig(modalities=list(bad))
+    with pytest.raises(ConfigError) as saved:
+        save_checkpoint(tmp_path / "bad.ckpt", build_model("head1", 6, 4, 0, bad))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model("head1", 6, 4, 0, ("seq", "struct")))
+    _rewrite_header(path, lambda h: {**h, "modalities": list(bad)})
+    with pytest.raises(FormatError) as loaded:
+        load_checkpoint(path)
+    words = ("modalities must be a track set, one of [['seq'], ['seq', 'struct']], "
+             "got ['struct', 'seq']")
+    assert str(config.value) == str(saved.value) == words
+    assert str(loaded.value) == f"{path}: header {words}"
 
 
 def test_checkpoint_with_stored_adam_constants_loads(tmp_path):

@@ -319,7 +319,8 @@ class TestSplitClusters:
         assert set(split.assignment.values()) == {"train"}
 
     def test_bad_ratio(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=r"^ratio parts must be positive, got 0:10$"):
             split_clusters(equal_clusters(4), (0, 10), seed=0)
 
     def test_weighted_by_mutation_count(self):
@@ -352,6 +353,24 @@ class TestSplitRecords:
             by_rep[rep] = by_rep.get(rep, 0) + counts[pid]
         slack = max(by_rep.values())
         assert abs(val / total - 0.2) <= slack / total
+
+    def test_given_clusters_split_without_clustering(self, monkeypatch):
+        records, _ = records_with_homologs(seed=7, n_proteins=12, planted_pairs=2)
+        clusters = greedy_cluster({r.protein_id: r.wt_sequence for r in records}, 0.5)
+        want = split_records(records, seed=2)
+
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("greedy_cluster ran on a given cluster table")
+
+        monkeypatch.setattr(splitter, "greedy_cluster", no_clustering)
+        assert split_records(records, seed=2, clusters=clusters) == want
+
+    def test_cluster_table_must_cover_every_protein(self):
+        records = random_records(4, 2, seed=3)
+        clusters = [Cluster(p, [p]) for p in sorted({r.protein_id for r in records})]
+        with pytest.raises(DataError,
+                           match=r"^cluster table lacks proteins: \['P003'\]$"):
+            split_records(records, clusters=clusters[:3])
 
 
 class TestManifest:

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import struct
 import tracemalloc
@@ -205,20 +204,6 @@ class TestEvaluate:
         result = evaluate(model, records, broken)
         assert result.skipped == [records[0].mut_variant_id]
         assert len(result.rows) == len(records) - 1
-
-    def test_skip_warning_counts_records_not_variants(self, desk_data, caplog):
-        records, bundles = desk_data
-        # a wild type shared by a protein's records, and one of its mutants
-        broken = dict(bundles)
-        del broken[records[0].wt_variant_id], broken[records[0].mut_variant_id]
-        n_lost = sum(r.protein_id == records[0].protein_id for r in records)
-        assert 1 < n_lost < len(records)
-        model = StubModel({r.mut_variant_id: r.dtm + 0.01 * i
-                           for i, r in enumerate(records)})
-        with caplog.at_level(logging.WARNING, logger="meltshift.trainer"):
-            result = evaluate(model, records, broken)
-        assert len(result.rows) == len(records) - n_lost
-        assert f"skipped {n_lost} record(s) with missing bundles" in caplog.text
 
     def test_overfit_model_scores_high_on_train(self, desk_data):
         records, bundles = desk_data
