@@ -264,10 +264,15 @@ class EnsembleModel:
         y1, y2 = ys
         return y1, y2, tape.const_scale(0.5, tape.add(y1, y2))
 
+    def predict_batch(self, pairs) -> list[EnsemblePrediction]:
+        """One prediction per ``(bundle_w, bundle_m)`` pair, from one forward."""
+        nodes = self.forward_nodes(Tape(), *map(list, zip(*pairs)))
+        return [EnsemblePrediction(*map(float, row))
+                for row in np.hstack([y.value for y in nodes])]
+
     def predict(self, bundle_w: EmbeddingBundle,
                 bundle_m: EmbeddingBundle) -> EnsemblePrediction:
-        nodes = self.forward_nodes(Tape(), [bundle_w], [bundle_m])
-        return EnsemblePrediction(*(float(y.value[0, 0]) for y in nodes))
+        return self.predict_batch([(bundle_w, bundle_m)])[0]
 
     def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
         """Mean per-head MSE terms plus the halved ensemble term; a single

@@ -8,22 +8,20 @@ Clipping and Adam share one walk over memory: ``clip_scale`` reads the
 gradients for their norm and returns the scale that clipping would apply,
 and ``adam_step`` applies that scale while it updates the moments and the
 parameters in place, ``CHUNK`` elements at a time through a few chunk-sized
-scratch buffers. No gradient is copied or written.
+scratch buffers, in two shares, one per worker. No gradient is copied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+import operator
+from functools import partial, reduce
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tape import Array
-
-# elements per block of the norm and the Adam update: a few blocks of the
-# parameter, its moments and the scratch buffers stay in cache together
-CHUNK = 32768
+from .tape import CHUNK, Array, _run_pair
 
 # the fixed recipe: Adam's decay rates and epsilon, and the one-cycle
 # schedule's warmup share and start and end divisors of max_lr
@@ -35,9 +33,18 @@ DIV_FACTOR = 25.0
 FINAL_DIV_FACTOR = 1e4
 
 
-def _chunks(n: int):
-    """``(start, stop)`` of each block of ``n`` elements."""
-    return ((start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
+def _map_shares(maps: list[dict[str, Array]], job, n_buffers: int):
+    """``job(blocks, *buffers)`` for two contiguous shares, of about equal size
+    and each with its own scratch buffers and worker, of the blocks of ``CHUNK``
+    elements in sorted-name order; a block holds a slice of each map's array."""
+    flat = [[m[name].reshape(-1) for m in maps] for name in sorted(maps[0])]
+    blocks = [tuple(a[start:start + CHUNK] for a in arrays)
+              for arrays in flat for start in range(0, arrays[0].size, CHUNK)]
+    ends = np.cumsum([0] + [block[0].size for block in blocks])
+    size, cut = int(ends[-1]), int(np.searchsorted(ends, ends[-1] / 2))
+    buffers = np.empty((2, n_buffers, min(CHUNK, size)))
+    return _run_pair(size, partial(job, blocks[:cut], *buffers[0]),
+                     partial(job, blocks[cut:], *buffers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -56,21 +63,20 @@ class ClipConfig:
 def global_grad_norm(grads: dict[str, Array], scale: float = 1.0) -> float:
     """L2 norm of all gradients jointly, each multiplied by ``scale``.
 
-    Squares are summed block by block (``CHUNK`` elements) in sorted-name
-    order with ``np.sum``, never BLAS, so the result does not depend on the
-    BLAS thread count; ``global_grad_norm(g, s)`` equals the norm of
-    ``{k: v * s}`` bit for bit.
+    Squares are summed per ``CHUNK``-element block by ``np.add.reduce``
+    (``np.sum`` minus a wrapper that holds the GIL), never BLAS, and added in
+    sorted-name block order, so no BLAS or worker count changes a bit, and
+    ``global_grad_norm(g, s)`` equals the norm of ``{k: v * s}`` bit for bit.
     """
-    buf = np.empty(min(CHUNK, max((g.size for g in grads.values()), default=0)))
-    total = 0.0
-    for name in sorted(grads):
-        flat = grads[name].reshape(-1)
-        for start, stop in _chunks(flat.size):
-            g, out = flat[start:stop], buf[: stop - start]
-            if scale != 1.0:
-                g = np.multiply(g, scale, out=out)
-            total += float(np.sum(np.multiply(g, g, out=out)))
-    return math.sqrt(total)
+    def square_sums(blocks, buf) -> list[float]:
+        scaled = (g if scale == 1.0 else np.multiply(g, scale, out=buf[:g.size])
+                  for g, in blocks)
+        return [float(np.add.reduce(np.multiply(g, g, out=buf[:g.size])))
+                for g in scaled]
+
+    first, second = _map_shares([grads], square_sums, 1)
+    # one by one in block order: sum() compensates from Python 3.12 on
+    return math.sqrt(reduce(operator.add, first + second, 0.0))
 
 
 def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
@@ -154,19 +160,12 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    size = min(CHUNK, max((p.size for p in params.values()), default=0))
-    g_buf, update, denom = np.empty(size), np.empty(size), np.empty(size)
-    for name in sorted(params):
-        p = params[name].reshape(-1)
-        m = state.m[name].reshape(-1)
-        v = state.v[name].reshape(-1)
-        g_all = grads[name].reshape(-1)
-        for start, stop in _chunks(p.size):
-            n = stop - start
-            pc, mc, vc = p[start:stop], m[start:stop], v[start:stop]
-            g, a, b = g_all[start:stop], update[:n], denom[:n]
+
+    def update(blocks, g_buf, a_buf, b_buf):
+        for pc, mc, vc, g in blocks:
+            a, b = a_buf[:pc.size], b_buf[:pc.size]
             if grad_scale != 1.0:
-                g = np.multiply(g, grad_scale, out=g_buf[:n])
+                g = np.multiply(g, grad_scale, out=g_buf[:pc.size])
             np.multiply(mc, b1, out=mc)
             np.multiply(g, 1.0 - b1, out=a)
             np.add(mc, a, out=mc)
@@ -181,6 +180,8 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
             np.add(b, eps, out=b)
             np.divide(a, b, out=a)
             np.subtract(pc, a, out=pc)
+
+    _map_shares([params, state.m, state.v, grads], update, 3)
     return params, state
 
 

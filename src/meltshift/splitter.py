@@ -66,6 +66,13 @@ def _code_points(seq: str) -> np.ndarray:
     return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
+def _check_options(threshold: float = DEFAULT_IDENTITY, k: int = DEFAULT_KMER):
+    if not (0.0 < threshold <= 1.0):
+        raise ConfigError(f"identity threshold must be in (0, 1], got {threshold}")
+    if k < 1:
+        raise ConfigError(f"k-mer length must be >= 1, got {k}")
+
+
 def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     """Each sequence's distinct k-mer codes, sorted, all in one code space.
 
@@ -80,8 +87,7 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     numbered instead by its first appearance in ``seqs``, which holds one
     dict entry per distinct k-mer.
     """
-    if k < 1:
-        raise ConfigError(f"k-mer length must be >= 1, got {k}")
+    _check_options(k=k)
     lengths = np.array([len(seq) for seq in seqs])
     if not lengths.all():
         raise DataError("empty sequence")
@@ -147,8 +153,7 @@ def greedy_cluster(proteins, threshold: float,
     existing cluster whose representative is at least ``threshold``
     similar, otherwise founding a new cluster. Input order never matters.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigError(f"identity threshold must be in (0, 1], got {threshold}")
+    _check_options(threshold)
     items = dict(proteins)
     for pid, seq in items.items():
         if not seq:
@@ -332,6 +337,7 @@ def split_records(records, threshold: float = DEFAULT_IDENTITY,
                   clusters: list[Cluster] | None = None) -> SplitAssignment:
     """Cluster the proteins behind ``records``, or take ``clusters``, which
     must cover them, and split by mutation count."""
+    _check_options(threshold, k)
     counts: dict[str, int] = {}
     for r in records:
         counts[r.protein_id] = counts.get(r.protein_id, 0) + 1

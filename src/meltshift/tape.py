@@ -25,9 +25,13 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
+* Parameter-sized work may run on two workers, bit for bit (:func:`_run_pair`).
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -36,6 +40,33 @@ from .errors import ConfigError, NumericError, StateError
 Array = np.ndarray
 
 DEFAULT_LAYERNORM_EPS = 1e-5
+
+# elements per block of the optimizer's passes; less work is not split
+CHUNK = 32768
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (owner pid, pool)
+
+
+def _worker_count() -> int:
+    """Two when this process's CPU affinity holds more than one CPU, else one."""
+    return min(len(os.sched_getaffinity(0)), 2) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_pair(size: int, first, second):
+    """``(first(), second())``, ``second`` on the pool thread (one per process,
+    so a forked child makes its own) with two workers and ``size >= CHUNK``.
+    ``second`` calls only numpy and private functions (a tracer keeps one span
+    stack); each page it touches, in a new array or a BLAS buffer, adds RSS."""
+    global _pool
+    if size < CHUNK or _worker_count() < 2:
+        return first(), second()
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="meltshift")
+    future = _pool[1].submit(np.errstate(**np.geterr())(second))
+    try:
+        return first(), future.result()
+    finally:
+        wait([future])  # the pool thread is done before anything propagates
 
 
 class Node:
@@ -141,8 +172,10 @@ class Tape:
         Wval, xval = W.value, x.value
 
         def backward(g: Array) -> tuple[Array, ...]:
-            rows = g.reshape(-1, m)
-            return rows.T @ xval.reshape(-1, n), g @ Wval, rows.sum(axis=0)
+            rows, dW = g.reshape(-1, m), np.empty((m, n))  # see _run_pair
+            dx, _ = _run_pair(Wval.size, lambda: g @ Wval,
+                              lambda: np.matmul(rows.T, xval.reshape(-1, n), out=dW))
+            return dW, dx, rows.sum(axis=0)
 
         return self._emit(xval @ Wval.T + b.value, (W, x, b), backward)
 

@@ -26,6 +26,8 @@ from .tape import Tape
 
 logger = logging.getLogger(__name__)
 
+EVAL_CHUNK = 64  # records per forward in evaluate
+
 
 @dataclass
 class TrainConfig:
@@ -258,6 +260,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             step = len(step_log)
             lr = onecycle_lr(step, sched)
             adam_step(trainable, grads, adam, lr, grad_scale=scale)
+            del grads  # free them before the next step's backward makes new ones
             step_log.append(StepStats(step, epoch, lr, norm, scale,
                                       LossBreakdown.from_components(parts)))
             for key, v in parts.items():
@@ -290,10 +293,12 @@ def evaluate(model: EnsembleModel, records,
     """
     records = list(records)
     skipped = _missing_bundles(records, bundles)
-    rows = [PredictionRow(r.protein_id, r.mutation.code, r.dtm,
-                          *model.predict(*_bundle_pair(r, bundles)))
-            for r in records
+    kept = [r for r in records
             if r.wt_variant_id in bundles and r.mut_variant_id in bundles]
+    ys = [y for i in range(0, len(kept), EVAL_CHUNK) for y in model.predict_batch(
+        [_bundle_pair(r, bundles) for r in kept[i:i + EVAL_CHUNK]])]
+    rows = [PredictionRow(r.protein_id, r.mutation.code, r.dtm, *y)
+            for r, y in zip(kept, ys)]
     if not rows:
         raise DataError("no evaluable records (all bundles missing?)")
     report = compute_report([row.y_ens for row in rows],

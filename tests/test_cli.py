@@ -84,6 +84,20 @@ class TestPrepareSplit:
                    "--clusters-tsv", tsv) == 0
         assert len(read_split(out)) == 3
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--kmer", 0, "k-mer length must be >= 1, got 0"),
+        ("--identity", 5, "identity threshold must be in (0, 1], got 5.0"),
+    ])
+    def test_clusters_tsv_still_checks_kmer_and_identity(
+            self, three_record_dataset, tmp_path, capsys, flag, value, message):
+        tsv = tmp_path / "clusters.tsv"
+        tsv.write_text("".join(f"{r.protein_id}\t{r.protein_id}\n"
+                               for r in random_records(3, 1, seed=7)))
+        out = tmp_path / "split.csv"
+        assert run("prepare-split", three_record_dataset, "--out", out,
+                   "--clusters-tsv", tsv, flag, value) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_negative_seed_is_config_error(self, dataset_path, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -22,13 +22,13 @@ from meltshift.heads import build_model
 TAPE_SOURCE = Path(tape.__file__).read_text()
 
 MUTANTS = [
-    pytest.param("mut_concat", "g @ Wval, rows.sum(axis=0)", "g @ Wval, rows[0]",
+    pytest.param("mut_concat", "dW, dx, rows.sum(axis=0)", "dW, dx, rows[0]",
                  id="linear_bias_row_sum"),
-    pytest.param("mut_concat", "return rows.T @ xval.reshape(-1, n),",
-                 "return rows[:1].T @ xval.reshape(-1, n)[:1],",
+    pytest.param("mut_concat", "np.matmul(rows.T, xval.reshape(-1, n), out=dW)",
+                 "np.matmul(rows[:1].T, xval.reshape(-1, n)[:1], out=dW)",
                  id="linear_weight_row_sum"),
-    pytest.param("mut_concat", "return rows.T @ xval.reshape(-1, n),",
-                 "return (rows.T @ xval.reshape(-1, n)).T.reshape(m, n),",
+    pytest.param("mut_concat", "np.matmul(rows.T, xval.reshape(-1, n), out=dW)",
+                 "np.copyto(dW, (rows.T @ xval.reshape(-1, n)).T.reshape(m, n))",
                  id="linear_weight_transposed"),
     pytest.param("head2", "dgamma = (g * xhat).reshape(-1, n).sum(axis=0)",
                  "dgamma = (g * xhat).reshape(-1, n)[0]",

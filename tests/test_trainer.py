@@ -174,9 +174,8 @@ class StubModel:
     def __init__(self, mapping):
         self.mapping = mapping
 
-    def predict(self, bundle_w, bundle_m):
-        y = self.mapping[bundle_m.variant_id]
-        return y, y, y
+    def predict_batch(self, pairs):
+        return [(self.mapping[bundle_m.variant_id],) * 3 for _, bundle_m in pairs]
 
 
 class TestEvaluate:

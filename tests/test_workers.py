@@ -1,0 +1,127 @@
+"""Parameter-sized passes split over two workers give the same bits as one.
+
+``tape._worker_count`` is forced to 1 and to 2 here, so the two-worker path
+runs whatever the CPU affinity of the test process.
+"""
+
+import os
+import signal
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from meltshift import tape as tape_module
+from meltshift.data import synth_bundles
+from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale, \
+    global_grad_norm
+from meltshift.tape import Tape
+from meltshift.trainer import TrainConfig, train
+
+from conftest import random_records
+
+SHAPES = {"a": (3 * CHUNK + 5,), "b": (CHUNK + 3,), "c": (7, 3)}
+
+
+def workers(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(tape_module, "_worker_count", lambda: count)
+
+
+def optimizer_steps():
+    """Three clipped Adam steps: every norm, scale and array they leave."""
+    rng = np.random.default_rng(3)
+    params = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+    state = AdamState.init(params)
+    scalars = []
+    for _ in range(3):
+        grads = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+        scale, norm = clip_scale(grads, ClipConfig(0.1))
+        scalars += [scale, norm, global_grad_norm(grads, 0.37)]
+        adam_step(params, grads, state, 0.01, grad_scale=scale)
+    return scalars, [params, state.m, state.v]
+
+
+def linear_backward(lead: tuple[int, ...]):
+    """Gradients of a linear with a weight of more than ``CHUNK`` entries,
+    and the weight and input gradients by the plain formulas."""
+    rng = np.random.default_rng(4)
+    tape = Tape()
+    W = tape.leaf(rng.normal(size=(64, CHUNK // 64 + 7)), "W")
+    x = tape.leaf(rng.normal(size=lead + (W.value.shape[1],)))
+    y = tape.linear(W, x, tape.leaf(rng.normal(size=64), "b"))
+    grads = tape.backward(tape.mse(y, np.zeros(y.value.shape)))
+    g = (2.0 / y.value.size) * y.value * 1.0  # mse's output gradient
+    rows = g.reshape(-1, 64)
+    return grads, x.grad, [rows.T @ x.value.reshape(-1, W.value.shape[1]),
+                           g @ W.value]
+
+
+def desk_checkpoint(path) -> bytes:
+    """A 3-step desk run at d_proj 32, where ``mix.weight`` is one CHUNK."""
+    records = random_records(8, 4, seed=21, dtm_scale=1.0)
+    bundles = synth_bundles(records, d_raw=12, seed=5)
+    config = TrainConfig(max_lr=1e-2, epochs=3, batch_size=32, d_proj=32)
+    result = train(records, bundles, config, checkpoint_path=path)
+    assert result.steps == 3
+    assert result.model.heads["head1"]["mix.weight"].size == CHUNK
+    return path.read_bytes()
+
+
+def test_optimizer_bits_do_not_depend_on_worker_count(monkeypatch):
+    workers(monkeypatch, 1)
+    one_scalars, one_arrays = optimizer_steps()
+    workers(monkeypatch, 2)
+    two_scalars, two_arrays = optimizer_steps()
+    assert tape_module._pool is not None and tape_module._pool[0] == os.getpid()
+    assert one_scalars == two_scalars
+    for one, two in zip(one_arrays, two_arrays):
+        for k in SHAPES:
+            assert np.array_equal(one[k], two[k])
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_linear_backward_bits_do_not_depend_on_worker_count(monkeypatch, lead):
+    workers(monkeypatch, 1)
+    one_grads, one_dx, (plain_dW, plain_dx) = linear_backward(lead)
+    workers(monkeypatch, 2)
+    two_grads, two_dx, _ = linear_backward(lead)
+    assert np.array_equal(one_dx, plain_dx) and np.array_equal(two_dx, plain_dx)
+    assert np.array_equal(one_grads["W"], plain_dW)
+    for k in ("W", "b"):
+        assert np.array_equal(one_grads[k], two_grads[k])
+
+
+def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    workers(monkeypatch, 1)
+    one = desk_checkpoint(tmp_path / "one.bin")
+    workers(monkeypatch, 2)
+    assert desk_checkpoint(tmp_path / "two.bin") == one
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_adam_step(monkeypatch):
+    workers(monkeypatch, 2)
+    optimizer_steps()  # the pool thread now runs in this process
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork with threads running: the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            optimizer_steps()
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in adam_step")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
