@@ -37,7 +37,7 @@ import mmap
 import re
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -167,13 +167,14 @@ class MutationRecord:
     wt_sequence: str
     mutation: Mutation
     dtm: float
+    check_residues: InitVar[bool] = True  # False: the sequence passed already
 
-    def __post_init__(self):
+    def __post_init__(self, check_residues):
         if not self.protein_id:
             raise DataError("empty protein_id")
         if not self.wt_sequence:
             raise DataError(f"{self.protein_id}: empty sequence")
-        if not _RESIDUES.fullmatch(self.wt_sequence):
+        if check_residues and not _RESIDUES.fullmatch(self.wt_sequence):
             bad = sorted(set(self.wt_sequence) - _AA_SET)
             raise DataError(f"{self.protein_id}: non-canonical residues {bad}")
         _check_site(self.wt_sequence, self.mutation)
@@ -241,8 +242,11 @@ def load_dataset(path) -> list[MutationRecord]:
                 dtm = float(dtm_text)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad dtm {dtm_text!r}") from None
+            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
             try:
-                record = MutationRecord(pid, seq, parse_mutation(code), dtm)
+                # each distinct sequence of a protein is scanned once
+                record = MutationRecord(pid, seq, parse_mutation(code), dtm,
+                                        first == lineno or wt_seq != seq)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             key = (pid, record.mutation.code)
@@ -250,7 +254,6 @@ def load_dataset(path) -> list[MutationRecord]:
                 raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
                                 f"same variant as line {seen[key]}")
             seen[key] = lineno
-            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
             if wt_seq != seq:
                 raise DataError(f"{path}:{lineno}: {pid} has another wt_sequence "
                                 f"than on line {first}")

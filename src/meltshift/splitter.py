@@ -7,10 +7,11 @@ cluster spans train and validation. Externally produced cluster tables
 (tab-separated ``representative<TAB>member`` lines) can be imported with
 :func:`load_clusters_tsv` to use a real aligner's clustering instead.
 
-K-mer codes are built over blocks of whole sequences. Clustering counts
-shared k-mers from one table of (code, protein) entries sorted by code,
-so proteins that share no k-mer are never compared (the prefilter idea
-of MMseqs2, Steinegger & Söding 2017, kept exact).
+K-mer codes are built over blocks of whole sequences. Clustering sorts
+one table of (code, protein) entries by code and keeps only the k-mers
+two or more proteins hold, so proteins that share no k-mer are never
+compared (the prefilter idea of MMseqs2, Steinegger & Söding 2017, kept
+exact).
 """
 
 from __future__ import annotations
@@ -87,19 +88,28 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     numbered instead by its first appearance in ``seqs``, which holds one
     dict entry per distinct k-mer.
     """
+    codes, sizes = _kmer_table(seqs, k)
+    return np.split(codes, np.cumsum(sizes[:-1]))
+
+
+def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codes of :func:`kmer_codes` in one array, and each sequence's count."""
     _check_options(k=k)
     lengths = np.array([len(seq) for seq in seqs])
     if not lengths.all():
         raise DataError("empty sequence")
     k = min(k, int(lengths.max()) + 1)
     points = _code_points("".join(seqs))
+    if points.max() >= len(points):  # no lookup longer than the input
+        points = np.unique(points, return_inverse=True)[1]
     digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
     base = int(digit[-1]) + 1
     if k >= 64 or base ** k > _INT64_MAX:
         number: dict[str, int] = {}
-        return [np.unique([number.setdefault(seq[i:i + k], len(number))
+        sets = [np.unique([number.setdefault(seq[i:i + k], len(number))
                            for i in range(max(len(seq) - k + 1, 1))])
                 for seq in seqs]
+        return np.concatenate(sets), np.array([len(s) for s in sets])
     seq_start = np.concatenate(([0], np.cumsum(lengths)))
     pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
     parts, sizes, i0 = [], [], 0
@@ -132,8 +142,7 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
         x -= np.repeat(np.arange(m) * span, sizes[-1])
         parts.append(x if values is None else values[x])
         i0 = i1
-    codes = np.concatenate(parts)
-    return np.split(codes, np.cumsum(np.concatenate(sizes)[:-1]))
+    return np.concatenate(parts), np.concatenate(sizes)
 
 
 def estimate_identity(seq_a: str, seq_b: str, k: int = DEFAULT_KMER) -> float:
@@ -188,7 +197,7 @@ def _representatives(seqs: list[str], k: int, threshold: float) -> list[int]:
     """
     reps = list(range(len(seqs)))
     is_rep = np.ones(len(seqs), dtype=bool)
-    for j0, j1, later, earlier in _passing_pairs(kmer_codes(seqs, k), threshold):
+    for j0, j1, later, earlier in _passing_pairs(*_kmer_table(seqs, k), threshold):
         bounds = np.searchsorted(later, np.arange(j0, j1 + 1)).tolist()
         for j in range(j0, j1):
             lo, hi = bounds[j - j0], bounds[j - j0 + 1]
@@ -202,45 +211,52 @@ def _representatives(seqs: list[str], k: int, threshold: float) -> list[int]:
     return reps
 
 
-def _passing_pairs(sets: list[np.ndarray], threshold: float):
+def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
     """Every pair i < j with ``|A & B| / |A | B| >= threshold``, by blocks of j.
 
-    Yields ``(j0, j1, later, earlier)``: the passing pairs (earlier, later)
-    with later in [j0, j1), sorted by later, then earlier.
-    Intersections come from one table of (code, owner) entries sorted by
-    code, then owner: an entry shares its k-mer with the entries before it
-    in its run. Pairs that share no k-mer are never formed. A block of
-    later owners holds at most ``PAIR_BLOCK`` counts, and generates its
-    pair instances at most ``PAIR_BLOCK`` at a time.
+    ``codes`` holds each set's distinct codes in turn, ``sizes`` their
+    counts. Yields ``(j0, j1, later, earlier)``: the passing pairs (earlier,
+    later) with later in [j0, j1), sorted by later, then earlier.
+    Intersections come from one table of (code, entry) keys sorted by code,
+    then entry, cut to its runs of two or more entries: a set's codes are
+    distinct, so those are the k-mers two sets share, and an entry shares
+    its k-mer with the entries before it in its run. Pairs that share no
+    k-mer are never formed. A block of later owners holds at most
+    ``PAIR_BLOCK`` counts, and makes its pair instances ``PAIR_BLOCK`` at
+    a time.
     """
-    n = len(sets)
-    sizes = np.array([len(s) for s in sets])
-    entry_start = np.concatenate(([0], np.cumsum(sizes)))
-    codes = np.concatenate(sets)
-    del sets
-    total = len(codes)
-    if int(codes.max()) * total + total - 1 > _INT64_MAX:
+    n, total = len(sizes), len(codes)
+    bits = (total - 1).bit_length()
+    mask = (1 << bits) - 1
+    if int(codes.max()) << bits | mask > _INT64_MAX:
         codes = np.unique(codes, return_inverse=True)[1].reshape(-1)
-    # code * total + entry sorts by code, then by entry: a stable argsort
-    codes *= total
-    codes += np.arange(total)
-    codes.sort()
-    order = codes % total
-    codes //= total
-    run_start = np.where(_run_heads(codes), np.arange(total), 0)
+    # code << bits | entry sorts by code, then by entry: a stable argsort
+    key = codes << bits
     del codes
-    np.maximum.accumulate(run_start, out=run_start)
-    # per entry, in owner order: where its run starts in the sorted table,
-    # and how many entries of earlier owners precede it there
+    key |= np.arange(total)
+    key.sort()
+    head = _run_heads(key >> bits)
+    kept = np.flatnonzero(~(head & np.append(head[1:], True)))  # runs of 2+
+    entry = key.take(kept) & mask
     index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
-    first = np.empty(total, dtype=index)
-    first[order] = run_start
-    earlier_count = np.empty(total, dtype=index)
-    earlier_count[order] = np.arange(total) - run_start
-    del run_start
-    owner = np.repeat(np.arange(n, dtype=index), sizes)
-    sorted_owner = owner[order]
-    del order
+    run_start = np.flatnonzero(head.take(kept)).astype(index)
+    run_start = np.repeat(run_start, np.diff(np.append(run_start, len(entry))))
+    del key, head, kept
+    # slot: a sorted entry's place in owner order; there, where its run starts
+    # in the sorted table and how many entries of earlier owners precede it
+    slot = np.zeros(total, dtype=index)
+    slot[entry] = 1
+    np.cumsum(slot, out=slot)
+    shared_start = np.concatenate(([0], slot[np.cumsum(sizes) - 1]))
+    slot = slot[entry] - 1
+    first = np.empty(len(entry), dtype=index)
+    first[slot] = run_start
+    earlier_count = np.empty(len(entry), dtype=index)
+    earlier_count[slot] = np.arange(len(entry), dtype=index) - run_start
+    del run_start, entry
+    owner = np.repeat(np.arange(n, dtype=index), np.diff(shared_start))
+    sorted_owner = owner[slot]
+    del slot
 
     j0 = 0
     while j0 < n:
@@ -249,9 +265,9 @@ def _passing_pairs(sets: list[np.ndarray], threshold: float):
         j1 = min(n, j0 + rows)
         cells = (j1 - j0) * j1
         shared = np.zeros(cells, dtype=np.intp)
-        base = entry_start[j0]
+        base = shared_start[j0]
         pairs_before = np.concatenate(
-            ([0], np.cumsum(earlier_count[base:entry_start[j1]])))
+            ([0], np.cumsum(earlier_count[base:shared_start[j1]])))
         e0, e_end = 0, len(pairs_before) - 1
         while e0 < e_end:
             e1 = np.searchsorted(pairs_before, pairs_before[e0] + PAIR_BLOCK,

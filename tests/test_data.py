@@ -142,6 +142,18 @@ class TestDataset:
         with pytest.raises(DataError, match=r":4: P1 .*wt_sequence.* line 2"):
             load_dataset(path)
 
+    def test_later_row_with_non_canonical_sequence_names_its_residues(self, tmp_path):
+        # a protein's first sequence is scanned once; another one on a
+        # later row is scanned too, before the rows are compared
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "protein_id,wt_sequence,mutation,dtm\n"
+            "P1,MKIL,L4A,1.0\nP1,MKIL,K2C,2.0\nP1,MXIL,K2C,-0.5\n"
+        )
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{path}:4: P1: non-canonical residues ['X']"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,seq,mut,y\nP1,MKIL,L4A,1.0\n")

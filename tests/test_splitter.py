@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import logging
 import tracemalloc
@@ -223,6 +224,35 @@ class TestGreedyCluster:
                 as_pairs(reference_greedy_cluster(proteins, threshold, 3))
 
     @pytest.mark.parametrize("block", [1, 5, 64, splitter.PAIR_BLOCK])
+    @pytest.mark.parametrize("corpus", ["none_shared", "all_identical",
+                                        "repeated_kmer"])
+    def test_shared_kmer_table_edges_match_reference(self, corpus, block,
+                                                     monkeypatch):
+        # the pair stage keeps only the k-mers two or more proteins hold:
+        # none of them, every one of them, or runs beside a poly-A protein
+        # whose own repeats count once
+        monkeypatch.setattr(splitter, "PAIR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        if corpus == "none_shared":
+            proteins = {f"P{i}": letter * int(rng.integers(1, 12))
+                        for i, letter in enumerate(AMINO_ACIDS)}
+        elif corpus == "all_identical":
+            proteins = dict.fromkeys([f"P{i}" for i in range(12)],
+                                     random_sequence(rng, 20))
+        else:
+            proteins = {f"R{i}": random_sequence(rng, 20) for i in range(12)}
+            proteins["A0"] = "A" * 30
+            proteins["A1"] = "A" * 9 + random_sequence(rng, 11)
+        for threshold in (5e-324, 0.5, 1.0):
+            got = greedy_cluster(proteins, threshold)
+            assert as_pairs(got) == \
+                as_pairs(reference_greedy_cluster(proteins, threshold))
+        if corpus == "none_shared":
+            assert len(got) == len(proteins)
+        elif corpus == "all_identical":
+            assert len(got) == 1
+
+    @pytest.mark.parametrize("block", [1, 5, 64, splitter.PAIR_BLOCK])
     @pytest.mark.parametrize("k", [1, 5, 13, 15])
     def test_kmer_blocks_keep_sequence_boundaries(self, k, block, monkeypatch):
         monkeypatch.setattr(splitter, "PAIR_BLOCK", block)
@@ -260,6 +290,19 @@ class TestGreedyCluster:
             tracemalloc.stop()
         assert peak <= bound
 
+
+    def test_wide_code_points_peak_memory_held_to_input(self):
+        # U+10FFFF once sized a lookup of 1.1M letters (19 MB); letters are
+        # ranked instead where the largest code point passes the residue count
+        kmer_codes(["AY", "AC"], 5)
+        tracemalloc.start()
+        try:
+            sets = kmer_codes(["A\U0010FFFF", "AC"], 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024
+        assert [s.tolist() for s in sets] == [[28], [24]]
 
     def test_long_corpus_peak_memory_held_to_residue_budget(self):
         # 2.1M residues, eight PAIR_BLOCKs: the k-mer build holds one
@@ -396,6 +439,16 @@ class TestManifest:
             write_split(want, split_clusters(
                 reference_greedy_cluster(proteins, 0.5), (8, 2), seed, counts, 0.5))
             assert got.read_bytes() == want.read_bytes(), seed
+
+    def test_manifest_pinned(self, tmp_path):
+        # the sha256 of this manifest as the k-mer Jaccard clustering writes
+        # it; a change to what the split computes must update it in the open
+        records, _ = records_with_homologs(seed=11, n_proteins=200,
+                                           planted_pairs=40)
+        path = tmp_path / "split.csv"
+        write_split(path, split_records(records, seed=11))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5f18e7e7ed8b647544cbd72c0b7999b915445e699da96c9333f2ccfd1cd97fe3")
 
     def test_read_rejects_bad_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
