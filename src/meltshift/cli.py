@@ -219,6 +219,9 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{args.mutations_file}: not UTF-8 text: {exc.reason}") from None
+        except OSError as exc:
+            raise ConfigError(
+                f"{args.mutations_file}: cannot read: {exc.strerror}") from None
     if not specs:
         raise ConfigError("no mutations given: use --mutations or --mutations-file")
     out = []
@@ -238,17 +241,15 @@ def cmd_predict(args) -> int:
     bundles = read_bundles(args.bundles)
     # every spec is predicted before the first line is written, so a
     # failing spec leaves stdout empty
-    rows = []
-    for pid, code in _parse_mutation_specs(args):
-        wt_id, mut_id = variant_ids(pid, code)
-        for vid in (wt_id, mut_id):
-            if vid not in bundles:
-                raise DataError(f"no bundle for variant {vid}")
-        y = ckpt.model.predict(bundles[wt_id], bundles[mut_id])
-        rows.append([pid, code, *map(repr, y)])
+    specs = _parse_mutation_specs(args)
+    ids = [variant_ids(pid, code) for pid, code in specs]
+    missing = [vid for pair in ids for vid in pair if vid not in bundles]
+    if missing:
+        raise DataError(f"no bundle for variant {missing[0]}")
+    ys = ckpt.model.predict_batch([[bundles[vid] for vid in pair] for pair in ids])
     writer = csv.writer(sys.stdout)
     writer.writerow(["protein_id", "mutation", "y1", "y2", "y_ens"])
-    writer.writerows(rows)
+    writer.writerows([*spec, *map(repr, y)] for spec, y in zip(specs, ys))
     return 0
 
 

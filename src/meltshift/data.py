@@ -34,10 +34,9 @@ import csv
 import hashlib
 import math
 import mmap
-import re
 import struct
 from array import array
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import ConfigError, DataError, FormatError
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 _AA_SET = frozenset(AMINO_ACIDS)
-_RESIDUES = re.compile(f"[{AMINO_ACIDS}]+")
+_AA_BYTES = AMINO_ACIDS.encode()
 
 TRACK_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
 _ROLE_TO_TAG = {role: i for i, role in enumerate(TRACK_ROLES)}
@@ -167,17 +166,18 @@ class MutationRecord:
     wt_sequence: str
     mutation: Mutation
     dtm: float
-    check_residues: InitVar[bool] = True  # False: the sequence passed already
 
-    def __post_init__(self, check_residues):
+    def __post_init__(self):
         if not self.protein_id:
             raise DataError("empty protein_id")
         if not self.wt_sequence:
             raise DataError(f"{self.protein_id}: empty sequence")
-        if check_residues and not _RESIDUES.fullmatch(self.wt_sequence):
-            bad = sorted(set(self.wt_sequence) - _AA_SET)
+        seq = self.wt_sequence
+        # ASCII, and nothing left once the amino-acid bytes are deleted
+        if not seq.isascii() or seq.encode().translate(None, _AA_BYTES):
+            bad = sorted(set(seq) - _AA_SET)
             raise DataError(f"{self.protein_id}: non-canonical residues {bad}")
-        _check_site(self.wt_sequence, self.mutation)
+        _check_site(seq, self.mutation)
         if not math.isfinite(self.dtm):
             raise DataError(f"{self.protein_id} {self.mutation.code}: non-finite dtm")
 
@@ -242,11 +242,8 @@ def load_dataset(path) -> list[MutationRecord]:
                 dtm = float(dtm_text)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad dtm {dtm_text!r}") from None
-            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
             try:
-                # each distinct sequence of a protein is scanned once
-                record = MutationRecord(pid, seq, parse_mutation(code), dtm,
-                                        first == lineno or wt_seq != seq)
+                record = MutationRecord(pid, seq, parse_mutation(code), dtm)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             key = (pid, record.mutation.code)
@@ -254,6 +251,7 @@ def load_dataset(path) -> list[MutationRecord]:
                 raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
                                 f"same variant as line {seen[key]}")
             seen[key] = lineno
+            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
             if wt_seq != seq:
                 raise DataError(f"{path}:{lineno}: {pid} has another wt_sequence "
                                 f"than on line {first}")

@@ -46,6 +46,8 @@ from .data import EmbeddingBundle, track_roles
 from .errors import ConfigError, DataError
 from .tape import Array, Node, Tape
 
+EVAL_CHUNK = 64  # pairs per forward in predict_batch
+
 
 class HeadKind(str, enum.Enum):
     HEAD1_OUTER = "head1"
@@ -265,9 +267,11 @@ class EnsembleModel:
         return y1, y2, tape.const_scale(0.5, tape.add(y1, y2))
 
     def predict_batch(self, pairs) -> list[EnsemblePrediction]:
-        """One prediction per ``(bundle_w, bundle_m)`` pair, from one forward."""
-        nodes = self.forward_nodes(Tape(), *map(list, zip(*pairs)))
-        return [EnsemblePrediction(*map(float, row))
+        """One prediction per ``(bundle_w, bundle_m)`` pair of the list
+        ``pairs``, in order, from one forward per ``EVAL_CHUNK`` pairs."""
+        chunks = (self.forward_nodes(Tape(), *map(list, zip(*pairs[i:i + EVAL_CHUNK])))
+                  for i in range(0, len(pairs), EVAL_CHUNK))
+        return [EnsemblePrediction(*map(float, row)) for nodes in chunks
                 for row in np.hstack([y.value for y in nodes])]
 
     def predict(self, bundle_w: EmbeddingBundle,

@@ -82,11 +82,11 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     shorter than k is padded with 0 to one k-mer, which no full k-mer
     equals. k is capped at the longest sequence + 1. Codes are rolled over
     blocks of whole sequences of at most ``PAIR_BLOCK`` residues (or one
-    longer sequence), and each block sorts its ``owner * span + code`` keys
-    once; where a key overflows int64, codes are ranked within the block.
-    Where ``base**k`` itself overflows int64, each distinct k-mer string is
-    numbered instead by its first appearance in ``seqs``, which holds one
-    dict entry per distinct k-mer.
+    longer sequence), and each block sorts its ``owner * base**k + code``
+    keys once; a block holds at most ``int64 max // base**k`` sequences, so
+    every key fits int64. Where ``base**k`` itself overflows int64, each
+    distinct k-mer string is numbered instead by its first appearance in
+    ``seqs``, which holds one dict entry per distinct k-mer.
     """
     codes, sizes = _kmer_table(seqs, k)
     return np.split(codes, np.cumsum(sizes[:-1]))
@@ -104,7 +104,8 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         points = np.unique(points, return_inverse=True)[1]
     digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
     base = int(digit[-1]) + 1
-    if k >= 64 or base ** k > _INT64_MAX:
+    span = base ** k
+    if k >= 64 or span > _INT64_MAX:
         number: dict[str, int] = {}
         sets = [np.unique([number.setdefault(seq[i:i + k], len(number))
                            for i in range(max(len(seq) - k + 1, 1))])
@@ -115,7 +116,7 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     parts, sizes, i0 = [], [], 0
     while i0 < len(seqs):
         i1 = int(np.searchsorted(pad_start, pad_start[i0] + PAIR_BLOCK, "right"))
-        i1 = min(max(i1 - 1, i0 + 1), len(seqs))
+        i1 = min(max(i1 - 1, i0 + 1), i0 + _INT64_MAX // span, len(seqs))
         m, p0, n = i1 - i0, pad_start[i0], pad_start[i1] - pad_start[i0]
         # digits padded with 0 to k per sequence, and k - 1 past the block
         residues, to = slice(seq_start[i0], seq_start[i1]), slice(0, n)
@@ -131,16 +132,12 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         # a window crossing into the next sequence repeats its owner's first
         x[(pad_start[i0 + 1:i1 + 1] - p0)[:, None] - np.arange(1, k)] = \
             x[pad_start[i0:i1] - p0, None]
-        values, span = None, base ** k
-        if m * span > _INT64_MAX:
-            values, x = np.unique(x, return_inverse=True)
-            span = len(values)
         x += np.repeat(np.arange(m) * span, np.diff(pad_start[i0:i1 + 1]))
         x.sort()  # owner * span + code: each owner's codes in order
         x = x[_run_heads(x)]
         sizes.append(np.diff(np.searchsorted(x, np.arange(m + 1) * span)))
         x -= np.repeat(np.arange(m) * span, sizes[-1])
-        parts.append(x if values is None else values[x])
+        parts.append(x)
         i0 = i1
     return np.concatenate(parts), np.concatenate(sizes)
 

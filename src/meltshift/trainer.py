@@ -26,8 +26,6 @@ from .tape import Tape
 
 logger = logging.getLogger(__name__)
 
-EVAL_CHUNK = 64  # records per forward in evaluate
-
 
 @dataclass
 class TrainConfig:
@@ -295,8 +293,7 @@ def evaluate(model: EnsembleModel, records,
     skipped = _missing_bundles(records, bundles)
     kept = [r for r in records
             if r.wt_variant_id in bundles and r.mut_variant_id in bundles]
-    ys = [y for i in range(0, len(kept), EVAL_CHUNK) for y in model.predict_batch(
-        [_bundle_pair(r, bundles) for r in kept[i:i + EVAL_CHUNK]])]
+    ys = model.predict_batch([_bundle_pair(r, bundles) for r in kept])
     rows = [PredictionRow(r.protein_id, r.mutation.code, r.dtm, *y)
             for r, y in zip(kept, ys)]
     if not rows:

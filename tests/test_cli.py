@@ -553,6 +553,45 @@ def test_bundle_width_other_than_checkpoint_is_data_error(command, pipeline,
             "but the model's d_raw is 10") in err
 
 
+@pytest.mark.parametrize("kind", ["ensemble", "mut_lincomb"])
+def test_predict_writes_the_bits_of_eval_per_sample(kind, tmp_path, capsys):
+    # every record, in dataset order, over more than one forward's chunk
+    records = random_records(30, 4, seed=3)
+    dataset, bundles = tmp_path / "data.csv", tmp_path / "b.dtme"
+    write_dataset(dataset, records)
+    assert run("synth-embed", dataset, "--out", bundles, "--d-raw", 32) == 0
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model(kind, 32, 16, 0))
+    specs = tmp_path / "specs.txt"
+    specs.write_text("".join(f"{r.protein_id}:{r.mutation.code}\n"
+                             for r in records))
+    per = tmp_path / "per.csv"
+    assert run("eval", ckpt, dataset, bundles, "--per-sample", per) == 0
+    capsys.readouterr()
+    assert run("predict", ckpt, bundles, "--mutations-file", specs) == 0
+    predicted = capsys.readouterr().out.splitlines()
+    evaluated = per.read_text().splitlines()
+    assert len(predicted) == len(records) + 1
+    # predict's columns are eval's without the label
+    assert predicted == [",".join(row.split(",")[:2] + row.split(",")[3:])
+                         for row in evaluated]
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("nope.txt", "No such file or directory"), (".", "Is a directory")])
+def test_unreadable_mutations_file_is_config_error(name, reason, pipeline,
+                                                   tmp_path, capsys):
+    _, bundles, _ = pipeline
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+    path = tmp_path / name
+    capsys.readouterr()
+    assert run("predict", ckpt, bundles, "--mutations-file", path) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {path}: cannot read: {reason}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command,corrupt,code", [
     ("train", "dataset", 3), ("train", "split", 3), ("eval", "dataset", 3),
     ("prepare-split", "dataset", 3), ("prepare-split", "clusters", 3),

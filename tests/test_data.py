@@ -143,8 +143,7 @@ class TestDataset:
             load_dataset(path)
 
     def test_later_row_with_non_canonical_sequence_names_its_residues(self, tmp_path):
-        # a protein's first sequence is scanned once; another one on a
-        # later row is scanned too, before the rows are compared
+        # every row's sequence is scanned, before the rows are compared
         path = tmp_path / "d.csv"
         path.write_text(
             "protein_id,wt_sequence,mutation,dtm\n"
@@ -153,6 +152,16 @@ class TestDataset:
         with pytest.raises(DataError) as caught:
             load_dataset(path)
         assert str(caught.value) == f"{path}:4: P1: non-canonical residues ['X']"
+
+    @pytest.mark.parametrize("seq, bad", [
+        ("MKéL", ["é"]), ("MkIL", ["k"]), ("MK\tIL", ["\t"]),
+        ("M\x00KIé", ["\x00", "é"]), ("MKIL\x7f", ["\x7f"]),
+    ])
+    def test_record_names_its_non_canonical_residues(self, seq, bad):
+        # non-ASCII, lowercase and control characters, sorted
+        with pytest.raises(DataError) as caught:
+            MutationRecord("P1", seq, Mutation(1, "M", "A"), 1.0)
+        assert str(caught.value) == f"P1: non-canonical residues {bad}"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"

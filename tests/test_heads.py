@@ -5,6 +5,7 @@ from meltshift.data import EmbeddingBundle
 from meltshift.errors import ConfigError, DataError
 from meltshift.gradcheck import check_model
 from meltshift.heads import (
+    EVAL_CHUNK,
     MODEL_KINDS,
     HeadKind,
     LinearParams,
@@ -312,6 +313,31 @@ def test_forward_rows_are_per_pair_predictions(kind):
     for i, (bw, bm) in enumerate(zip(bws, bms)):
         row = [float(y.value[i, 0]) for y in nodes]
         assert np.allclose(row, model.predict(bw, bm), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["ensemble", "head2"])
+def test_predict_batch_runs_one_forward_per_chunk(kind, monkeypatch):
+    model = build_model(kind, 7, 4, 0)
+    pairs = [(random_bundle(f"R{i // 3}:WT", 7, i // 3),
+              random_bundle(f"R{i // 3}:M{i}", 7, 1000 + i))
+             for i in range(2 * EVAL_CHUNK + 1)]
+    chunks = [pairs[i:i + EVAL_CHUNK] for i in range(0, len(pairs), EVAL_CHUNK)]
+    want = []
+    for chunk in chunks:
+        nodes = model.forward_nodes(Tape(), *map(list, zip(*chunk)))
+        want += np.hstack([y.value for y in nodes]).tolist()
+    sizes = []
+    forward = model.forward_nodes
+
+    def counted(tape, bundles_w, bundles_m):
+        sizes.append(len(bundles_w))
+        return forward(tape, bundles_w, bundles_m)
+
+    monkeypatch.setattr(model, "forward_nodes", counted)
+    got = model.predict_batch(pairs)
+    assert sizes == [EVAL_CHUNK, EVAL_CHUNK, 1]
+    assert [list(y) for y in got] == want
+    assert model.predict_batch([]) == []
 
 
 @pytest.mark.parametrize("kind", list(HeadKind))

@@ -81,9 +81,9 @@ def corpora(draw):
                                 sequences, min_size=1, max_size=25))
 
 
-# k of 13 and up with 20 or more letters takes the path that ranks codes
-# within a block or, for base**k beyond int64, the one that numbers k-mers
-# by first appearance
+# k of 13 and up with 20 or more letters caps a k-mer block at
+# int64 max // base**k sequences or, for base**k beyond int64, takes the
+# path that numbers k-mers by first appearance
 kmer_lengths = st.sampled_from([5, 1, 2, 3, 4, 6, 13, 15, 20, 31, 40])
 # every ratio of small counts, so thresholds equal to a Jaccard value
 # occur, and the least positive float, which passes any pair sharing a k-mer
@@ -205,9 +205,10 @@ class TestGreedyCluster:
         proteins.update({f"H{i}": seq[:-2] + "XZ"
                          for i, seq in enumerate(list(proteins.values())[:8])})
         letters = np.unique([ord(c) for c in "".join(proteins.values())])
-        # 22 letters, base 23: 23**13 fits int64 but code * entries does
-        # not, so codes are ranked before the sort; 23**15 does not fit,
-        # so k-mers are numbered by first appearance in kmer_codes
+        # 22 letters, base 23: 23**13 fits int64, so a k-mer block holds
+        # at most int64 max // 23**13 (18) sequences, and the pair stage
+        # ranks codes before its sort; 23**15 does not fit, so k-mers are
+        # numbered by first appearance in kmer_codes
         assert len(letters) == 22 and (23 ** k > np.iinfo(np.int64).max) == (k > 13)
         for threshold in (0.2, 0.5, 1.0):
             assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
@@ -259,9 +260,9 @@ class TestGreedyCluster:
         rng = np.random.default_rng(k)
         seqs = [random_sequence(rng, n) for n in rng.integers(1, 30, size=30)]
         # a window crossing from sequence i into i + 1 is a k-mer of their
-        # join; X and é make 22 letters, so k=13 takes the path that ranks
-        # codes within a block of over 18 sequences, and k=15 the one that
-        # numbers k-mers by first appearance
+        # join; X and é make 22 letters, so k=13 caps each block at 18
+        # sequences, which cuts these 45 into three or more blocks, and
+        # k=15 takes the path that numbers k-mers by first appearance
         seqs += [seqs[i] + seqs[i + 1] for i in range(0, 20, 2)]
         seqs += ["X" + seqs[0], seqs[1] + "é", "é", "X",
                  random_sequence(rng, 100)]
