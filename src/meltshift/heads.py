@@ -297,13 +297,8 @@ class EnsembleModel:
         l2 = tape.mse(y2, target)
         le = tape.const_scale(0.5, tape.mse(y_ens, target))
         total = tape.add(tape.add(l1, l2), le)
-        components = {
-            "head1": float(l1.value[0]),
-            "head2": float(l2.value[0]),
-            "ensemble": float(le.value[0]),
-            "total": float(total.value[0]),
-        }
-        return total, components
+        return total, {name: float(node.value[0]) for name, node in (
+            ("head1", l1), ("head2", l2), ("ensemble", le), ("total", total))}
 
 
 # ---------------------------------------------------------------------------

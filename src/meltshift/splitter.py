@@ -11,7 +11,8 @@ K-mer codes are built over blocks of whole sequences. Clustering sorts
 one table of (code, protein) entries by code and keeps only the k-mers
 two or more proteins hold, so proteins that share no k-mer are never
 compared (the prefilter idea of MMseqs2, Steinegger & Söding 2017, kept
-exact).
+exact). Both stages run their blocks two at a time, on the workers of
+:func:`tape._run_pair`; no result depends on where a block ends.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .data import text_errors, wild_types
 from .errors import ConfigError, DataError
+from .tape import _run_pair
 
 logger = logging.getLogger(__name__)
 
@@ -32,8 +34,8 @@ DEFAULT_KMER = 5
 DEFAULT_IDENTITY = 0.5
 DEFAULT_RATIO = (8, 2)
 
-# Most (protein, protein) pair instances, and most cells of the dense
-# shared-k-mer count, that one block of the clustering holds at once.
+# Most residues, dense shared-k-mer count cells and (protein, protein) pair
+# instances in flight at once: two blocks of half as many, one per worker.
 PAIR_BLOCK = 1 << 18
 
 SPLIT_HEADER = ["protein_id", "split", "cluster_rep"]
@@ -63,10 +65,6 @@ class SplitAssignment:
         return sorted(p for p, s in self.assignment.items() if s == split)
 
 
-def _code_points(seq: str) -> np.ndarray:
-    return np.frombuffer(seq.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-
-
 def _check_options(threshold: float = DEFAULT_IDENTITY, k: int = DEFAULT_KMER):
     if not (0.0 < threshold <= 1.0):
         raise ConfigError(f"identity threshold must be in (0, 1], got {threshold}")
@@ -81,8 +79,8 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     k-mer's code reads its digits in base ``letters + 1``; a sequence
     shorter than k is padded with 0 to one k-mer, which no full k-mer
     equals. k is capped at the longest sequence + 1. Codes are rolled over
-    blocks of whole sequences of at most ``PAIR_BLOCK`` residues (or one
-    longer sequence), and each block sorts its ``owner * base**k + code``
+    blocks of whole sequences of at most ``PAIR_BLOCK // 2`` residues (or
+    one longer sequence), and each block sorts its ``owner * base**k + code``
     keys once; a block holds at most ``int64 max // base**k`` sequences, so
     every key fits int64. Where ``base**k`` itself overflows int64, each
     distinct k-mer string is numbered instead by its first appearance in
@@ -99,7 +97,8 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     if not lengths.all():
         raise DataError("empty sequence")
     k = min(k, int(lengths.max()) + 1)
-    points = _code_points("".join(seqs))
+    points = np.frombuffer("".join(seqs).encode("utf-32-le", "surrogatepass"),
+                           dtype="<u4")
     if points.max() >= len(points):  # no lookup longer than the input
         points = np.unique(points, return_inverse=True)[1]
     digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
@@ -113,10 +112,13 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate(sets), np.array([len(s) for s in sets])
     seq_start = np.concatenate(([0], np.cumsum(lengths)))
     pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
-    parts, sizes, i0 = [], [], 0
-    while i0 < len(seqs):
-        i1 = int(np.searchsorted(pad_start, pad_start[i0] + PAIR_BLOCK, "right"))
-        i1 = min(max(i1 - 1, i0 + 1), i0 + _INT64_MAX // span, len(seqs))
+    bounds, half = [0], max(PAIR_BLOCK // 2, 1)
+    while bounds[-1] < len(seqs):
+        i0 = bounds[-1]
+        i1 = int(np.searchsorted(pad_start, pad_start[i0] + half, "right"))
+        bounds.append(min(max(i1 - 1, i0 + 1), i0 + _INT64_MAX // span, len(seqs)))
+
+    def block(i0, i1):
         m, p0, n = i1 - i0, pad_start[i0], pad_start[i1] - pad_start[i0]
         # digits padded with 0 to k per sequence, and k - 1 past the block
         residues, to = slice(seq_start[i0], seq_start[i1]), slice(0, n)
@@ -135,19 +137,18 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         x += np.repeat(np.arange(m) * span, np.diff(pad_start[i0:i1 + 1]))
         x.sort()  # owner * span + code: each owner's codes in order
         x = x[_run_heads(x)]
-        sizes.append(np.diff(np.searchsorted(x, np.arange(m + 1) * span)))
-        x -= np.repeat(np.arange(m) * span, sizes[-1])
-        parts.append(x)
-        i0 = i1
-    return np.concatenate(parts), np.concatenate(sizes)
+        sizes = np.diff(np.searchsorted(x, np.arange(m + 1) * span))
+        x -= np.repeat(np.arange(m) * span, sizes)
+        return x, sizes
+
+    parts = list(_in_pairs(block, bounds, lambda i0, i1: pad_start[i1] - pad_start[i0]))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def estimate_identity(seq_a: str, seq_b: str, k: int = DEFAULT_KMER) -> float:
     """Jaccard similarity of k-mer sets: symmetric, 1.0 on identical input."""
     a, b = kmer_codes([seq_a, seq_b], k)
     inter = len(np.intersect1d(a, b, assume_unique=True))
-    if inter == 0:
-        return 0.0
     return inter / (len(a) + len(b) - inter)
 
 
@@ -168,15 +169,13 @@ def greedy_cluster(proteins, threshold: float,
     if not ordered:
         return []
     reps = _representatives([items[pid] for pid in ordered], k, threshold)
-    clusters: list[Cluster] = []
-    founded: dict[int, Cluster] = {}
+    founded: dict[int, Cluster] = {}  # in order of founding
     for j, pid in enumerate(ordered):
         if reps[j] == j:
             founded[j] = Cluster(pid, [pid])
-            clusters.append(founded[j])
         else:
             founded[reps[j]].members.append(pid)
-    return clusters
+    return list(founded.values())
 
 
 def _run_heads(values: np.ndarray) -> np.ndarray:
@@ -219,7 +218,7 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
     distinct, so those are the k-mers two sets share, and an entry shares
     its k-mer with the entries before it in its run. Pairs that share no
     k-mer are never formed. A block of later owners holds at most
-    ``PAIR_BLOCK`` counts, and makes its pair instances ``PAIR_BLOCK`` at
+    ``PAIR_BLOCK // 2`` counts, and makes its pair instances that many at
     a time.
     """
     n, total = len(sizes), len(codes)
@@ -255,11 +254,12 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
     sorted_owner = owner[slot]
     del slot
 
-    j0 = 0
-    while j0 < n:
-        # the most rows whose (rows x j1) count matrix fits PAIR_BLOCK
-        rows = max(1, (math.isqrt(j0 * j0 + 4 * PAIR_BLOCK) - j0) // 2)
-        j1 = min(n, j0 + rows)
+    bounds, half = [0], max(PAIR_BLOCK // 2, 1)
+    while bounds[-1] < n:  # the most rows whose (rows x j1) counts fit in half
+        j0 = bounds[-1]
+        bounds.append(min(n, j0 + max(1, (math.isqrt(j0 * j0 + 4 * half) - j0) // 2)))
+
+    def block(j0, j1):
         cells = (j1 - j0) * j1
         shared = np.zeros(cells, dtype=np.intp)
         base = shared_start[j0]
@@ -267,8 +267,7 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
             ([0], np.cumsum(earlier_count[base:shared_start[j1]])))
         e0, e_end = 0, len(pairs_before) - 1
         while e0 < e_end:
-            e1 = np.searchsorted(pairs_before, pairs_before[e0] + PAIR_BLOCK,
-                                 side="right") - 1
+            e1 = np.searchsorted(pairs_before, pairs_before[e0] + half, side="right") - 1
             e1 = min(max(e1, e0 + 1), e_end)
             chunk = slice(base + e0, base + e1)
             counts = earlier_count[chunk]
@@ -284,8 +283,20 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
         later, earlier = np.divmod(cell, j1)
         later += j0
         passing = inter / (sizes[later] + sizes[earlier] - inter) >= threshold
-        yield j0, j1, later[passing], earlier[passing]
-        j0 = j1
+        return j0, j1, later[passing], earlier[passing]
+
+    yield from _in_pairs(block, bounds, lambda j0, j1: (j1 - j0) * j1)
+
+
+def _in_pairs(job, bounds, work):
+    """``job(lo, hi)`` of each block between consecutive ``bounds``, in order,
+    two at a time through :func:`tape._run_pair`, sized by summed ``work``."""
+    for i in range(0, len(bounds) - 2, 2):
+        a, b, c = bounds[i:i + 3]
+        yield from _run_pair(work(a, b) + work(b, c), lambda: job(a, b),
+                             lambda: job(b, c))
+    if len(bounds) % 2 == 0:  # an odd block count leaves the last one alone
+        yield job(*bounds[-2:])
 
 
 def check_ratio(ratio) -> tuple[int, int]:

@@ -25,7 +25,8 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work may run on two workers, bit for bit (:func:`_run_pair`).
+* Parameter-sized work, and the splitter's k-mer and shared-k-mer blocks,
+  may run on two workers, bit for bit (:func:`_run_pair`).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ Array = np.ndarray
 
 DEFAULT_LAYERNORM_EPS = 1e-5
 
-# elements per block of the optimizer's passes; less work is not split
+# elements per block of the optimizer's passes; less work of any kind is not split
 CHUNK = 32768
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (owner pid, pool)

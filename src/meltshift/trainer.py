@@ -177,12 +177,8 @@ def _bundle_pair(record: MutationRecord,
 
 
 def _missing_bundles(records, bundles) -> list[str]:
-    missing = []
-    for r in records:
-        for vid in (r.wt_variant_id, r.mut_variant_id):
-            if vid not in bundles:
-                missing.append(vid)
-    return sorted(set(missing))
+    return sorted({vid for r in records for vid in (r.wt_variant_id, r.mut_variant_id)
+                   if vid not in bundles})
 
 
 def _bundle_width(bundles: dict[str, EmbeddingBundle]) -> int:
@@ -217,9 +213,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
 
     missing = _missing_bundles(train_records + val_records, bundles)
     if missing:
-        raise DataError(
-            f"{len(missing)} variant(s) lack bundles, e.g. {missing[:5]}"
-        )
+        raise DataError(f"{len(missing)} variant(s) lack bundles, e.g. {missing[:5]}")
 
     d_raw = _bundle_width(bundles)
     model = build_model(config.head, d_raw, config.d_proj, config.seed,
@@ -244,18 +238,17 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
         for start in range(0, n_train, config.batch_size):
             batch = [train_records[i] for i in order[start:start + config.batch_size]]
             samples = [(*_bundle_pair(r, bundles), r.dtm) for r in batch]
-            tape = Tape()
+            step, tape = len(step_log), Tape()
             # a diverging run overflows here; the loss and gradient-norm
             # checks report it, so numpy's own warnings are only noise
             with np.errstate(over="ignore", invalid="ignore"):
                 loss_node, parts = model.batch_loss(tape, samples)
                 if not math.isfinite(parts["total"]):
-                    ids = [r.mut_variant_id for r in batch]
-                    raise NumericError(f"non-finite loss on batch {ids}")
+                    raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, "
+                                       f"on batch {[r.mut_variant_id for r in batch]}")
                 grads = tape.backward(loss_node)
             grads = {k: grads[k] for k in trainable}
             scale, norm = clip_scale(grads, clip_cfg)
-            step = len(step_log)
             lr = onecycle_lr(step, sched)
             adam_step(trainable, grads, adam, lr, grad_scale=scale)
             del grads  # free them before the next step's backward makes new ones

@@ -27,7 +27,7 @@ def random_records(n_proteins, muts_per_protein, seed, seq_len=(12, 30),
 
 
 def records_with_homologs(seed, n_proteins=50, planted_pairs=8,
-                          muts_per_protein=3):
+                          muts_per_protein=3, seq_len=(24, 40)):
     """Random records plus planted near-duplicate proteins.
 
     Returns (records, pairs) where each pair (a, b) is a protein and its
@@ -36,7 +36,7 @@ def records_with_homologs(seed, n_proteins=50, planted_pairs=8,
     """
     rng = np.random.default_rng(seed)
     records = random_records(n_proteins, muts_per_protein, seed=seed,
-                             seq_len=(24, 40))
+                             seq_len=seq_len)
     proteins = {r.protein_id: r.wt_sequence for r in records}
     pids = sorted(proteins)
     pairs = []

@@ -295,6 +295,16 @@ class TestTrainEvalPredict:
                    "--head", "mut_concat", "--epochs", 2, "--d-proj", 4,
                    "--max-lr", 1e-2, "--seed", 1) == 0
 
+    def test_tracks_flag_reaches_the_checkpoint(self, dataset_path, tmp_path):
+        bundles, rundir = tmp_path / "b2.dtme", tmp_path / "run2"
+        assert run("synth-embed", dataset_path, "--out", bundles, "--d-raw", 6,
+                   "--tracks", "seq+struct") == 0
+        assert run("train", dataset_path, bundles, "--out", rundir, "--epochs", 1,
+                   "--d-proj", 4, "--tracks", "seq+struct") == 0
+        blob = (rundir / "checkpoint.bin").read_bytes()
+        (n,) = struct.unpack_from("<I", blob, 8)
+        assert json.loads(blob[12:12 + n])["modalities"] == ["seq", "struct"]
+
     def test_final_retrain_ignores_split(self, pipeline, tmp_path):
         dataset, bundles, split = pipeline
         rundir = tmp_path / "run_fr"
@@ -780,6 +790,20 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
                                sorted({r.protein_id for r in records})[1:]))
         return ["prepare-split", dataset, "--out", tmp_path / "s.csv",
                 "--clusters-tsv", tsv]
+    if case == "clusters_tsv_member_twice":
+        tsv = tmp_path / "twice.tsv"
+        tsv.write_text("R1\tX\n" * 2)
+        return ["prepare-split", dataset, "--out", tmp_path / "s.csv",
+                "--clusters-tsv", tsv]
+    if case == "split_duplicate_protein":
+        split = tmp_path / "doubled.csv"
+        split.write_text("protein_id,split,cluster_rep\n" + "P000,train,P000\n" * 2)
+        return ["train", dataset, bundles, "--out", tmp_path / "run",
+                "--split", split, "--epochs", 1, "--d-proj", 4]
+    if case == "dataset_without_records":
+        empty = tmp_path / "empty.csv"
+        write_dataset(empty, [])
+        return ["prepare-split", empty, "--out", tmp_path / "s.csv"]
     if case == "every_protein_on_val":
         split = tmp_path / "all_val.csv"
         split.write_text("protein_id,split,cluster_rep\n" + "".join(
@@ -816,6 +840,10 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
     ("every_protein_on_val", 3, "data error: split leaves no training records"),
     ("eval_no_bundle_matches", 3,
      "data error: no evaluable records (all bundles missing?)"),
+    ("clusters_tsv_member_twice", 3, "data error: {tmp}/twice.tsv:2: 'X' listed twice"),
+    ("split_duplicate_protein", 3,
+     "data error: {tmp}/doubled.csv:3: duplicate protein 'P000'"),
+    ("dataset_without_records", 2, "config error: no clusters to split"),
 ])
 def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
     dataset, bundles, _ = pipeline
@@ -823,5 +851,5 @@ def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
     capsys.readouterr()
     assert run(*argv) == code
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1] == message
+    assert captured.err.splitlines()[-1] == message.format(tmp=tmp_path)
     assert captured.out == ""

@@ -367,6 +367,10 @@ class TestSplitClusters:
                            match=r"^ratio parts must be positive, got 0:10$"):
             split_clusters(equal_clusters(4), (0, 10), seed=0)
 
+    def test_no_clusters_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^no clusters to split$"):
+            split_clusters([], (8, 2), seed=0)
+
     def test_weighted_by_mutation_count(self):
         clusters = [Cluster("A", ["A"]), Cluster("B", ["B"])]
         weights = {"A": 8, "B": 2}
@@ -462,6 +466,17 @@ class TestManifest:
         path.write_text("protein_id,split,cluster_rep\nP1,train,P1\n,train,X\n")
         with pytest.raises(DataError, match=r"split\.csv:3: empty protein id"):
             read_split(path)
+
+    def test_read_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "split.csv"
+        path.write_text("protein_id,split,cluster_rep\nP1,train,P1\n\nP2,val,P2\n\n")
+        assert read_split(path) == {"P1": "train", "P2": "val"}
+
+    def test_cluster_tsv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "clusters.tsv"
+        path.write_text("\nR1\tR1\n\nR1\tP9\nR2\tR2\n\n")
+        assert [(c.representative, c.members) for c in load_clusters_tsv(path)] == [
+            ("R1", ["R1", "P9"]), ("R2", ["R2"])]
 
     @pytest.mark.parametrize("rows", ["R1\tR1\nA\t\n", "R1\tR1\n\tB\n"],
                              ids=["empty_member", "empty_representative"])

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import struct
@@ -118,6 +119,19 @@ class TestTraining:
         del broken[records[0].mut_variant_id]
         with pytest.raises(DataError, match=records[0].mut_variant_id):
             train(records, broken, desk_config(epochs=1))
+
+    def test_non_finite_loss_names_step_and_epoch(self, desk_data):
+        # one batch per epoch: the first step blows the weights up, so the
+        # second step, the first of epoch 2, meets a non-finite loss
+        records, bundles = desk_data
+        config = desk_config(epochs=3, batch_size=32, max_lr=1e300)
+        assert len(records) == 32
+        with pytest.raises(NumericError) as caught:
+            train(records, bundles, config)
+        message = str(caught.value)
+        assert message.startswith("non-finite loss at step 1, epoch 2, on batch [")
+        assert sorted(ast.literal_eval(message[message.index("["):])) == \
+            sorted(r.mut_variant_id for r in records)
 
     def test_split_must_cover_all_proteins(self, desk_data):
         records, bundles = desk_data

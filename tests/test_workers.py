@@ -1,4 +1,5 @@
-"""Parameter-sized passes split over two workers give the same bits as one.
+"""Work split over two workers gives the same bits as one: the training
+step's parameter-sized passes and the splitter's k-mer and shared-k-mer blocks.
 
 ``tape._worker_count`` is forced to 1 and to 2 here, so the two-worker path
 runs whatever the CPU affinity of the test process.
@@ -6,12 +7,14 @@ runs whatever the CPU affinity of the test process.
 
 import os
 import signal
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from meltshift import splitter
 from meltshift import tape as tape_module
 from meltshift.data import synth_bundles
 from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale, \
@@ -19,7 +22,7 @@ from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale,
 from meltshift.tape import Tape
 from meltshift.trainer import TrainConfig, train
 
-from conftest import random_records
+from conftest import random_records, records_with_homologs
 
 SHAPES = {"a": (3 * CHUNK + 5,), "b": (CHUNK + 3,), "c": (7, 3)}
 
@@ -68,6 +71,49 @@ def desk_checkpoint(path) -> bytes:
     return path.read_bytes()
 
 
+def homolog_corpus():
+    """560 proteins of 300-700 residues and 140 one-substitution homologs,
+    one record each: about 350k residues, three k-mer blocks and three
+    shared-k-mer blocks."""
+    return records_with_homologs(8, n_proteins=560, planted_pairs=140,
+                                 muts_per_protein=1, seq_len=(300, 700))[0]
+
+
+def split_outputs(records, path):
+    """The corpus's k-mer codes, its clusters and its manifest's bytes."""
+    proteins = {r.protein_id: r.wt_sequence for r in records}
+    codes = splitter.kmer_codes(list(proteins.values()), 5)
+    clusters = splitter.greedy_cluster(proteins, 0.5)
+    splitter.write_split(path, splitter.split_records(records, seed=3))
+    return codes, [(c.representative, c.members) for c in clusters], path.read_bytes()
+
+
+def run_in_fork(job, what: str) -> None:
+    """Run ``job`` in a forked child, which must return a true value within
+    20 s."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork with threads running: the case under test
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            code = 0 if job() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child hung in {what}")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
 def test_optimizer_bits_do_not_depend_on_worker_count(monkeypatch):
     workers(monkeypatch, 1)
     one_scalars, one_arrays = optimizer_steps()
@@ -99,29 +145,45 @@ def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     assert desk_checkpoint(tmp_path / "two.bin") == one
 
 
+def test_split_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    records = homolog_corpus()
+    # more than two k-mer blocks of half a PAIR_BLOCK of residues each
+    assert sum(len(r.wt_sequence) for r in records) > splitter.PAIR_BLOCK
+    pool_sizes, real_run_pair = [], splitter._run_pair
+
+    def spy(size, first, second):
+        def on_pool():
+            if threading.current_thread() is not threading.main_thread():
+                pool_sizes.append(size)
+            return second()
+        return real_run_pair(size, first, on_pool)
+
+    monkeypatch.setattr(splitter, "_run_pair", spy)
+    workers(monkeypatch, 1)
+    one = split_outputs(records, tmp_path / "one.csv")
+    assert pool_sizes == []
+    workers(monkeypatch, 2)
+    two = split_outputs(records, tmp_path / "two.csv")
+    # k-mer blocks are sized in residues, shared-k-mer blocks in count cells;
+    # kmer_codes, greedy_cluster and split_records each reach the pool
+    assert len(pool_sizes) >= 5 and min(pool_sizes) >= CHUNK
+    assert len(one[0]) == len(two[0]) == len(records)
+    assert all(np.array_equal(a, b) for a, b in zip(one[0], two[0]))
+    assert one[1] == two[1] and any(len(m) > 1 for _, m in one[1])
+    assert one[2] == two[2]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_finishes_adam_step(monkeypatch):
     workers(monkeypatch, 2)
     optimizer_steps()  # the pool thread now runs in this process
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on fork with threads running: the case under test
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:  # the child never returns into pytest
-        code = 1
-        try:
-            optimizer_steps()
-            code = 0
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 20.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in adam_step")
-        time.sleep(0.01)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    run_in_fork(optimizer_steps, "adam_step")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_finishes_split_records(monkeypatch):
+    workers(monkeypatch, 2)
+    records = homolog_corpus()
+    want = splitter.split_records(records, seed=3)  # the pool thread now runs
+    run_in_fork(lambda: splitter.split_records(records, seed=3) == want,
+                "split_records")
