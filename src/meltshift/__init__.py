@@ -37,6 +37,7 @@ from .heads import (
     EnsembleModel,
     EnsemblePrediction,
     HeadKind,
+    LossBreakdown,
     TrackProjection,
     build_ensemble,
     build_model,
@@ -68,7 +69,6 @@ from .splitter import (
 from .tape import Node, Tape
 from .trainer import (
     EvalResult,
-    LossBreakdown,
     TrainConfig,
     TrainResult,
     compute_losses,

@@ -170,8 +170,9 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         (header_len,) = _read_header(path, fh, CKPT_MAGIC, CKPT_VERSION, 1)
-        if size < 12 + header_len:
-            raise FormatError(f"{path}: truncated header at offset 12")
+        start = fh.tell()
+        if size < start + header_len:
+            raise FormatError(f"{path}: truncated header at offset {start}")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -197,7 +198,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(
                     f"{path}: {name} shape {shape} != expected {expected[name]}"
                 )
-        end = 12 + header_len + 8 * sum(math.prod(s) for s in declared.values())
+        end = start + header_len + 8 * sum(math.prod(s) for s in declared.values())
         if end > size:
             raise FormatError(
                 f"{path}: truncated array data: arrays end at {end}, file at {size}")

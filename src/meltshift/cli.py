@@ -36,11 +36,11 @@ from .data import (
     write_bundles,
 )
 from .errors import ConfigError, DataError, MeltshiftError, NumericError
-from .gradcheck import GRAD_TOLERANCE, check_model
+from .gradcheck import DEFAULT_FD_STEP, GRAD_TOLERANCE, check_model
 from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
-from .splitter import check_ratio, load_clusters_tsv, read_split, \
-    split_records, write_split
+from .splitter import DEFAULT_IDENTITY, DEFAULT_KMER, DEFAULT_RATIO, \
+    check_ratio, load_clusters_tsv, read_split, split_records, write_split
 from .trainer import TrainConfig, evaluate, train
 
 
@@ -310,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="homology-aware train/val split manifest")
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--identity", type=float, default=0.5)
-    p.add_argument("--ratio", default="8:2")
+    p.add_argument("--identity", type=float, default=DEFAULT_IDENTITY)
+    p.add_argument("--ratio", default="%d:%d" % DEFAULT_RATIO)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kmer", type=int, default=5)
+    p.add_argument("--kmer", type=int, default=DEFAULT_KMER)
     p.add_argument("--clusters-tsv",
                    help="import externally computed clusters instead")
     p.set_defaults(func=cmd_prepare_split)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=DEFAULT_FD_STEP)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -72,7 +72,6 @@ DATASET_HEADER = ["protein_id", "wt_sequence", "mutation", "dtm"]
 
 DTME_MAGIC = b"DTME"
 DTME_VERSION = 1
-_DTME_HEADER = 16  # magic, version, d_raw, count
 
 
 def _read_header(path, fh, magic: bytes, version: int,
@@ -348,7 +347,7 @@ def read_bundles(path) -> dict[str, EmbeddingBundle]:
         except (OSError, ValueError) as exc:  # a pipe, say
             raise FormatError(f"{path}: cannot map the file: {exc}") from None
         with data:
-            rows, offsets = _index_records(path, data, d_raw, count)
+            rows, offsets = _index_records(path, data, d_raw, count, fh.tell())
             tables = _role_tables(data, offsets, d_raw)
     out = {}
     for vid, per in rows.items():
@@ -367,14 +366,14 @@ def read_bundles(path) -> dict[str, EmbeddingBundle]:
     return out
 
 
-def _index_records(path, data, d_raw: int, count: int):
-    """One pass over the records: variant -> role -> row in the role's
-    table, in file order, and role -> the file offset of each row's vector."""
+def _index_records(path, data, d_raw: int, count: int, offset: int):
+    """One pass over the records from ``offset``, where the header ends:
+    variant -> role -> row in the role's table, in file order, and role ->
+    the file offset of each row's vector."""
     size = len(data)
     vec_bytes = 4 * d_raw
     rows: dict[str, dict[str, int]] = {}
     offsets = {role: array("q") for role in TRACK_ROLES}
-    offset = _DTME_HEADER
     for _ in range(count):
         if offset + 2 > size:
             raise FormatError(f"{path}: truncated record at offset {offset}")

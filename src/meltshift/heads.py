@@ -64,6 +64,20 @@ class EnsemblePrediction(NamedTuple):
     y_ens: float
 
 
+@dataclass
+class LossBreakdown:
+    """Per-term training losses in (degrees C)^2.
+
+    Single-head runs report their MSE as ``l_head1`` with the other two
+    terms zero, so ``l_total == l_head1`` there.
+    """
+
+    l_head1: float
+    l_head2: float
+    l_ensemble: float
+    l_total: float
+
+
 # ---------------------------------------------------------------------------
 # parameter containers
 
@@ -231,8 +245,7 @@ class EnsembleModel:
     The ``ensemble`` kind runs head1 and head2 and averages them; every
     other kind is an ensemble of one head. ``forward_nodes`` gives the
     (y1, y2, y_ens) nodes of a batch of pairs, each a ``(B, 1)`` row block,
-    and ``batch_loss`` reports the ``head1``, ``head2``, ``ensemble`` and
-    ``total`` loss terms.
+    and ``batch_loss`` reports the loss terms as a :class:`LossBreakdown`.
     """
 
     kind_name: str
@@ -278,9 +291,9 @@ class EnsembleModel:
                 bundle_m: EmbeddingBundle) -> EnsemblePrediction:
         return self.predict_batch([(bundle_w, bundle_m)])[0]
 
-    def batch_loss(self, tape: Tape, samples) -> tuple[Node, dict[str, float]]:
+    def batch_loss(self, tape: Tape, samples) -> tuple[Node, LossBreakdown]:
         """Mean per-head MSE terms plus the halved ensemble term; a single
-        head's one MSE is reported as the ``head1`` term.
+        head's one MSE is reported as the ``l_head1`` term.
 
         ``samples`` is a list of (bundle_w, bundle_m, label) triples.
         """
@@ -292,13 +305,13 @@ class EnsembleModel:
         if len(self.heads) == 1:
             total = tape.mse(y1, target)
             mse = float(total.value[0])
-            return total, {"head1": mse, "head2": 0.0, "ensemble": 0.0, "total": mse}
+            return total, LossBreakdown(mse, 0.0, 0.0, mse)
         l1 = tape.mse(y1, target)
         l2 = tape.mse(y2, target)
         le = tape.const_scale(0.5, tape.mse(y_ens, target))
         total = tape.add(tape.add(l1, l2), le)
-        return total, {name: float(node.value[0]) for name, node in (
-            ("head1", l1), ("head2", l2), ("ensemble", le), ("total", total))}
+        return total, LossBreakdown(*(float(node.value[0])
+                                      for node in (l1, l2, le, total)))
 
 
 # ---------------------------------------------------------------------------

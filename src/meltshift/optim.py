@@ -53,7 +53,7 @@ def _map_shares(maps: list[dict[str, Array]], job, n_buffers: int):
 
 @dataclass
 class ClipConfig:
-    max_norm: float = 0.1
+    max_norm: float
 
     def __post_init__(self):
         if not (self.max_norm > 0):

@@ -86,6 +86,8 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     distinct k-mer string is numbered instead by its first appearance in
     ``seqs``, which holds one dict entry per distinct k-mer.
     """
+    if not seqs:
+        return []
     codes, sizes = _kmer_table(seqs, k)
     return np.split(codes, np.cumsum(sizes[:-1]))
 
@@ -104,7 +106,7 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
     base = int(digit[-1]) + 1
     span = base ** k
-    if k >= 64 or span > _INT64_MAX:
+    if span > _INT64_MAX:
         number: dict[str, int] = {}
         sets = [np.unique([number.setdefault(seq[i:i + k], len(number))
                            for i in range(max(len(seq) - k + 1, 1))])
@@ -315,7 +317,8 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
     Cluster weight is its total mutation count (``weights`` per protein,
     default 1 each). Clusters are shuffled by seed, processed heaviest
     first (the shuffle breaks ties), and each goes to whichever side
-    keeps the achieved validation fraction closest to the target.
+    keeps the achieved validation fraction closest to the target. Two or
+    more clusters of total weight 0 raise ConfigError.
     """
     train_part, val_part = check_ratio(ratio)
     if seed < 0:
@@ -323,27 +326,27 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
     if not clusters:
         raise ConfigError("no clusters to split")
     target = val_part / (train_part + val_part)
-
-    def cluster_weight(c: Cluster) -> int:
-        if weights is None:
-            return len(c.members)
-        return sum(weights.get(m, 0) for m in c.members)
-
     rep = {m: c.representative for c in clusters for m in c.members}
     if len(clusters) == 1:
         logger.warning("single cluster: assigning everything to train")
         assignment = {m: "train" for m in clusters[0].members}
         return SplitAssignment(assignment, rep, seed, identity_threshold)
 
+    weight = [len(c.members) if weights is None
+              else sum(weights.get(m, 0) for m in c.members) for c in clusters]
+    if not sum(weight):
+        raise ConfigError(f"the {len(clusters)} clusters have total weight 0: "
+                          "none of their proteins has a record")
     rng = np.random.default_rng(seed)
-    order = [clusters[i] for i in rng.permutation(len(clusters))]
-    order.sort(key=cluster_weight, reverse=True)  # stable: shuffle breaks ties
+    # stable: the shuffle breaks ties
+    order = sorted(rng.permutation(len(clusters)).tolist(),
+                   key=weight.__getitem__, reverse=True)
 
     assignment: dict[str, str] = {}
     val_total = 0.0
     grand_total = 0.0
-    for c in order:
-        w = cluster_weight(c)
+    for i in order:
+        c, w = clusters[i], weight[i]
         new_total = grand_total + w
         err_train = abs(val_total / new_total - target)
         err_val = abs((val_total + w) / new_total - target)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from .checkpoint import save_checkpoint
 from .data import EmbeddingBundle, MutationRecord, check_track_set
 from .errors import ConfigError, DataError, NumericError
-from .heads import MODEL_KINDS, EnsembleModel, build_model
+from .heads import MODEL_KINDS, EnsembleModel, LossBreakdown, build_model
 from .metrics import MetricsReport, compute_report
 from .optim import AdamState, ClipConfig, OneCycleSchedule, adam_step, \
     clip_scale, onecycle_lr
@@ -79,25 +79,6 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**d)
-
-
-@dataclass
-class LossBreakdown:
-    """Per-term training losses in (degrees C)^2.
-
-    Single-head runs report their MSE as ``l_head1`` with the other two
-    terms zero, so ``l_total == l_head1`` there.
-    """
-
-    l_head1: float
-    l_head2: float
-    l_ensemble: float
-    l_total: float
-
-    @classmethod
-    def from_components(cls, parts: dict[str, float]) -> "LossBreakdown":
-        return cls(parts["head1"], parts["head2"], parts["ensemble"],
-                   parts["total"])
 
 
 def compute_losses(y1: float, y2: float, y_ens: float,
@@ -234,7 +215,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
     step_log: list[StepStats] = []
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_train)
-        epoch_parts: dict[str, float] = {}
+        sums = [0.0] * len(fields(LossBreakdown))  # per loss term, in order
         for start in range(0, n_train, config.batch_size):
             batch = [train_records[i] for i in order[start:start + config.batch_size]]
             samples = [(*_bundle_pair(r, bundles), r.dtm) for r in batch]
@@ -242,8 +223,8 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             # a diverging run overflows here; the loss and gradient-norm
             # checks report it, so numpy's own warnings are only noise
             with np.errstate(over="ignore", invalid="ignore"):
-                loss_node, parts = model.batch_loss(tape, samples)
-                if not math.isfinite(parts["total"]):
+                loss_node, losses = model.batch_loss(tape, samples)
+                if not math.isfinite(losses.l_total):
                     raise NumericError(f"non-finite loss at step {step}, epoch {epoch}, "
                                        f"on batch {[r.mut_variant_id for r in batch]}")
                 grads = tape.backward(loss_node)
@@ -252,11 +233,8 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             lr = onecycle_lr(step, sched)
             adam_step(trainable, grads, adam, lr, grad_scale=scale)
             del grads  # free them before the next step's backward makes new ones
-            step_log.append(StepStats(step, epoch, lr, norm, scale,
-                                      LossBreakdown.from_components(parts)))
-            for key, v in parts.items():
-                epoch_parts[key] = epoch_parts.get(key, 0.0) + v * len(batch)
-        mean_parts = {k: v / n_train for k, v in epoch_parts.items()}
+            step_log.append(StepStats(step, epoch, lr, norm, scale, losses))
+            sums = [s + v * len(batch) for s, v in zip(sums, astuple(losses))]
         ev = None
         if val_records:
             # pearson raises ConfigError below two records and NumericError
@@ -266,7 +244,7 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
             except (ConfigError, NumericError) as exc:
                 logger.warning("epoch %d: validation metrics undefined (%s)",
                                epoch, exc)
-        history.append(EpochStats(epoch, LossBreakdown.from_components(mean_parts),
+        history.append(EpochStats(epoch, LossBreakdown(*(v / n_train for v in sums)),
                                   ev.report if ev is not None else None))
 
     result = TrainResult(model, history, adam, step_log, ev)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meltshift import cli, splitter
+from meltshift import cli, gradcheck, splitter
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
 from meltshift.data import load_dataset, read_bundles, write_bundles, write_dataset
@@ -779,6 +779,11 @@ def test_train_manifest_digests_inputs_as_read(pipeline, tmp_path, monkeypatch):
     assert manifest["inputs"][str(dataset)] == original
 
 
+BAD_ROWS = {"row_with_three_fields": "P1,MKIL,L4A\n",
+            "empty_protein_id": ",MKIL,L4A,1.0\n",
+            "empty_wt_sequence": "P1,,L4A,1.0\n"}
+
+
 def _exit_path_argv(case, dataset, bundles, tmp_path):
     """The argv of one exit path that no other test runs."""
     ckpt = tmp_path / "m.ckpt"
@@ -804,6 +809,21 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
         empty = tmp_path / "empty.csv"
         write_dataset(empty, [])
         return ["prepare-split", empty, "--out", tmp_path / "s.csv"]
+    if case == "clusters_without_records":
+        empty, tsv = tmp_path / "empty.csv", tmp_path / "two.tsv"
+        write_dataset(empty, [])
+        tsv.write_text("A\tA\nB\tB\n")
+        return ["prepare-split", empty, "--out", tmp_path / "s.csv",
+                "--clusters-tsv", tsv]
+    if case == "train_without_records":
+        empty = tmp_path / "empty.csv"
+        write_dataset(empty, [])
+        return ["train", empty, bundles, "--out", tmp_path / "run"]
+    if case in BAD_ROWS:
+        bad = tmp_path / "bad.csv"
+        bad.write_text("protein_id,wt_sequence,mutation,dtm\n" + BAD_ROWS[case],
+                       encoding="utf-8")
+        return ["prepare-split", bad, "--out", tmp_path / "s.csv"]
     if case == "every_protein_on_val":
         split = tmp_path / "all_val.csv"
         split.write_text("protein_id,split,cluster_rep\n" + "".join(
@@ -844,6 +864,13 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
     ("split_duplicate_protein", 3,
      "data error: {tmp}/doubled.csv:3: duplicate protein 'P000'"),
     ("dataset_without_records", 2, "config error: no clusters to split"),
+    ("clusters_without_records", 2, "config error: the 2 clusters have total "
+                                    "weight 0: none of their proteins has a record"),
+    ("train_without_records", 3, "data error: empty dataset"),
+    ("row_with_three_fields", 3,
+     "data error: {tmp}/bad.csv:2: expected 4 fields, got 3"),
+    ("empty_protein_id", 3, "data error: {tmp}/bad.csv:2: empty protein_id"),
+    ("empty_wt_sequence", 3, "data error: {tmp}/bad.csv:2: P1: empty sequence"),
 ])
 def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
     dataset, bundles, _ = pipeline
@@ -853,3 +880,12 @@ def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1] == message.format(tmp=tmp_path)
     assert captured.out == ""
+
+
+def test_defaults_are_the_module_constants():
+    parser = cli.build_parser()
+    args = parser.parse_args(["prepare-split", "D", "--out", "O"])
+    assert args.identity == splitter.DEFAULT_IDENTITY
+    assert cli._parse_ratio(args.ratio) == splitter.DEFAULT_RATIO
+    assert args.kmer == splitter.DEFAULT_KMER
+    assert parser.parse_args(["gradcheck"]).step == gradcheck.DEFAULT_FD_STEP

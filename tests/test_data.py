@@ -163,6 +163,16 @@ class TestDataset:
             MutationRecord("P1", seq, Mutation(1, "M", "A"), 1.0)
         assert str(caught.value) == f"P1: non-canonical residues {bad}"
 
+    def test_blank_row_skipped_and_still_counted_as_a_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "protein_id,wt_sequence,mutation,dtm\n"
+            "P1,MKIL,L4A,1.0\n\nP1,MKIL,K2C\n"
+        )
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{path}:4: expected 4 fields, got 3"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,seq,mut,y\nP1,MKIL,L4A,1.0\n")

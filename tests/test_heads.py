@@ -9,6 +9,7 @@ from meltshift.heads import (
     MODEL_KINDS,
     HeadKind,
     LinearParams,
+    LossBreakdown,
     TrackProjection,
     build_ensemble,
     build_model,
@@ -282,10 +283,10 @@ class TestEnsemble:
         model = build_ensemble(d_raw=10, d_proj=4, seed=1)
         samples = [(random_bundle("A:WT", 10, 1), random_bundle("A:M", 10, 2), 1.0),
                    (random_bundle("B:WT", 10, 3), random_bundle("B:M", 10, 4), -2.0)]
-        total, parts = model.batch_loss(Tape(), samples)
-        assert parts["total"] == pytest.approx(
-            parts["head1"] + parts["head2"] + parts["ensemble"], abs=1e-12)
-        assert total.value[0] == pytest.approx(parts["total"])
+        total, losses = model.batch_loss(Tape(), samples)
+        assert losses.l_total == pytest.approx(
+            losses.l_head1 + losses.l_head2 + losses.l_ensemble, abs=1e-12)
+        assert total.value[0] == pytest.approx(losses.l_total)
 
 
 @pytest.mark.parametrize("kind", list(HeadKind))
@@ -295,11 +296,11 @@ def test_single_head_is_an_ensemble_of_one(kind):
     bw, bm = random_bundle("S:WT", 7, 1), random_bundle("S:M", 7, 2)
     y1, y2, y_ens = model.predict(bw, bm)
     assert y1 == y2 == y_ens
-    total, parts = model.batch_loss(Tape(), [(bw, bm, 0.5)])
+    total, losses = model.batch_loss(Tape(), [(bw, bm, 0.5)])
     mse = (y1 - 0.5) ** 2
-    assert parts == {"head1": pytest.approx(mse, rel=1e-12), "head2": 0.0,
-                     "ensemble": 0.0, "total": pytest.approx(mse, rel=1e-12)}
-    assert total.value[0] == parts["total"]
+    assert losses == LossBreakdown(pytest.approx(mse, rel=1e-12), 0.0, 0.0,
+                                   pytest.approx(mse, rel=1e-12))
+    assert total.value[0] == losses.l_total
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -70,6 +70,10 @@ class TestClipping:
         with pytest.raises(ConfigError):
             ClipConfig(0.0)
 
+    def test_bound_has_no_default(self):
+        with pytest.raises(TypeError):
+            ClipConfig()
+
     @pytest.mark.parametrize("seed", range(5))
     def test_wrapper_scales_by_clip_scale(self, seed):
         rng = np.random.default_rng(seed)

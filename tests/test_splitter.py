@@ -305,6 +305,9 @@ class TestGreedyCluster:
         assert peak <= 64 * 1024
         assert [s.tolist() for s in sets] == [[28], [24]]
 
+    def test_no_sequences_have_no_kmer_sets(self):
+        assert kmer_codes([], 5) == []
+
     def test_long_corpus_peak_memory_held_to_residue_budget(self):
         # 2.1M residues, eight PAIR_BLOCKs: the k-mer build holds one
         # block of int64 working arrays, not every residue's
@@ -370,6 +373,20 @@ class TestSplitClusters:
     def test_no_clusters_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^no clusters to split$"):
             split_clusters([], (8, 2), seed=0)
+
+    @pytest.mark.parametrize("weights", [{}, {"A": 0, "B": 0}])
+    def test_zero_total_weight_is_config_error(self, weights):
+        clusters = [Cluster("A", ["A"]), Cluster("B", ["B"])]
+        with pytest.raises(ConfigError, match=r"^the 2 clusters have total "
+                           r"weight 0: none of their proteins has a record$"):
+            split_clusters(clusters, (8, 2), seed=0, weights=weights)
+
+    def test_zero_weight_cluster_beside_weighted_ones_goes_to_train(self):
+        clusters = [Cluster("A", ["A"]), Cluster("B", ["B"]), Cluster("C", ["C"])]
+        for seed in range(10):
+            split = split_clusters(clusters, (8, 2), seed=seed,
+                                   weights={"A": 8, "B": 2})
+            assert split.assignment == {"A": "train", "B": "val", "C": "train"}
 
     def test_weighted_by_mutation_count(self):
         clusters = [Cluster("A", ["A"]), Cluster("B", ["B"])]
