@@ -39,7 +39,7 @@ from .errors import ConfigError, DataError, MeltshiftError, NumericError
 from .gradcheck import DEFAULT_FD_STEP, GRAD_TOLERANCE, check_model
 from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
-from .splitter import DEFAULT_IDENTITY, DEFAULT_KMER, DEFAULT_RATIO, \
+from .splitter import DEFAULT_IDENTITY, DEFAULT_KMER, DEFAULT_RATIO, MAX_KMER, \
     check_ratio, load_clusters_tsv, read_split, split_records, write_split
 from .trainer import TrainConfig, evaluate, train
 
@@ -160,8 +160,6 @@ def cmd_train(args) -> int:
     records = load_dataset(args.dataset)
     bundles = read_bundles(args.bundles)
     split = read_split(args.split) if args.split else None
-    if args.final_retrain:
-        split = None  # retrain on everything after model selection
     rundir = Path(args.out)
     rundir.mkdir(parents=True, exist_ok=True)
     _write_json(rundir / "config.json", config.to_dict())
@@ -313,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", type=float, default=DEFAULT_IDENTITY)
     p.add_argument("--ratio", default="%d:%d" % DEFAULT_RATIO)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kmer", type=int, default=DEFAULT_KMER)
+    p.add_argument("--kmer", type=int, default=DEFAULT_KMER,
+                   help=f"k-mer length, 1-{MAX_KMER}")
     p.add_argument("--clusters-tsv",
                    help="import externally computed clusters instead")
     p.set_defaults(func=cmd_prepare_split)
@@ -343,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--d-proj", type=int)
     p.add_argument("--tracks", choices=list(TRACK_SETS))
-    p.add_argument("--final-retrain", action="store_true",
-                   help="train on train+val after model selection")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -152,6 +152,16 @@ def apply_mutation(seq: str, mu: Mutation) -> str:
 # labeled records
 
 
+def check_sequence(seq: str, where: str = "") -> None:
+    """Raise DataError, its message led by ``where``, unless ``seq`` is a
+    nonempty string of the 20 amino acids."""
+    if not seq:
+        raise DataError(f"{where}empty sequence")
+    # ASCII, and nothing left once the amino-acid bytes are deleted
+    if not seq.isascii() or seq.encode().translate(None, _AA_BYTES):
+        raise DataError(f"{where}non-canonical residues {sorted(set(seq) - _AA_SET)}")
+
+
 def variant_ids(protein_id: str, code: str) -> tuple[str, str]:
     """The bundle ids of a mutation's wild type and mutant: ``P:WT``, ``P:CODE``."""
     return f"{protein_id}:WT", f"{protein_id}:{code}"
@@ -169,14 +179,8 @@ class MutationRecord:
     def __post_init__(self):
         if not self.protein_id:
             raise DataError("empty protein_id")
-        if not self.wt_sequence:
-            raise DataError(f"{self.protein_id}: empty sequence")
-        seq = self.wt_sequence
-        # ASCII, and nothing left once the amino-acid bytes are deleted
-        if not seq.isascii() or seq.encode().translate(None, _AA_BYTES):
-            bad = sorted(set(seq) - _AA_SET)
-            raise DataError(f"{self.protein_id}: non-canonical residues {bad}")
-        _check_site(seq, self.mutation)
+        check_sequence(self.wt_sequence, f"{self.protein_id}: ")
+        _check_site(self.wt_sequence, self.mutation)
         if not math.isfinite(self.dtm):
             raise DataError(f"{self.protein_id} {self.mutation.code}: non-finite dtm")
 
@@ -231,7 +235,8 @@ def load_dataset(path) -> list[MutationRecord]:
             raise DataError(
                 f"{path}: bad header {header!r}, expected {DATASET_HEADER!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row:
                 continue
             if len(row) != 4:

@@ -7,7 +7,9 @@ cluster spans train and validation. Externally produced cluster tables
 (tab-separated ``representative<TAB>member`` lines) can be imported with
 :func:`load_clusters_tsv` to use a real aligner's clustering instead.
 
-K-mer codes are built over blocks of whole sequences. Clustering sorts
+A k-mer's code reads its amino acids as base-21 digits, with k from 1 to 12:
+no threshold needs longer words (CD-HIT's are 2-5, Li & Godzik 2006). K-mer
+codes are built over blocks of whole sequences. Clustering sorts
 one table of (code, protein) entries by code and keeps only the k-mers
 two or more proteins hold, so proteins that share no k-mer are never
 compared (the prefilter idea of MMseqs2, Steinegger & Söding 2017, kept
@@ -24,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import text_errors, wild_types
+from .data import AMINO_ACIDS, check_sequence, text_errors, wild_types
 from .errors import ConfigError, DataError
 from .tape import _run_pair
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_KMER = 5
+MAX_KMER = 12
 DEFAULT_IDENTITY = 0.5
 DEFAULT_RATIO = (8, 2)
 
@@ -40,6 +43,10 @@ PAIR_BLOCK = 1 << 18
 
 SPLIT_HEADER = ["protein_id", "split", "cluster_rep"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# a residue's k-mer digit is 1 + its index in AMINO_ACIDS: 0 pads short sequences
+_BASE = len(AMINO_ACIDS) + 1
+_DIGIT = np.zeros(128, np.int64)
+_DIGIT[np.frombuffer(AMINO_ACIDS.encode(), np.uint8)] = np.arange(1, _BASE)
 
 
 @dataclass
@@ -70,22 +77,25 @@ def _check_options(threshold: float = DEFAULT_IDENTITY, k: int = DEFAULT_KMER):
         raise ConfigError(f"identity threshold must be in (0, 1], got {threshold}")
     if k < 1:
         raise ConfigError(f"k-mer length must be >= 1, got {k}")
+    if k > MAX_KMER:
+        raise ConfigError(f"k-mer length must be <= {MAX_KMER}, got {k}")
 
 
 def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
-    """Each sequence's distinct k-mer codes, sorted, all in one code space.
+    """Each sequence's distinct k-mer codes, sorted.
 
-    A letter's digit is 1 + its rank among the letters of ``seqs``, and a
-    k-mer's code reads its digits in base ``letters + 1``; a sequence
-    shorter than k is padded with 0 to one k-mer, which no full k-mer
-    equals. k is capped at the longest sequence + 1. Codes are rolled over
-    blocks of whole sequences of at most ``PAIR_BLOCK // 2`` residues (or
-    one longer sequence), and each block sorts its ``owner * base**k + code``
-    keys once; a block holds at most ``int64 max // base**k`` sequences, so
-    every key fits int64. Where ``base**k`` itself overflows int64, each
-    distinct k-mer string is numbered instead by its first appearance in
-    ``seqs``, which holds one dict entry per distinct k-mer.
+    A residue's digit is 1 + its index in ``AMINO_ACIDS`` and a k-mer's
+    code reads its digits in base 21, so a sequence's codes are the same in
+    any corpus; a sequence shorter than k is padded with 0 to one k-mer,
+    which no full k-mer equals. A sequence holding any other letter raises
+    DataError, and k outside 1-12 ConfigError. Codes are rolled over blocks
+    of whole sequences of at most ``PAIR_BLOCK // 2`` residues (or one
+    longer sequence), and each block sorts its ``owner * 21**k + code``
+    keys once; a block holds at most ``int64 max // 21**k`` sequences (1253
+    at k=12), so every key fits int64.
     """
+    for seq in seqs:
+        check_sequence(seq)
     if not seqs:
         return []
     codes, sizes = _kmer_table(seqs, k)
@@ -93,25 +103,12 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
 
 
 def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The codes of :func:`kmer_codes` in one array, and each sequence's count."""
+    """The codes of :func:`kmer_codes` in one array, and each sequence's
+    count, for sequences that :func:`data.check_sequence` passed."""
     _check_options(k=k)
     lengths = np.array([len(seq) for seq in seqs])
-    if not lengths.all():
-        raise DataError("empty sequence")
-    k = min(k, int(lengths.max()) + 1)
-    points = np.frombuffer("".join(seqs).encode("utf-32-le", "surrogatepass"),
-                           dtype="<u4")
-    if points.max() >= len(points):  # no lookup longer than the input
-        points = np.unique(points, return_inverse=True)[1]
-    digit = np.cumsum(np.bincount(points) > 0)  # 1-based rank of each letter
-    base = int(digit[-1]) + 1
-    span = base ** k
-    if span > _INT64_MAX:
-        number: dict[str, int] = {}
-        sets = [np.unique([number.setdefault(seq[i:i + k], len(number))
-                           for i in range(max(len(seq) - k + 1, 1))])
-                for seq in seqs]
-        return np.concatenate(sets), np.array([len(s) for s in sets])
+    points = np.frombuffer("".join(seqs).encode("ascii"), dtype=np.uint8)
+    span = _BASE ** k
     seq_start = np.concatenate(([0], np.cumsum(lengths)))
     pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
     bounds, half = [0], max(PAIR_BLOCK // 2, 1)
@@ -128,10 +125,10 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
             to = np.repeat((pad_start - seq_start)[i0:i1] - p0, lengths[i0:i1])
             to += np.arange(residues.start, residues.stop)
         digits = np.zeros(n + k - 1, np.int64)
-        digits[to] = np.take(digit, points[residues])
+        digits[to] = np.take(_DIGIT, points[residues])
         x = digits[:n].copy()
         for p in range(1, k):
-            x *= base
+            x *= _BASE
             x += digits[p:p + n]
         # a window crossing into the next sequence repeats its owner's first
         x[(pad_start[i0 + 1:i1 + 1] - p0)[:, None] - np.arange(1, k)] = \
@@ -165,8 +162,7 @@ def greedy_cluster(proteins, threshold: float,
     _check_options(threshold)
     items = dict(proteins)
     for pid, seq in items.items():
-        if not seq:
-            raise DataError(f"{pid}: empty sequence")
+        check_sequence(seq, f"{pid}: ")
     ordered = sorted(items, key=lambda pid: (-len(items[pid]), pid))
     if not ordered:
         return []
@@ -398,7 +394,8 @@ def read_split(path) -> dict[str, str]:
         header = next(reader, None)
         if header != SPLIT_HEADER:
             raise DataError(f"{path}: bad split manifest header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted field may span lines
             if not row:
                 continue
             if len(row) != 3 or row[1] not in ("train", "val"):

@@ -86,6 +86,7 @@ class TestPrepareSplit:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--kmer", 0, "k-mer length must be >= 1, got 0"),
+        ("--kmer", 13, "k-mer length must be <= 12, got 13"),
         ("--identity", 5, "identity threshold must be in (0, 1], got 5.0"),
     ])
     def test_clusters_tsv_still_checks_kmer_and_identity(
@@ -305,13 +306,14 @@ class TestTrainEvalPredict:
         (n,) = struct.unpack_from("<I", blob, 8)
         assert json.loads(blob[12:12 + n])["modalities"] == ["seq", "struct"]
 
-    def test_final_retrain_ignores_split(self, pipeline, tmp_path):
-        dataset, bundles, split = pipeline
+    def test_final_retrain_runs_without_split(self, pipeline, tmp_path):
+        dataset, bundles, _ = pipeline
         rundir = tmp_path / "run_fr"
-        assert run("train", dataset, bundles, "--out", rundir, "--split", split,
-                   "--final-retrain", "--epochs", 1, "--d-proj", 4,
-                   "--max-lr", 1e-2, "--seed", 1) == 0
-        # no validation side -> no eval artifacts
+        assert run("train", dataset, bundles, "--out", rundir, "--epochs", 1,
+                   "--d-proj", 4, "--max-lr", 1e-2, "--seed", 1) == 0
+        # no split to copy and no validation side -> no eval artifacts
+        assert (rundir / "checkpoint.bin").exists()
+        assert not (rundir / "split.csv").exists()
         assert not (rundir / "eval.json").exists()
 
 
@@ -842,6 +844,8 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
                            "--ratio", "8"],
         "ratio_not_integers": ["prepare-split", dataset, "--out",
                                tmp_path / "s.csv", "--ratio", "a:b"],
+        "kmer_above_twelve": ["prepare-split", dataset, "--out", tmp_path / "s.csv",
+                              "--kmer", 13],
         "predict_no_specs": ["predict", ckpt, bundles],
         "predict_spec_without_colon": ["predict", ckpt, bundles,
                                        "--mutations", "L4A"],
@@ -851,6 +855,7 @@ def _exit_path_argv(case, dataset, bundles, tmp_path):
 @pytest.mark.parametrize("case,code,message", [
     ("ratio_one_part", 2, "config error: ratio must look like 8:2, got '8'"),
     ("ratio_not_integers", 2, "config error: ratio must be integers, got 'a:b'"),
+    ("kmer_above_twelve", 2, "config error: k-mer length must be <= 12, got 13"),
     ("clusters_tsv_lacks_protein", 3,
      "data error: cluster table lacks proteins: ['P000']"),
     ("predict_no_specs", 2, "config error: no mutations given: use --mutations "

@@ -173,6 +173,15 @@ class TestDataset:
             load_dataset(path)
         assert str(caught.value) == f"{path}:4: expected 4 fields, got 3"
 
+    def test_quoted_field_over_two_lines_counts_both(self, tmp_path):
+        # row 2's dtm spans lines 2-3, so the three-field row is line 4
+        path = tmp_path / "d.csv"
+        path.write_text('protein_id,wt_sequence,mutation,dtm\n'
+                        'P1,MKIL,L4A,"1.0\n"\nP1,MKIL,K2C\n')
+        with pytest.raises(DataError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == f"{path}:4: expected 4 fields, got 3"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,seq,mut,y\nP1,MKIL,L4A,1.0\n")

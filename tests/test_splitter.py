@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,27 +65,31 @@ def reference_greedy_cluster(proteins, threshold, k=5):
     return clusters
 
 
+# each residue's base-21 digit, 1 + its index in AMINO_ACIDS, as a character
+DIGIT_CHARS = str.maketrans(AMINO_ACIDS, "123456789abcdefghijk")
+
+
+def reference_codes(seq, k):
+    """The sorted codes of the string k-mer set, a short sequence's padded with 0."""
+    return sorted(int(mer.translate(DIGIT_CHARS).ljust(k, "0"), 21)
+                  for mer in reference_kmer_set(seq, k))
+
+
 def as_pairs(clusters):
     return [(c.representative, c.members) for c in clusters]
 
 
-# the amino acids plus letters a dataset file would reject
-LETTERS = AMINO_ACIDS + "BJOUXZ*-é"
-
-
 @st.composite
 def corpora(draw):
-    letters = draw(st.sampled_from([AMINO_ACIDS, "A", "AC", "ACDE", "ABCDEFGH",
-                                    LETTERS]))
+    letters = draw(st.sampled_from([AMINO_ACIDS, "A", "AC", "ACDE", "ACDEFGHI",
+                                    "VWY"]))
     sequences = st.text(alphabet=letters, min_size=1, max_size=30)
     return draw(st.dictionaries(st.integers(0, 999).map(lambda i: f"P{i}"),
                                 sequences, min_size=1, max_size=25))
 
 
-# k of 13 and up with 20 or more letters caps a k-mer block at
-# int64 max // base**k sequences or, for base**k beyond int64, takes the
-# path that numbers k-mers by first appearance
-kmer_lengths = st.sampled_from([5, 1, 2, 3, 4, 6, 13, 15, 20, 31, 40])
+# up to 12, the longest k-mer accepted
+kmer_lengths = st.sampled_from([5, 1, 2, 3, 4, 6, 11, 12])
 # every ratio of small counts, so thresholds equal to a Jaccard value
 # occur, and the least positive float, which passes any pair sharing a k-mer
 # (sampled_from favours its first entry, so the defaults come first)
@@ -114,7 +119,7 @@ class TestIdentity:
 
     def test_three_mer_jaccard_by_hand(self):
         # 3-mers: 6 each, 5 shared, union 7
-        got = estimate_identity("ABCDEFGH", "ABCDEFGX", k=3)
+        got = estimate_identity("ACDEFGHI", "ACDEFGHK", k=3)
         assert got == pytest.approx(5.0 / 7.0)
 
     def test_symmetric(self):
@@ -131,8 +136,8 @@ class TestIdentity:
             estimate_identity("", "MKIL")
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.text(alphabet=LETTERS, min_size=1, max_size=30),
-           st.text(alphabet=LETTERS, min_size=1, max_size=30), kmer_lengths)
+    @given(st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30),
+           st.text(alphabet=AMINO_ACIDS, min_size=1, max_size=30), kmer_lengths)
     def test_matches_string_jaccard(self, seq_a, seq_b, k):
         assert estimate_identity(seq_a, seq_b, k) == \
             reference_identity(seq_a, seq_b, k)
@@ -198,21 +203,35 @@ class TestGreedyCluster:
             as_pairs(reference_greedy_cluster(proteins, threshold, k))
 
     @pytest.mark.parametrize("k", [13, 15])
-    def test_wide_kmers_match_reference(self, k):
+    def test_wide_kmers_rejected(self, k):
+        message = f"k-mer length must be <= 12, got {k}"
+        with pytest.raises(ConfigError, match=message):
+            greedy_cluster({"P1": "MKILQWERTYMKIL"}, 0.5, k)
+        with pytest.raises(ConfigError, match=message):
+            estimate_identity("MKILQWERTYMKIL", "MKILQWERTYMKIV", k)
+
+    def test_twelve_mers_match_reference(self):
+        # 12-mer codes reach 2**52.7, and past 2**11 entries the pair stage's
+        # int64 key keeps 52 bits of code: these two 12-mers, 2**52 apart,
+        # would share a key unless the codes are ranked before its sort
+        a, b = "AAAAAAAAAAAA", "PWAAVQIHEWHT"
+        assert reference_codes(b, 12)[0] - reference_codes(a, 12)[0] == 2 ** 52
         rng = np.random.default_rng(3)
-        proteins = {f"P{i}": random_sequence(rng, int(rng.integers(10, 30)))
-                    for i in range(30)}
-        proteins.update({f"H{i}": seq[:-2] + "XZ"
-                         for i, seq in enumerate(list(proteins.values())[:8])})
-        letters = np.unique([ord(c) for c in "".join(proteins.values())])
-        # 22 letters, base 23: 23**13 fits int64, so a k-mer block holds
-        # at most int64 max // 23**13 (18) sequences, and the pair stage
-        # ranks codes before its sort; 23**15 does not fit, so k-mers are
-        # numbered by first appearance in kmer_codes
-        assert len(letters) == 22 and (23 ** k > np.iinfo(np.int64).max) == (k > 13)
+        proteins = {f"P{i}": random_sequence(rng, int(rng.integers(20, 40)))
+                    for i in range(150)}
+        proteins.update({f"H{i}": seq[:-2] + "WY"
+                         for i, seq in enumerate(list(proteins.values())[:30])})
+        proteins.update(A=a, B=b)
+        entries = sum(map(len, kmer_codes(list(proteins.values()), 12)))
+        assert 2 ** 11 < entries <= 2 ** 12
         for threshold in (0.2, 0.5, 1.0):
-            assert as_pairs(greedy_cluster(proteins, threshold, k)) == \
-                as_pairs(reference_greedy_cluster(proteins, threshold, k))
+            assert as_pairs(greedy_cluster(proteins, threshold, 12)) == \
+                as_pairs(reference_greedy_cluster(proteins, threshold, 12))
+
+    def test_letter_outside_amino_acids_names_the_protein(self):
+        proteins = {"P1": "MKILQWERTY", "P2": "MKILQXERTY"}
+        with pytest.raises(DataError, match=r"^P2: non-canonical residues \['X'\]$"):
+            greedy_cluster(proteins, 0.5)
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_small_blocks_match_reference(self, block, monkeypatch):
@@ -254,24 +273,31 @@ class TestGreedyCluster:
             assert len(got) == 1
 
     @pytest.mark.parametrize("block", [1, 5, 64, splitter.PAIR_BLOCK])
-    @pytest.mark.parametrize("k", [1, 5, 13, 15])
+    @pytest.mark.parametrize("k", [1, 5, 12, 13, 15])
     def test_kmer_blocks_keep_sequence_boundaries(self, k, block, monkeypatch):
         monkeypatch.setattr(splitter, "PAIR_BLOCK", block)
         rng = np.random.default_rng(k)
         seqs = [random_sequence(rng, n) for n in rng.integers(1, 30, size=30)]
         # a window crossing from sequence i into i + 1 is a k-mer of their
-        # join; X and é make 22 letters, so k=13 caps each block at 18
-        # sequences, which cuts these 45 into three or more blocks, and
-        # k=15 takes the path that numbers k-mers by first appearance
+        # join; at k=12 a block holds at most int64 max // 21**12 (1253)
+        # sequences, which cuts these 1345 into two or more blocks
         seqs += [seqs[i] + seqs[i + 1] for i in range(0, 20, 2)]
-        seqs += ["X" + seqs[0], seqs[1] + "é", "é", "X",
-                 random_sequence(rng, 100)]
-        sets = kmer_codes(seqs, k)
-        want = [reference_kmer_set(seq, k) for seq in seqs]
-        assert [len(s) for s in sets] == [len(w) for w in want]
-        for a, b in itertools.combinations(range(len(seqs)), 2):
-            assert len(np.intersect1d(sets[a], sets[b])) == \
-                len(want[a] & want[b]), (a, b)
+        seqs += ["W" + seqs[0], seqs[1] + "Y", "Y", "W", random_sequence(rng, 100)]
+        seqs += [random_sequence(rng, n) for n in rng.integers(1, 8, size=1300)]
+        if k > splitter.MAX_KMER:  # rejected before any block is cut
+            with pytest.raises(ConfigError, match=f"must be <= 12, got {k}"):
+                kmer_codes(seqs, k)
+            return
+        assert [s.tolist() for s in kmer_codes(seqs, k)] == \
+            [reference_codes(seq, k) for seq in seqs]
+
+    def test_codes_do_not_depend_on_the_corpus(self):
+        # the second sequence's letters sort before every letter of the first
+        a, b = "WYVWTYVW", "ACDEFGHI"
+        for k in (1, 3, 5, 12):
+            alone, = kmer_codes([a], k)
+            assert kmer_codes([a, b], k)[0].tolist() == alone.tolist() == \
+                reference_codes(a, k)
 
     def test_peak_memory_held_to_block_budget(self):
         proteins = polya_corpus(800, 150, 10)
@@ -292,18 +318,14 @@ class TestGreedyCluster:
         assert peak <= bound
 
 
-    def test_wide_code_points_peak_memory_held_to_input(self):
-        # U+10FFFF once sized a lookup of 1.1M letters (19 MB); letters are
-        # ranked instead where the largest code point passes the residue count
-        kmer_codes(["AY", "AC"], 5)
-        tracemalloc.start()
-        try:
-            sets = kmer_codes(["A\U0010FFFF", "AC"], 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 1024
-        assert [s.tolist() for s in sets] == [[28], [24]]
+    def test_letters_outside_amino_acids_rejected(self):
+        for seq, letters in [("A\U0010FFFF", ["\U0010FFFF"]), ("ACX", ["X"]),
+                             ("aC", ["a"]), ("A-B", ["-", "B"])]:
+            message = f"^non-canonical residues {re.escape(repr(letters))}$"
+            with pytest.raises(DataError, match=message):
+                kmer_codes(["MKIL", seq], 5)
+            with pytest.raises(DataError, match=message):
+                estimate_identity(seq, "MKIL")
 
     def test_no_sequences_have_no_kmer_sets(self):
         assert kmer_codes([], 5) == []
@@ -488,6 +510,14 @@ class TestManifest:
         path = tmp_path / "split.csv"
         path.write_text("protein_id,split,cluster_rep\nP1,train,P1\n\nP2,val,P2\n\n")
         assert read_split(path) == {"P1": "train", "P2": "val"}
+
+    def test_read_counts_the_lines_of_a_quoted_field(self, tmp_path):
+        # row 2's cluster_rep spans lines 2-3, so the bad row is line 4
+        path = tmp_path / "split.csv"
+        path.write_text('protein_id,split,cluster_rep\nP1,train,"P\n1"\nP2,test,P2\n')
+        with pytest.raises(DataError) as caught:
+            read_split(path)
+        assert str(caught.value) == f"{path}:4: bad split row ['P2', 'test', 'P2']"
 
     def test_cluster_tsv_skips_blank_lines(self, tmp_path):
         path = tmp_path / "clusters.tsv"
