@@ -25,8 +25,8 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work, and the splitter's k-mer and shared-k-mer blocks,
-  may run on two workers, bit for bit (:func:`_run_pair`).
+* Parameter-sized work, a large linear's forward (W's row halves) and the
+  splitter's blocks may run on two workers, bit for bit (:func:`_run_pair`).
 """
 
 from __future__ import annotations
@@ -178,7 +178,12 @@ class Tape:
                               lambda: np.matmul(rows.T, xval.reshape(-1, n), out=dW))
             return dW, dx, rows.sum(axis=0)
 
-        return self._emit(xval @ Wval.T + b.value, (W, x, b), backward)
+        # W's row halves from CHUNK entries on (a split by size alone), else W whole
+        h, out = m // 2 if Wval.size >= CHUNK else m, np.empty(xval.shape[:-1] + (m,))
+        _run_pair(Wval.size, lambda: np.matmul(xval, Wval[:h].T, out=out[..., :h]),
+                  lambda: np.matmul(xval, Wval[h:].T, out=out[..., h:]))
+        out += b.value
+        return self._emit(out, (W, x, b), backward)
 
     def outer_flatten(self, u: Node, v: Node) -> Node:
         """Per-row flattened outer product: out[.., i*d + j] = u[.., i] * v[.., j]."""

@@ -47,6 +47,22 @@ class TestClipping:
             assert np.array_equal(once[k], twice[k])
         assert global_grad_norm(once) <= 0.1
 
+    def test_clipped_norm_within_bound_at_any_scale(self):
+        # the margin covers the norm's rounding: 1-5 parameters of up to
+        # three blocks, magnitudes 1e-140 to 1e140, bounds 1e-5 to 1e5
+        clipped = 0
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            grads = {f"p{i}": rng.uniform(-1.0, 1.0, int(rng.integers(1, 3 * CHUNK + 1)))
+                     * 10.0 ** rng.uniform(-140, 140) for i in range(rng.integers(1, 6))}
+            cfg = ClipConfig(10.0 ** rng.uniform(-5, 5))
+            once, norm = clip_global_norm(grads, cfg)
+            twice, _ = clip_global_norm(once, cfg)
+            assert global_grad_norm(once) <= cfg.max_norm, seed
+            assert all(np.array_equal(once[k], twice[k]) for k in grads), seed
+            clipped += norm > cfg.max_norm
+        assert clipped > 500
+
     def test_direction_preserved(self):
         rng = np.random.default_rng(3)
         grads = {"w": rng.normal(size=6)}
@@ -84,7 +100,6 @@ class TestClipping:
         assert scale < 1.0 and wrapper_norm == norm
         for k in grads:
             assert np.array_equal(clipped[k], grads[k] * scale)
-        assert global_grad_norm(grads, scale) == global_grad_norm(clipped)
 
     def test_scale_is_one_within_the_bound(self):
         grads = {"w": np.array([0.03, 0.04])}
@@ -99,18 +114,32 @@ class TestClipping:
             clip_scale(grads, ClipConfig(0.1))
 
 
-def scalar_adam_trajectory(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999,
-                           eps=1e-8):
-    """Independent scalar Adam oracle (pure python floats)."""
+B1, B2, EPS = 0.9, 0.999, 1e-8
+
+
+def textbook_update(m, v, t, lr):
+    """Kingma & Ba's Algorithm 1: ``lr * m_hat / (sqrt(v_hat) + eps)``."""
+    m_hat = m / (1.0 - B1 ** t)
+    v_hat = v / (1.0 - B2 ** t)
+    return lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def efficient_update(m, v, t, lr):
+    """The same in exact arithmetic, with one divide per element (Kingma &
+    Ba, section 2): ``(m / (sqrt(v) + eps_hat)) * step``."""
+    root = math.sqrt(1.0 - B2 ** t)
+    return (m / (np.sqrt(v) + EPS * root)) * (lr * root / (1.0 - B1 ** t))
+
+
+def scalar_adam_trajectory(w0, grad_fn, lr, steps, update=textbook_update):
+    """Independent scalar Adam oracle (python floats)."""
     w, m, v = w0, 0.0, 0.0
     out = []
     for t in range(1, steps + 1):
         g = grad_fn(w)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        w -= lr * m_hat / (math.sqrt(v_hat) + eps)
+        m = B1 * m + (1.0 - B1) * g
+        v = B2 * v + (1.0 - B2) * (g * g)
+        w -= update(m, v, t, lr)
         out.append(w)
     return out
 
@@ -158,7 +187,7 @@ class TestAdam:
             adam_step(params, {"w": 2.0 * params["w"]}, state, lr=0.05)
         for i in range(4):
             oracle = scalar_adam_trajectory(float(w0[i]), lambda w: 2.0 * w,
-                                            0.05, 20)
+                                            0.05, 20, efficient_update)
             assert params["w"][i] == oracle[-1]
 
     def test_quadratic_converges_toward_zero(self):
@@ -215,18 +244,51 @@ class TestAdam:
         params = {"w": w.copy()}
         state = AdamState.init(params)
         m, v = np.zeros_like(w), np.zeros_like(w)
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.02
+        b1, b2, lr = 0.9, 0.999, 0.02
         for t in range(1, 6):
             g = rng.normal(size=w.size)
             adam_step(params, {"w": g}, state, lr)
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            w -= efficient_update(m, v, t, lr)
         assert np.array_equal(params["w"], w)
         assert np.array_equal(state.m["w"], m)
         assert np.array_equal(state.v["w"], v)
+
+    def test_update_stays_near_textbook_update(self):
+        # from the same state, the efficient form's update differs from the
+        # textbook's by at most their rounding: about 5.5 roundings of 2**-53
+        # each for the textbook and 8 for the efficient form, to first order
+        rng = np.random.default_rng(14)
+        scale = 10.0 ** rng.uniform(-10, 2, size=CHUNK + 7)  # eps matters below 1e-8
+        params = {"w": np.zeros(scale.size)}
+        state = AdamState.init(params)
+        m, v = np.zeros(scale.size), np.zeros(scale.size)
+        for t in [*range(1, 41), 1000, 1001, 20000]:
+            g = rng.normal(size=scale.size) * scale
+            lr = 10.0 ** rng.uniform(-5, -1)
+            params["w"][:], state.t = 0.0, t - 1  # the update is then -w exactly
+            adam_step(params, {"w": g}, state, lr)
+            m = B1 * m + (1.0 - B1) * g
+            v = B2 * v + (1.0 - B2) * (g * g)
+            assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
+            want = textbook_update(m, v, t, lr)
+            assert np.all(np.abs(-params["w"] - want) <= 14 * 2.0 ** -53 * np.abs(want))
+
+    def test_state_v_key_mismatch_is_config_error(self):
+        params = {"w": np.ones(3)}
+        state = AdamState.init(params)
+        state.v = {"u": np.zeros(3)}
+        with pytest.raises(ConfigError, match="key mismatch"):
+            adam_step(params, {"w": np.ones(3)}, state, lr=0.1)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_is_config_error(self, lr):
+        params = {"w": np.ones(3)}
+        state = AdamState.init(params)
+        with pytest.raises(ConfigError, match="learning rate"):
+            adam_step(params, {"w": np.ones(3)}, state, lr=lr)
+        assert np.array_equal(params["w"], np.ones(3)) and state.t == 0
 
 
 class TestOneCycle:
