@@ -145,9 +145,7 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     for name in sorted(params):
         p, g = params[name], grads[name]
         if p.shape != g.shape:
-            raise ConfigError(
-                f"adam_step: {name} param {p.shape} vs grad {g.shape}"
-            )
+            raise ConfigError(f"adam_step: {name} param {p.shape} vs grad {g.shape}")
         for kind, arr in (("param", p), ("m", state.m[name]), ("v", state.v[name])):
             if arr.shape != p.shape or not arr.flags.c_contiguous:
                 raise ConfigError(
@@ -218,9 +216,7 @@ def _cosine(start: float, end: float, frac: float) -> float:
 def onecycle_lr(step: int, sched: OneCycleSchedule) -> float:
     """Learning rate at an integer step in [0, total_steps]."""
     if not 0 <= step <= sched.total_steps:
-        raise ConfigError(
-            f"step {step} outside schedule range [0, {sched.total_steps}]"
-        )
+        raise ConfigError(f"step {step} outside schedule range [0, {sched.total_steps}]")
     initial = sched.max_lr / DIV_FACTOR
     final = sched.max_lr / FINAL_DIV_FACTOR
     peak = sched.peak_step

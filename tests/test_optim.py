@@ -258,7 +258,8 @@ class TestAdam:
     def test_update_stays_near_textbook_update(self):
         # from the same state, the efficient form's update differs from the
         # textbook's by at most their rounding: about 5.5 roundings of 2**-53
-        # each for the textbook and 8 for the efficient form, to first order
+        # each for the textbook and 8 for the efficient form, to first order;
+        # the worst measured is 7 ulps (here and in a 300-step probe)
         rng = np.random.default_rng(14)
         scale = 10.0 ** rng.uniform(-10, 2, size=CHUNK + 7)  # eps matters below 1e-8
         params = {"w": np.zeros(scale.size)}

@@ -147,11 +147,13 @@ def test_linear_backward_bits_do_not_depend_on_worker_count(monkeypatch, lead):
         assert np.array_equal(one_grads[k], two_grads[k])
 
 
-# head1's mix at recipe widths, a projection, and one sample's row; at
-# 1280 -> 128 the halves run another BLAS kernel than the whole product
-@pytest.mark.parametrize("shape,m", [((8, 16384), 128), ((8, 1280), 128),
-                                     ((16384,), 128)])
-def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m):
+# head1's mix at recipe widths, one sample's row of it, and a projection,
+# whose W is below FORWARD_SPLIT and so runs whole on either worker count
+@pytest.mark.parametrize("shape,m,split", [((8, 16384), 128, True),
+                                           ((16384,), 128, True),
+                                           ((8, 1280), 128, False)])
+def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m,
+                                                           split):
     on_pool, real_run_pair = [], tape_module._run_pair
 
     def spy(size, first, second):
@@ -165,7 +167,7 @@ def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m
     one = linear_forward(shape, m)
     workers(monkeypatch, 2)
     assert linear_forward(shape, m) == one
-    assert on_pool == [False, True]
+    assert on_pool == ([False, True] if split else [])
 
 
 def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
