@@ -110,6 +110,8 @@ def cmd_prepare_split(args) -> int:
 def cmd_synth_embed(args) -> int:
     if args.d_raw < 1:
         raise ConfigError(f"--d-raw must be >= 1, got {args.d_raw}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     records = load_dataset(args.dataset)
     modalities = TRACK_SETS[args.tracks]
     bundles = synth_bundles(records, args.d_raw, args.seed, modalities)

@@ -56,8 +56,9 @@ class ClipConfig:
     max_norm: float
 
     def __post_init__(self):
-        if not (self.max_norm > 0):
-            raise ConfigError(f"clip max_norm must be > 0, got {self.max_norm}")
+        if not (math.isfinite(self.max_norm) and self.max_norm > 0):
+            raise ConfigError(
+                f"clip max_norm must be finite and > 0, got {self.max_norm}")
 
 
 def global_grad_norm(grads: dict[str, Array]) -> float:
@@ -140,6 +141,8 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigError(f"learning rate must be finite and > 0, got {lr}")
+    if not (math.isfinite(grad_scale) and grad_scale > 0):
+        raise ConfigError(f"grad_scale must be finite and > 0, got {grad_scale}")
     if not set(params) == set(grads) == set(state.m) == set(state.v):
         raise ConfigError("adam_step: parameter/gradient/state key mismatch")
     for name in sorted(params):
@@ -195,8 +198,8 @@ class OneCycleSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if self.max_lr <= 0:
-            raise ConfigError(f"max_lr must be > 0, got {self.max_lr}")
+        if not (math.isfinite(self.max_lr) and self.max_lr > 0):
+            raise ConfigError(f"max_lr must be finite and > 0, got {self.max_lr}")
         if self.total_steps < 1:
             raise ConfigError(f"total_steps must be >= 1, got {self.total_steps}")
 

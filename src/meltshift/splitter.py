@@ -13,8 +13,8 @@ codes are built over blocks of whole sequences. Clustering sorts
 one table of (code, protein) entries by code and keeps only the k-mers
 two or more proteins hold, so proteins that share no k-mer are never
 compared (the prefilter idea of MMseqs2, Steinegger & Söding 2017, kept
-exact). Both stages run their blocks two at a time, on the workers of
-:func:`tape._run_pair`; no result depends on where a block ends.
+exact). Both stages run their blocks in order on the calling thread, and
+no result depends on where a block ends.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from .data import AMINO_ACIDS, check_sequence, text_errors, wild_types
 from .errors import ConfigError, DataError
-from .tape import _run_pair
 
 logger = logging.getLogger(__name__)
 
@@ -38,8 +37,8 @@ DEFAULT_IDENTITY = 0.5
 DEFAULT_RATIO = (8, 2)
 
 # Most residues, dense shared-k-mer count cells and (protein, protein) pair
-# instances in flight at once: two blocks of half as many, one per worker.
-PAIR_BLOCK = 1 << 18
+# instances in one block, the one block in flight at a time
+PAIR_BLOCK = 1 << 17
 
 SPLIT_HEADER = ["protein_id", "split", "cluster_rep"]
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -89,7 +88,7 @@ def kmer_codes(seqs: list[str], k: int) -> list[np.ndarray]:
     any corpus; a sequence shorter than k is padded with 0 to one k-mer,
     which no full k-mer equals. A sequence holding any other letter raises
     DataError, and k outside 1-12 ConfigError. Codes are rolled over blocks
-    of whole sequences of at most ``PAIR_BLOCK // 2`` residues (or one
+    of whole sequences of at most ``PAIR_BLOCK`` residues (or one
     longer sequence), and each block sorts its ``owner * 21**k + code``
     keys once; a block holds at most ``int64 max // 21**k`` sequences (1253
     at k=12), so every key fits int64.
@@ -111,10 +110,10 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
     span = _BASE ** k
     seq_start = np.concatenate(([0], np.cumsum(lengths)))
     pad_start = np.concatenate(([0], np.cumsum(np.maximum(lengths, k))))
-    bounds, half = [0], max(PAIR_BLOCK // 2, 1)
+    bounds = [0]
     while bounds[-1] < len(seqs):
         i0 = bounds[-1]
-        i1 = int(np.searchsorted(pad_start, pad_start[i0] + half, "right"))
+        i1 = int(np.searchsorted(pad_start, pad_start[i0] + PAIR_BLOCK, "right"))
         bounds.append(min(max(i1 - 1, i0 + 1), i0 + _INT64_MAX // span, len(seqs)))
 
     def block(i0, i1):
@@ -140,7 +139,7 @@ def _kmer_table(seqs: list[str], k: int) -> tuple[np.ndarray, np.ndarray]:
         x -= np.repeat(np.arange(m) * span, sizes)
         return x, sizes
 
-    parts = list(_in_pairs(block, bounds, lambda i0, i1: pad_start[i1] - pad_start[i0]))
+    parts = list(map(block, bounds[:-1], bounds[1:]))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
@@ -216,8 +215,7 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
     distinct, so those are the k-mers two sets share, and an entry shares
     its k-mer with the entries before it in its run. Pairs that share no
     k-mer are never formed. A block of later owners holds at most
-    ``PAIR_BLOCK // 2`` counts, and makes its pair instances that many at
-    a time.
+    ``PAIR_BLOCK`` counts, and makes its pair instances that many at a time.
     """
     n, total = len(sizes), len(codes)
     bits = (total - 1).bit_length()
@@ -252,10 +250,11 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
     sorted_owner = owner[slot]
     del slot
 
-    bounds, half = [0], max(PAIR_BLOCK // 2, 1)
-    while bounds[-1] < n:  # the most rows whose (rows x j1) counts fit in half
+    bounds = [0]
+    while bounds[-1] < n:  # the most rows whose (rows x j1) counts fit in a block
         j0 = bounds[-1]
-        bounds.append(min(n, j0 + max(1, (math.isqrt(j0 * j0 + 4 * half) - j0) // 2)))
+        rows = (math.isqrt(j0 * j0 + 4 * PAIR_BLOCK) - j0) // 2
+        bounds.append(min(n, j0 + max(1, rows)))
 
     def block(j0, j1):
         cells = (j1 - j0) * j1
@@ -265,7 +264,8 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
             ([0], np.cumsum(earlier_count[base:shared_start[j1]])))
         e0, e_end = 0, len(pairs_before) - 1
         while e0 < e_end:
-            e1 = np.searchsorted(pairs_before, pairs_before[e0] + half, side="right") - 1
+            e1 = np.searchsorted(pairs_before, pairs_before[e0] + PAIR_BLOCK,
+                                 side="right") - 1
             e1 = min(max(e1, e0 + 1), e_end)
             chunk = slice(base + e0, base + e1)
             counts = earlier_count[chunk]
@@ -283,18 +283,7 @@ def _passing_pairs(codes: np.ndarray, sizes: np.ndarray, threshold: float):
         passing = inter / (sizes[later] + sizes[earlier] - inter) >= threshold
         return j0, j1, later[passing], earlier[passing]
 
-    yield from _in_pairs(block, bounds, lambda j0, j1: (j1 - j0) * j1)
-
-
-def _in_pairs(job, bounds, work):
-    """``job(lo, hi)`` of each block between consecutive ``bounds``, in order,
-    two at a time through :func:`tape._run_pair`, sized by summed ``work``."""
-    for i in range(0, len(bounds) - 2, 2):
-        a, b, c = bounds[i:i + 3]
-        yield from _run_pair(work(a, b) + work(b, c), lambda: job(a, b),
-                             lambda: job(b, c))
-    if len(bounds) % 2 == 0:  # an odd block count leaves the last one alone
-        yield job(*bounds[-2:])
+    yield from map(block, bounds[:-1], bounds[1:])
 
 
 def check_ratio(ratio) -> tuple[int, int]:

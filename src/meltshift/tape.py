@@ -25,8 +25,9 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work, a large linear's forward (W's row halves) and the
-  splitter's blocks may run on two workers, bit for bit (:func:`_run_pair`).
+* Parameter-sized work, a linear's forward (W's row halves) and backward
+  and the optimizer's passes, may run on two workers, bit for bit
+  (:func:`_run_pair`): a size picks where a closure runs, never what it computes.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ DEFAULT_LAYERNORM_EPS = 1e-5
 
 # elements per block of the optimizer's passes; less work of any kind is not split
 CHUNK = 32768
-# W entries from which a linear's forward runs W's row halves as a pair: at 8 rows
-# on two cores, halves/whole took x1.01 for a 1280 -> 128 projection and x0.6 for
-# 16384 -> 128 in a training step, and broke even near 2**19 with W out of cache
-FORWARD_SPLIT = 2 ** 20
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (owner pid, pool)
 
@@ -182,8 +179,6 @@ class Tape:
                               lambda: np.matmul(rows.T, xval.reshape(-1, n), out=dW))
             return dW, dx, rows.sum(axis=0)
 
-        if Wval.size < FORWARD_SPLIT:
-            return self._emit(xval @ Wval.T + b.value, (W, x, b), backward)
         h, out = m // 2, np.empty(xval.shape[:-1] + (m,))  # W's row halves
         _run_pair(Wval.size, lambda: np.matmul(xval, Wval[:h].T, out=out[..., :h]),
                   lambda: np.matmul(xval, Wval[h:].T, out=out[..., h:]))

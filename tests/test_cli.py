@@ -124,6 +124,14 @@ class TestSynthEmbed:
         assert run("synth-embed", three_record_dataset,
                    "--out", tmp_path / "x.dtme", "--d-raw", 0) == 2
 
+    def test_negative_seed_is_config_error(self, three_record_dataset, tmp_path,
+                                           capsys):
+        out = tmp_path / "x.dtme"
+        assert run("synth-embed", three_record_dataset, "--out", out,
+                   "--seed", -1) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_ascii_position_in_dataset_is_data_error(self, tmp_path,
                                                          capsys):
         path = tmp_path / "d.csv"

@@ -1,7 +1,7 @@
 """Mutation tests of the gradient oracle (DeMillo, Lipton & Sayward, 1978).
 
-Each mutant is ``tape.py``'s source with one textual defect in a backward
-kernel, loaded into a fresh module. ``check_model`` runs with the
+Each mutant is ``tape.py``'s source with one textual defect in a forward
+or backward kernel, loaded into a fresh module. ``check_model`` runs with the
 mutant's ``Tape`` on the smallest model kind that uses the kernel, at
 d = d_raw = 4, batch 2 and the ``seq`` track, and must fail. Every defect
 keeps the gradients' shapes (the square projection lets a transposed
@@ -30,6 +30,11 @@ MUTANTS = [
     pytest.param("mut_concat", "np.matmul(rows.T, xval.reshape(-1, n), out=dW)",
                  "np.copyto(dW, (rows.T @ xval.reshape(-1, n)).T.reshape(m, n))",
                  id="linear_weight_transposed"),
+    pytest.param("head1", "np.matmul(xval, Wval[h:].T, out=out[..., h:])",
+                 "np.matmul(xval, Wval[:m - h].T, out=out[..., h:])",
+                 id="linear_forward_second_half_from_first"),
+    pytest.param("mut_concat", "\n        out += b.value", "",
+                 id="linear_forward_bias_dropped"),
     pytest.param("head2", "dgamma = (g * xhat).reshape(-1, n).sum(axis=0)",
                  "dgamma = (g * xhat).reshape(-1, n)[0]",
                  id="layernorm_gamma_row_sum"),

@@ -86,6 +86,11 @@ class TestClipping:
         with pytest.raises(ConfigError):
             ClipConfig(0.0)
 
+    def test_infinite_max_norm_is_config_error(self):
+        # an infinite bound would never clip
+        with pytest.raises(ConfigError, match="max_norm must be finite"):
+            ClipConfig(math.inf)
+
     def test_bound_has_no_default(self):
         with pytest.raises(TypeError):
             ClipConfig()
@@ -291,6 +296,14 @@ class TestAdam:
             adam_step(params, {"w": np.ones(3)}, state, lr=lr)
         assert np.array_equal(params["w"], np.ones(3)) and state.t == 0
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
+    def test_grad_scale_not_finite_and_positive_is_config_error(self, scale):
+        params = {"w": np.ones(3)}
+        state = AdamState.init(params)
+        with pytest.raises(ConfigError, match="grad_scale"):
+            adam_step(params, {"w": np.ones(3)}, state, lr=0.1, grad_scale=scale)
+        assert np.array_equal(params["w"], np.ones(3)) and state.t == 0
+
 
 class TestOneCycle:
     def test_boundary_values_exact(self):
@@ -328,3 +341,8 @@ class TestOneCycle:
             OneCycleSchedule(max_lr=0.0, total_steps=10)
         with pytest.raises(ConfigError):
             OneCycleSchedule(max_lr=0.1, total_steps=0)
+
+    @pytest.mark.parametrize("max_lr", [math.nan, math.inf])
+    def test_non_finite_max_lr_is_config_error(self, max_lr):
+        with pytest.raises(ConfigError, match="max_lr must be finite"):
+            OneCycleSchedule(max_lr=max_lr, total_steps=10)

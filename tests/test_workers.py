@@ -1,6 +1,7 @@
 """Work split over two workers gives the same bits as one: the training
-step's parameter-sized passes, a large linear's forward and backward, and
-the splitter's k-mer and shared-k-mer blocks.
+step's parameter-sized passes and a linear's forward and backward.
+The splitter runs on one thread; its blocks are checked against a
+quadratic reference in ``test_splitter.py``.
 
 ``tape._worker_count`` is forced to 1 and to 2 here, so the two-worker path
 runs whatever the CPU affinity of the test process.
@@ -15,14 +16,13 @@ import warnings
 import numpy as np
 import pytest
 
-from meltshift import splitter
 from meltshift import tape as tape_module
 from meltshift.data import synth_bundles
 from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale
 from meltshift.tape import Tape
 from meltshift.trainer import TrainConfig, train
 
-from conftest import random_records, records_with_homologs
+from conftest import random_records
 
 SHAPES = {"a": (3 * CHUNK + 5,), "b": (CHUNK + 3,), "c": (7, 3)}
 
@@ -60,13 +60,14 @@ def linear_backward(lead: tuple[int, ...]):
                            g @ W.value]
 
 
-def linear_forward(shape: tuple[int, ...], m: int) -> bytes:
-    """The bytes of a linear's output for an input of ``shape``."""
+def linear_forward(shape: tuple[int, ...], m: int):
+    """A linear's output for an input of ``shape``, and ``x @ W.T + b``."""
     rng = np.random.default_rng(6)
     tape = Tape()
     W = tape.leaf(rng.normal(size=(m, shape[-1])), "W")
     b = tape.leaf(rng.normal(size=m), "b")
-    return tape.linear(W, tape.leaf(rng.normal(size=shape)), b).value.tobytes()
+    x = tape.leaf(rng.normal(size=shape))
+    return tape.linear(W, x, b).value, x.value @ W.value.T + b.value
 
 
 def desk_checkpoint(path) -> bytes:
@@ -78,23 +79,6 @@ def desk_checkpoint(path) -> bytes:
     assert result.steps == 3
     assert result.model.heads["head1"]["mix.weight"].size == CHUNK
     return path.read_bytes()
-
-
-def homolog_corpus():
-    """560 proteins of 300-700 residues and 140 one-substitution homologs,
-    one record each: about 350k residues, three k-mer blocks and three
-    shared-k-mer blocks."""
-    return records_with_homologs(8, n_proteins=560, planted_pairs=140,
-                                 muts_per_protein=1, seq_len=(300, 700))[0]
-
-
-def split_outputs(records, path):
-    """The corpus's k-mer codes, its clusters and its manifest's bytes."""
-    proteins = {r.protein_id: r.wt_sequence for r in records}
-    codes = splitter.kmer_codes(list(proteins.values()), 5)
-    clusters = splitter.greedy_cluster(proteins, 0.5)
-    splitter.write_split(path, splitter.split_records(records, seed=3))
-    return codes, [(c.representative, c.members) for c in clusters], path.read_bytes()
 
 
 def run_in_fork(job, what: str) -> None:
@@ -147,11 +131,13 @@ def test_linear_backward_bits_do_not_depend_on_worker_count(monkeypatch, lead):
         assert np.array_equal(one_grads[k], two_grads[k])
 
 
-# head1's mix at recipe widths, one sample's row of it, and a projection,
-# whose W is below FORWARD_SPLIT and so runs whole on either worker count
+# head1's mix at recipe widths, one sample's row of it and a projection run W's
+# row halves as a pair (W holds CHUNK entries or more); a smaller W keeps both
+# halves on the caller
 @pytest.mark.parametrize("shape,m,split", [((8, 16384), 128, True),
                                            ((16384,), 128, True),
-                                           ((8, 1280), 128, False)])
+                                           ((8, 1280), 128, True),
+                                           ((8, 16), 7, False)])
 def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m,
                                                            split):
     on_pool, real_run_pair = [], tape_module._run_pair
@@ -164,10 +150,12 @@ def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m
 
     monkeypatch.setattr(tape_module, "_run_pair", spy)
     workers(monkeypatch, 1)
-    one = linear_forward(shape, m)
+    one, plain = linear_forward(shape, m)
     workers(monkeypatch, 2)
-    assert linear_forward(shape, m) == one
-    assert on_pool == ([False, True] if split else [])
+    two, _ = linear_forward(shape, m)
+    assert one.tobytes() == two.tobytes()
+    np.testing.assert_allclose(one, plain, rtol=1e-12, atol=0)
+    assert on_pool == [False, split]
 
 
 def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
@@ -177,45 +165,8 @@ def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
     assert desk_checkpoint(tmp_path / "two.bin") == one
 
 
-def test_split_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
-    records = homolog_corpus()
-    # more than two k-mer blocks of half a PAIR_BLOCK of residues each
-    assert sum(len(r.wt_sequence) for r in records) > splitter.PAIR_BLOCK
-    pool_sizes, real_run_pair = [], splitter._run_pair
-
-    def spy(size, first, second):
-        def on_pool():
-            if threading.current_thread() is not threading.main_thread():
-                pool_sizes.append(size)
-            return second()
-        return real_run_pair(size, first, on_pool)
-
-    monkeypatch.setattr(splitter, "_run_pair", spy)
-    workers(monkeypatch, 1)
-    one = split_outputs(records, tmp_path / "one.csv")
-    assert pool_sizes == []
-    workers(monkeypatch, 2)
-    two = split_outputs(records, tmp_path / "two.csv")
-    # k-mer blocks are sized in residues, shared-k-mer blocks in count cells;
-    # kmer_codes, greedy_cluster and split_records each reach the pool
-    assert len(pool_sizes) >= 5 and min(pool_sizes) >= CHUNK
-    assert len(one[0]) == len(two[0]) == len(records)
-    assert all(np.array_equal(a, b) for a, b in zip(one[0], two[0]))
-    assert one[1] == two[1] and any(len(m) > 1 for _, m in one[1])
-    assert one[2] == two[2]
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_finishes_adam_step(monkeypatch):
     workers(monkeypatch, 2)
     optimizer_steps()  # the pool thread now runs in this process
     run_in_fork(optimizer_steps, "adam_step")
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_finishes_split_records(monkeypatch):
-    workers(monkeypatch, 2)
-    records = homolog_corpus()
-    want = splitter.split_records(records, seed=3)  # the pool thread now runs
-    run_in_fork(lambda: splitter.split_records(records, seed=3) == want,
-                "split_records")
