@@ -9,22 +9,23 @@ Layout (little-endian)::
     arrays     raw float64 bytes, in the order header["arrays"] declares
 
 The header carries the model kind, widths, modalities, seed, the
-training-config snapshot and its hash, and Adam's step count; every
-value is type-checked on load. The array section holds every model
-parameter (prefix ``model.``) and, when optimizer state is included, the
-Adam moments of the trained parameters (prefixes ``adam_m.``, ``adam_v.``).
+training-config snapshot and Adam's step count; every value is
+type-checked on load. The array section holds every model parameter
+(prefix ``model.``) in ``heads.model_layout`` order and, when optimizer
+state is included, the Adam moments of the trained parameters (prefixes
+``adam_m.``, ``adam_v.``), each prefix in name order. One function,
+``_array_section``, gives that list; the writer writes through it and
+the reader accepts exactly it.
 
 Arrays stream both ways without copies: the writer hands each array's
-own buffer to the file, and the reader, once the header agrees with
-``heads.model_layout`` and with the file length, reads each array
-straight into the array the model or the Adam state will own, rejects a
-non-finite value naming the array, and assembles the model in layout
-order whatever order the file declares.
+own buffer to the file, and the reader, once the header agrees with the
+array section and with the file length, reads each array straight into
+the array the model or the Adam state will own, and rejects a
+non-finite value naming the array.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -49,10 +50,6 @@ def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def sha256_hex(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
-
-
 @dataclass
 class Checkpoint:
     model: EnsembleModel
@@ -73,32 +70,41 @@ def _model_meta(model: EnsembleModel) -> dict:
     }
 
 
+def _array_section(kind: str, d_raw: int, d_proj: int, modalities: tuple,
+                   moments) -> list[tuple[str, tuple]]:
+    """The array section as ``(name, shape)`` in file order: every model
+    parameter in layout order, then ``adam_m.*`` and then ``adam_v.*`` of
+    the parameters that ``moments`` names (a frozen projection has none),
+    each in name order. Nothing the size of the model is allocated."""
+    shapes = {name: shape for name, shape, _ in
+              model_layout(kind, d_raw, d_proj, modalities)}
+    trained = sorted(set(moments) & set(shapes))
+    return ([(f"model.{name}", shape) for name, shape in shapes.items()]
+            + [(f"{prefix}.{name}", shapes[name])
+               for prefix in ("adam_m", "adam_v") for name in trained])
+
+
 def save_checkpoint(path, model: EnsembleModel, config: dict | None = None,
                     adam: AdamState | None = None) -> None:
-    arrays: list[tuple[str, np.ndarray]] = [
-        (f"model.{name}", arr) for name, arr in model.named_parameters()
-    ]
     header = _model_meta(model)
     header["config"] = config
-    header["config_hash"] = sha256_hex(canonical_json(config)) if config else None
+    header["adam"] = None if adam is None else {"t": adam.t}
+    sources = {"model": dict(model.named_parameters()), "adam_m": {}, "adam_v": {}}
     if adam is not None:
-        header["adam"] = {"t": adam.t}
-        for name in sorted(adam.m):
-            arrays.append((f"adam_m.{name}", adam.m[name]))
-        for name in sorted(adam.v):
-            arrays.append((f"adam_v.{name}", adam.v[name]))
-    else:
-        header["adam"] = None
-    header["arrays"] = [{"name": n, "shape": list(a.shape)} for n, a in arrays]
+        sources.update(adam_m=adam.m, adam_v=adam.v)
+    section = _array_section(header["kind"], header["d_raw"], header["d_proj"],
+                             tuple(header["modalities"]), sources["adam_m"])
+    header["arrays"] = [{"name": n, "shape": list(s)} for n, s in section]
     blob = canonical_json(header)
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for _, arr in arrays:
+        for name, _ in section:
+            group, _, param = name.partition(".")
             # the array's own buffer for C-contiguous float64 on a
             # little-endian host; a converted copy only otherwise
-            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+            fh.write(np.ascontiguousarray(sources[group][param], dtype="<f8"))
 
 
 def _is_int(value) -> bool:
@@ -138,18 +144,11 @@ def _check_header(path, header) -> None:
         raise FormatError(f"{path}: bad adam header {adam!r}")
 
 
-def _expected_shapes(layout, declared, with_adam: bool) -> dict:
-    """Shape per array name: every parameter in the model's layout, plus
-    both Adam moments of each parameter that ``adam_m.*`` names (a frozen
-    projection has none)."""
-    params = {name: shape for name, shape, _ in layout}
-    expected = {f"model.{n}": shape for n, shape in params.items()}
-    if with_adam:
-        moments = {n[len("adam_m."):] for n in declared if n.startswith("adam_m.")}
-        for name in moments & set(params):
-            expected[f"adam_m.{name}"] = params[name]
-            expected[f"adam_v.{name}"] = params[name]
-    return expected
+def _describe(section, i: int) -> str:
+    if i >= len(section):
+        return "no array"
+    name, shape = section[i]
+    return f"{name} shape {list(shape)}"
 
 
 def _read_array(fh, path, name: str, arr: np.ndarray) -> None:
@@ -165,8 +164,7 @@ def _read_array(fh, path, name: str, arr: np.ndarray) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Check the header against the file, then read each array straight
-    into the model or Adam state that owns it, in the order the header
-    declares them."""
+    into the model or Adam state that owns it, in file order."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         (header_len,) = _read_header(path, fh, CKPT_MAGIC, CKPT_VERSION, 1)
@@ -181,42 +179,33 @@ def load_checkpoint(path) -> Checkpoint:
 
         # header, arrays and file length must agree before anything the
         # size of the model is allocated, so memory follows the file
-        declared = {e["name"]: tuple(e["shape"]) for e in header["arrays"]}
-        if len(declared) != len(header["arrays"]):
-            raise FormatError(f"{path}: header arrays repeat a name")
         meta = (header["kind"], header["d_raw"], header["d_proj"],
                 tuple(header["modalities"]))
-        layout = model_layout(*meta)
+        found = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
         adam_meta = header.get("adam")
-        expected = _expected_shapes(layout, declared, adam_meta is not None)
-        if set(declared) != set(expected):
-            raise FormatError(
-                f"{path}: array set mismatch: {sorted(set(declared) ^ set(expected))[:4]}"
-            )
-        for name, shape in declared.items():
-            if shape != expected[name]:
-                raise FormatError(
-                    f"{path}: {name} shape {shape} != expected {expected[name]}"
-                )
-        end = start + header_len + 8 * sum(math.prod(s) for s in declared.values())
+        moments = () if adam_meta is None else [
+            name[len("adam_m."):] for name, _ in found if name.startswith("adam_m.")]
+        section = _array_section(*meta, moments)
+        if found != section:
+            i = next((i for i, (a, b) in enumerate(zip(found, section)) if a != b),
+                     min(len(found), len(section)))
+            raise FormatError(f"{path}: header array {i} is {_describe(found, i)}, "
+                              f"expected {_describe(section, i)}")
+        end = start + header_len + 8 * sum(math.prod(s) for _, s in section)
         if end > size:
             raise FormatError(
                 f"{path}: truncated array data: arrays end at {end}, file at {size}")
         if end < size:
             raise FormatError(f"{path}: {size - end} trailing bytes at {end}")
 
-        # destinations in layout order, whatever order the file uses
-        params, m, v, targets = {}, {}, {}, {}
-        for name, shape, _ in layout:
-            params[name] = targets[f"model.{name}"] = np.empty(shape)
-            if f"adam_m.{name}" in declared:
-                m[name] = targets[f"adam_m.{name}"] = np.empty(shape)
-                v[name] = targets[f"adam_v.{name}"] = np.empty(shape)
-        for name in declared:
-            _read_array(fh, path, name, targets[name])
+        arrays: dict[str, dict] = {"model": {}, "adam_m": {}, "adam_v": {}}
+        for name, shape in section:
+            group, _, param = name.partition(".")
+            arrays[group][param] = np.empty(shape)
+            _read_array(fh, path, name, arrays[group][param])
 
-    model = assemble_model(*meta, header["seed"], params)
+    model = assemble_model(*meta, header["seed"], arrays["model"])
     adam = None
     if adam_meta is not None:
-        adam = AdamState(adam_meta["t"], m, v)
+        adam = AdamState(adam_meta["t"], arrays["adam_m"], arrays["adam_v"])
     return Checkpoint(model, header.get("config"), adam)

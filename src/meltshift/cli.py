@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import canonical_json, load_checkpoint, sha256_hex
+from .checkpoint import canonical_json, load_checkpoint
 from .data import (
     TRACK_ROLES,
     TRACK_SETS,
@@ -68,7 +68,7 @@ def _write_manifest(out_path, command: str, options: dict,
     """``inputs`` maps each input path to its digest (:func:`_input_digests`)."""
     _write_json(out_path, {
         "command": command,
-        "config_hash": sha256_hex(canonical_json(options)),
+        "config_hash": hashlib.sha256(canonical_json(options)).hexdigest(),
         "inputs": inputs,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

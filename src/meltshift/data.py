@@ -316,6 +316,8 @@ def write_bundles(path, bundles: dict[str, EmbeddingBundle]) -> None:
         b.validate()
         if b.variant_id != vid:
             raise DataError(f"bundle key {vid!r} != variant_id {b.variant_id!r}")
+        if len(vid.encode("utf-8")) > 0xFFFF:
+            raise DataError(f"variant_id too long: {vid[:40]}...")
         if d_raw is None:
             d_raw = b.d_raw
         elif b.d_raw != d_raw:
@@ -329,8 +331,6 @@ def write_bundles(path, bundles: dict[str, EmbeddingBundle]) -> None:
         for vid in sorted(bundles):
             b = bundles[vid]
             ident = vid.encode("utf-8")
-            if len(ident) > 0xFFFF:
-                raise DataError(f"variant_id too long: {vid[:40]}...")
             for role in sorted(b.tracks, key=lambda r: _ROLE_TO_TAG[r]):
                 fh.write(struct.pack("<H", len(ident)))
                 fh.write(ident)

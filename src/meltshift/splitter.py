@@ -302,8 +302,9 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
     Cluster weight is its total mutation count (``weights`` per protein,
     default 1 each). Clusters are shuffled by seed, processed heaviest
     first (the shuffle breaks ties), and each goes to whichever side
-    keeps the achieved validation fraction closest to the target. Two or
-    more clusters of total weight 0 raise ConfigError.
+    keeps the achieved validation fraction closest to the target. When all
+    the weight lands on one side, a warning names the empty side. Clusters
+    of total weight 0 raise ConfigError.
     """
     train_part, val_part = check_ratio(ratio)
     if seed < 0:
@@ -312,11 +313,6 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
         raise ConfigError("no clusters to split")
     target = val_part / (train_part + val_part)
     rep = {m: c.representative for c in clusters for m in c.members}
-    if len(clusters) == 1:
-        logger.warning("single cluster: assigning everything to train")
-        assignment = {m: "train" for m in clusters[0].members}
-        return SplitAssignment(assignment, rep, seed, identity_threshold)
-
     weight = [len(c.members) if weights is None
               else sum(weights.get(m, 0) for m in c.members) for c in clusters]
     if not sum(weight):
@@ -341,6 +337,10 @@ def split_clusters(clusters: list[Cluster], ratio=DEFAULT_RATIO, seed: int = 0,
         grand_total = new_total
         for m in c.members:
             assignment[m] = side
+    if val_total in (0.0, grand_total):
+        empty, full = ("validation", "train") if not val_total else ("train", "validation")
+        logger.warning("the %s side is empty: the %d cluster(s) that carry weight "
+                       "are all assigned to %s", empty, sum(w > 0 for w in weight), full)
     return SplitAssignment(assignment, rep, seed, identity_threshold)
 
 

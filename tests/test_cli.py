@@ -454,7 +454,7 @@ def _rename(old, new):
         h, lambda e: {**e, "shape": [-n for n in e["shape"]]}),
                  "non-negative", id="array_negative_shape"),
     pytest.param(lambda h: {**h, "arrays": h["arrays"] + h["arrays"][-1:]},
-                 "repeat", id="array_repeated"),
+                 "expected no array", id="array_repeated"),
     pytest.param(lambda h: {**h, "adam": 5}, "adam", id="adam_int"),
     pytest.param(lambda h: {**h, "adam": {**h["adam"], "t": 1.5}}, "adam",
                  id="adam_t_float"),
@@ -480,6 +480,48 @@ def test_bad_checkpoint_header_is_data_error(edit, message, tmp_path, capsys):
     assert run("predict", path, tmp_path / "b.dtme", "--mutations",
                "P000:A1C") == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda a: [a[1], a[0], *a[2:]],
+                 "0 is model.proj.seq_pos.bias shape [4], "
+                 "expected model.proj.seq_pos.weight shape [4, 6]", id="reordered"),
+    pytest.param(lambda a: a + a[-1:],
+                 "18 is adam_v.proj.seq_pos.weight shape [4, 6], "
+                 "expected no array", id="repeated"),
+    pytest.param(lambda a: a[:2] + a[3:],
+                 "2 is model.head.beta shape [1], "
+                 "expected model.head.alpha shape [1]", id="missing"),
+    pytest.param(lambda a: a[:-1],
+                 "17 is no array, "
+                 "expected adam_v.proj.seq_pos.weight shape [4, 6]", id="missing_last"),
+    pytest.param(lambda a: a[:1] + [{"name": "model.head.gamma", "shape": [1]}] + a[1:],
+                 "1 is model.head.gamma shape [1], "
+                 "expected model.proj.seq_pos.bias shape [4]", id="extra"),
+    pytest.param(lambda a: [{**e, "name": "model.head.b"} if e["name"] == "model.head.beta"
+                            else e for e in a],
+                 "3 is model.head.b shape [1], "
+                 "expected model.head.beta shape [1]", id="renamed"),
+    pytest.param(lambda a: [{**e, "shape": [4, 1]} if e["name"] == "adam_m.head.out.weight"
+                            else e for e in a],
+                 "9 is adam_m.head.out.weight shape [4, 1], "
+                 "expected adam_m.head.out.weight shape [1, 4]", id="reshaped"),
+])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_array_list_other_than_writers_names_first_difference(
+        edit, message, command, tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    model = build_model("mut_lincomb", 6, 4, 0)
+    save_checkpoint(path, model, adam=AdamState.init(dict(model.named_parameters())))
+    _rewrite_header(path, lambda h: {**h, "arrays": edit(h["arrays"])})
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: header array {message}"
+    args = ([tmp_path / "d.csv"] if command == "eval" else []) + [tmp_path / "b.dtme"]
+    if command == "predict":
+        args += ["--mutations", "P000:A1C"]
+    assert run(command, path, *args) == 3
+    assert f"data error: {err.value}" in capsys.readouterr().err
 
 
 def test_bad_track_set_worded_once(tmp_path):

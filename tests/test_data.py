@@ -230,6 +230,40 @@ class TestBundleFormat:
         with pytest.raises(DataError, match="inconsistent"):
             write_bundles(tmp_path / "x.dtme", {"X:WT": bad})
 
+    def test_key_other_than_variant_id_rejected(self, tmp_path):
+        bundle = bundle_fixture()["P1:WT"]
+        with pytest.raises(DataError) as err:
+            write_bundles(tmp_path / "k.dtme", {"P2:WT": bundle})
+        assert str(err.value) == "bundle key 'P2:WT' != variant_id 'P1:WT'"
+
+    def test_bundles_of_two_widths_rejected(self, tmp_path):
+        narrow = EmbeddingBundle("P2:WT", {"seq_cls": np.ones(6), "seq_pos": np.ones(6)})
+        with pytest.raises(DataError) as err:
+            write_bundles(tmp_path / "w.dtme", {**bundle_fixture(), "P2:WT": narrow})
+        assert str(err.value) == "P2:WT: width 6 differs from file width 8"
+
+    def test_variant_id_over_65535_utf8_bytes_rejected(self, tmp_path):
+        # 32 768 two-byte letters: 65 536 bytes in 32 768 characters
+        long_id, fits = "é" * 32768, "é" * 32767 + "P"
+        tracks = {"seq_cls": np.ones(2), "seq_pos": np.ones(2)}
+        path = tmp_path / "long.dtme"
+        with pytest.raises(DataError) as err:
+            write_bundles(path, {long_id: EmbeddingBundle(long_id, tracks)})
+        assert str(err.value) == f"variant_id too long: {'é' * 40}..."
+        assert not path.exists()
+        write_bundles(path, {fits: EmbeddingBundle(fits, tracks)})
+        assert list(read_bundles(path)) == [fits]
+
+    def test_bundle_without_tracks_rejected(self):
+        with pytest.raises(DataError) as err:
+            EmbeddingBundle("X:WT", {}).validate()
+        assert str(err.value) == "X:WT: bundle has no tracks"
+
+    def test_unknown_track_role_rejected(self):
+        with pytest.raises(DataError) as err:
+            EmbeddingBundle("X:WT", {"seq_cls": np.ones(4), "bogus": np.ones(4)}).validate()
+        assert str(err.value) == "X:WT: unknown track role 'bogus'"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dtme"
         path.write_bytes(b"NOPE" + b"\0" * 12)

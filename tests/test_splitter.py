@@ -384,8 +384,42 @@ class TestSplitClusters:
     def test_single_cluster_warns_all_train(self, caplog):
         with caplog.at_level(logging.WARNING, logger="meltshift.splitter"):
             split = split_clusters(equal_clusters(1, size=4), (8, 2), seed=0)
-        assert "single cluster: assigning everything to train" in caplog.text
+        assert ("the validation side is empty: the 1 cluster(s) that carry "
+                "weight are all assigned to train") in caplog.text
         assert set(split.assignment.values()) == {"train"}
+
+    @pytest.mark.parametrize("weights", [{"A": 1, "B": 1}, {"A": 3, "B": 3},
+                                         {"A": 5, "B": 4}])
+    def test_two_clusters_all_train_warn(self, weights, caplog):
+        # at 8:2 the second cluster would put half the weight in validation
+        clusters = [Cluster("A", ["A"]), Cluster("B", ["B"])]
+        for seed in range(4):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="meltshift.splitter"):
+                split = split_clusters(clusters, (8, 2), seed=seed, weights=weights)
+            assert split.assignment == {"A": "train", "B": "train"}
+            assert ("the validation side is empty: the 2 cluster(s) that carry "
+                    "weight are all assigned to train") in caplog.text
+
+    def test_weight_all_in_validation_warns(self, caplog):
+        # at 1:9 both weighted clusters go to validation; C weighs 0 and
+        # stays on the train side
+        clusters = [Cluster("A", ["A"]), Cluster("B", ["B"]), Cluster("C", ["C"])]
+        with caplog.at_level(logging.WARNING, logger="meltshift.splitter"):
+            split = split_clusters(clusters, (1, 9), seed=0, weights={"A": 1, "B": 1})
+        assert split.assignment == {"A": "val", "B": "val", "C": "train"}
+        assert ("the train side is empty: the 2 cluster(s) that carry weight "
+                "are all assigned to validation") in caplog.text
+
+    def test_validation_side_filled_does_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="meltshift.splitter"):
+            split_clusters(equal_clusters(10), (8, 2), seed=0)
+        assert caplog.text == ""
+
+    def test_single_cluster_of_zero_weight_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^the 1 clusters have total "
+                           r"weight 0: none of their proteins has a record$"):
+            split_clusters([Cluster("A", ["A"])], (8, 2), seed=0, weights={})
 
     def test_bad_ratio(self):
         with pytest.raises(ConfigError,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
-from meltshift.data import synth_bundles
+from meltshift.data import EmbeddingBundle, synth_bundles
 from meltshift.errors import ConfigError, DataError, NumericError
 from meltshift.heads import build_model
 from meltshift.metrics import compute_report
@@ -119,6 +119,15 @@ class TestTraining:
         del broken[records[0].mut_variant_id]
         with pytest.raises(DataError, match=records[0].mut_variant_id):
             train(records, broken, desk_config(epochs=1))
+
+    def test_bundles_of_two_widths_fail_before_training(self, desk_data):
+        records, bundles = desk_data
+        vid = records[0].wt_variant_id
+        narrow = EmbeddingBundle(vid, {role: vec[:10] for role, vec
+                                       in bundles[vid].tracks.items()})
+        with pytest.raises(DataError) as err:
+            train(records, {**bundles, vid: narrow}, desk_config(epochs=1))
+        assert str(err.value) == "bundles disagree on width: [10, 12]"
 
     def test_non_finite_loss_names_step_and_epoch(self, desk_data):
         # one batch per epoch: the first step blows the weights up, so the
@@ -274,13 +283,16 @@ class TestCheckpoint:
         assert sorted(ckpt.adam.m) == sorted(ckpt.adam.v) == sorted(result.adam.m)
         assert not any(name.startswith("proj.") for name in ckpt.adam.m)
 
-    def test_arrays_in_another_order_resave_canonically(self, desk_data,
-                                                        tmp_path):
+    def test_arrays_in_another_order_are_format_error(self, desk_data, tmp_path,
+                                                      capsys):
+        # a self-consistent file whose header and data list the arrays in
+        # reverse: the reader accepts only the writer's order
+        from meltshift.cli import main
+        from meltshift.errors import FormatError
         records, bundles = desk_data
         cfg = desk_config(epochs=1)
         result = train(records, bundles, cfg)
-        path, shuffled, resaved = (tmp_path / n for n in ("a.ckpt", "b.ckpt",
-                                                          "c.ckpt"))
+        path, shuffled = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(path, result.model, cfg.to_dict(), result.adam)
         blob = path.read_bytes()
         (n,) = struct.unpack_from("<I", blob, 8)
@@ -295,14 +307,15 @@ class TestCheckpoint:
         text = json.dumps(header).encode()
         shuffled.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
                              + b"".join(data for _, data in chunks))
-        ckpt = load_checkpoint(shuffled)
-        assert ([n for n, _ in ckpt.model.named_parameters()]
-                == [n for n, _ in result.model.named_parameters()])
-        for (_, a), (_, b) in zip(ckpt.model.named_parameters(),
-                                  result.model.named_parameters()):
-            assert np.array_equal(a, b)
-        save_checkpoint(resaved, ckpt.model, ckpt.config, ckpt.adam)
-        assert resaved.read_bytes() == blob
+        first, last = chunks[-1][0], chunks[0][0]
+        with pytest.raises(FormatError) as err:
+            load_checkpoint(shuffled)
+        assert str(err.value) == (
+            f"{shuffled}: header array 0 is {last['name']} shape {last['shape']}, "
+            f"expected {first['name']} shape {first['shape']}")
+        assert main(["predict", str(shuffled), str(tmp_path / "b.dtme"),
+                     "--mutations", "P000:A1C"]) == 3
+        assert str(err.value) in capsys.readouterr().err
 
     def test_load_peak_is_the_array_bytes(self, tmp_path):
         # a 6.5 MB array section, moments included: each array is read
