@@ -57,25 +57,13 @@ class Checkpoint:
     adam: AdamState | None
 
 
-def _model_meta(model: EnsembleModel) -> dict:
-    proj = model.projection
-    modalities = list(proj.modalities)
-    check_track_set(modalities)
-    return {
-        "kind": model.kind_name,
-        "d_raw": proj.d_raw,
-        "d_proj": proj.d_proj,
-        "modalities": modalities,
-        "seed": model.seed,
-    }
-
-
 def _array_section(kind: str, d_raw: int, d_proj: int, modalities: tuple,
                    moments) -> list[tuple[str, tuple]]:
     """The array section as ``(name, shape)`` in file order: every model
     parameter in layout order, then ``adam_m.*`` and then ``adam_v.*`` of
     the parameters that ``moments`` names (a frozen projection has none),
-    each in name order. Nothing the size of the model is allocated."""
+    each in name order. Nothing the size of the model is allocated, and
+    ``model_layout`` raises ConfigError for a track set outside the format."""
     shapes = {name: shape for name, shape, _ in
               model_layout(kind, d_raw, d_proj, modalities)}
     trained = sorted(set(moments) & set(shapes))
@@ -86,9 +74,10 @@ def _array_section(kind: str, d_raw: int, d_proj: int, modalities: tuple,
 
 def save_checkpoint(path, model: EnsembleModel, config: dict | None = None,
                     adam: AdamState | None = None) -> None:
-    header = _model_meta(model)
-    header["config"] = config
-    header["adam"] = None if adam is None else {"t": adam.t}
+    proj = model.projection
+    header = {"kind": model.kind_name, "d_raw": proj.d_raw, "d_proj": proj.d_proj,
+              "modalities": list(proj.modalities), "seed": model.seed,
+              "config": config, "adam": None if adam is None else {"t": adam.t}}
     sources = {"model": dict(model.named_parameters()), "adam_m": {}, "adam_v": {}}
     if adam is not None:
         sources.update(adam_m=adam.m, adam_v=adam.v)
@@ -140,7 +129,8 @@ def _check_header(path, header) -> None:
         )
     # other adam keys (the recipe constants older files carry) are ignored
     adam = header.get("adam")
-    if adam is not None and not (isinstance(adam, dict) and _is_int(adam.get("t"))):
+    if adam is not None and not (isinstance(adam, dict) and _is_int(adam.get("t"))
+                                 and adam["t"] >= 0):
         raise FormatError(f"{path}: bad adam header {adam!r}")
 
 

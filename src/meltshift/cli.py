@@ -259,12 +259,10 @@ def _random_gradcheck_bundle(vid: str, d_raw: int,
 
 
 def cmd_gradcheck(args) -> int:
-    if args.d < 1:
-        raise ConfigError(f"--d must be >= 1, got {args.d}")
-    if args.d_raw is not None and args.d_raw < 1:
-        raise ConfigError(f"--d-raw must be >= 1, got {args.d_raw}")
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    for flag, value in (("--d", args.d), ("--d-raw", args.d_raw),
+                        ("--seeds", args.seeds), ("--batch", args.batch)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     if not (math.isfinite(args.step) and args.step > 0):
         raise ConfigError(f"--step must be a finite number > 0, got {args.step}")
     d_raw = args.d + 3 if args.d_raw is None else args.d_raw

@@ -58,8 +58,9 @@ def check_track_set(modalities, error=ConfigError, where: str = "") -> tuple[str
     """``modalities`` as a tuple; raise ``error`` unless it is a track set."""
     if not (isinstance(modalities, (list, tuple))
             and tuple(modalities) in TRACK_SETS.values()):
+        shown = list(modalities) if isinstance(modalities, tuple) else modalities
         raise error(f"{where}modalities must be a track set, one of "
-                    f"{[list(m) for m in TRACK_SETS.values()]}, got {modalities!r}")
+                    f"{[list(m) for m in TRACK_SETS.values()]}, got {shown!r}")
     return tuple(modalities)
 
 

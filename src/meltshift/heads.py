@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .data import EmbeddingBundle, track_roles
+from .data import EmbeddingBundle, check_track_set, track_roles
 from .errors import ConfigError, DataError
 from .tape import Array, Node, Tape
 
@@ -118,6 +118,17 @@ class TrackProjection:
         x = tape.leaf(np.stack([bundle.tracks[role] for bundle in bundles]))
         return tape.linear(weight, x, bias)
 
+    def check_bundles(self, bundles) -> None:
+        """Raise DataError naming the first bundle without a track role that
+        this projection has a layer for, or of another width."""
+        for bundle in bundles:
+            missing = [r for r in self.layers if r not in bundle.tracks]
+            if missing:
+                raise DataError(f"bundle {bundle.variant_id} lacks track {missing[0]!r}")
+            if bundle.d_raw != self.d_raw:
+                raise DataError(f"bundle {bundle.variant_id} has width {bundle.d_raw}, "
+                                f"but the model's d_raw is {self.d_raw}")
+
 
 def fuse_pair(tape: Tape, proj: TrackProjection,
               bundles_w: list[EmbeddingBundle], bundles_m: list[EmbeddingBundle],
@@ -126,18 +137,10 @@ def fuse_pair(tape: Tape, proj: TrackProjection,
 
     Row ``i`` belongs to the pair ``(bundles_w[i], bundles_m[i])``. Each
     role's layer is bound once and projects both sides; the wild-type
-    side of a suffix is recorded before its mutant side. Every bundle
-    must have the projection's ``d_raw`` and every track role behind the
-    vectors; both are checked pair by pair before anything is projected.
+    side of a suffix is recorded before its mutant side. Every bundle is
+    checked (``TrackProjection.check_bundles``) before any is projected.
     """
-    roles = [r for s in suffixes for r in track_roles(proj.modalities, s)]
-    for bundle in [b for pair in zip(bundles_w, bundles_m) for b in pair]:
-        if bundle.d_raw != proj.d_raw:
-            raise DataError(f"bundle {bundle.variant_id} has width {bundle.d_raw}, "
-                            f"but the model's d_raw is {proj.d_raw}")
-        missing = [r for r in roles if r not in bundle.tracks]
-        if missing:
-            raise DataError(f"bundle {bundle.variant_id} lacks track {missing[0]!r}")
+    proj.check_bundles(b for pair in zip(bundles_w, bundles_m) for b in pair)
     fused = {}
     for s in suffixes:
         layers = {}
@@ -326,17 +329,14 @@ def model_layout(kind_name: str, d_raw: int, d_proj: int,
     ``start`` is the value the parameter starts at, or None for a uniform
     draw in +-1/sqrt(fan-in): the projection's layers, then each head's
     :data:`HEADS` layout under the head's name. Nothing the size of the
-    model is allocated. An unknown kind raises ValueError.
+    model is allocated. A bad width, track set or kind raises ConfigError.
     """
     if d_raw < 1 or d_proj < 1:
         raise ConfigError(f"bad projection widths d_raw={d_raw}, d_proj={d_proj}")
-    if not modalities:
-        raise ConfigError("projection needs at least one modality")
-    if len(set(modalities)) != len(modalities):
-        raise ConfigError(f"projection repeats a modality: {list(modalities)}")
+    check_track_set(modalities)
     if kind_name not in MODEL_HEADS:
-        raise ValueError(f"unknown model kind {kind_name!r}, "
-                         f"expected one of {MODEL_KINDS}")
+        raise ConfigError(f"unknown model kind {kind_name!r}, "
+                          f"expected one of {MODEL_KINDS}")
     suffixes, heads = MODEL_HEADS[kind_name]
     roles = sorted(r for s in suffixes for r in track_roles(modalities, s))
     layout = [e for role in roles

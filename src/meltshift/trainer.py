@@ -162,13 +162,6 @@ def _missing_bundles(records, bundles) -> list[str]:
                    if vid not in bundles})
 
 
-def _bundle_width(bundles: dict[str, EmbeddingBundle]) -> int:
-    widths = {b.d_raw for b in bundles.values()}
-    if len(widths) != 1:
-        raise DataError(f"bundles disagree on width: {sorted(widths)}")
-    return widths.pop()
-
-
 def split_sides(records, split: dict[str, str] | None):
     """Partition records by a split manifest; None means train on all."""
     if split is None:
@@ -184,7 +177,12 @@ def split_sides(records, split: dict[str, str] | None):
 def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
           split: dict[str, str] | None = None,
           checkpoint_path=None) -> TrainResult:
-    """Train per config on the train side of ``split``; deterministic per seed."""
+    """Train per config on the train side of ``split``; deterministic per seed.
+
+    Before the first step, each bundle the train and validation records
+    read must exist, pass ``EmbeddingBundle.validate`` and fit the model,
+    whose d_raw is the first one's width; else a DataError names it.
+    """
     records = list(records)
     if not records:
         raise DataError("empty dataset")
@@ -196,9 +194,13 @@ def train(records, bundles: dict[str, EmbeddingBundle], config: TrainConfig,
     if missing:
         raise DataError(f"{len(missing)} variant(s) lack bundles, e.g. {missing[:5]}")
 
-    d_raw = _bundle_width(bundles)
-    model = build_model(config.head, d_raw, config.d_proj, config.seed,
+    read = list({vid: bundles[vid] for r in train_records + val_records
+                 for vid in (r.wt_variant_id, r.mut_variant_id)}.values())
+    for bundle in read:
+        bundle.validate()
+    model = build_model(config.head, read[0].d_raw, config.d_proj, config.seed,
                         config.modalities)
+    model.projection.check_bundles(read)
     trainable = dict(model.named_parameters())
     if config.freeze_projection:
         trainable = {k: v for k, v in trainable.items()

@@ -482,6 +482,20 @@ def test_bad_checkpoint_header_is_data_error(edit, message, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_negative_adam_step_count_is_format_error(pipeline, tmp_path, capsys):
+    dataset, bundles, _ = pipeline
+    path = tmp_path / "m.ckpt"
+    model = build_model("head1", 10, 4, 0)
+    save_checkpoint(path, model, adam=AdamState.init(dict(model.named_parameters())))
+    _rewrite_header(path, lambda h: {**h, "adam": {"t": -7}})
+    with pytest.raises(FormatError) as caught:
+        load_checkpoint(path)
+    assert str(caught.value) == f"{path}: bad adam header {{'t': -7}}"
+    capsys.readouterr()
+    assert run("eval", path, dataset, bundles) == 3
+    assert capsys.readouterr().err == f"data error: {path}: bad adam header {{'t': -7}}\n"
+
+
 @pytest.mark.parametrize("edit,message", [
     pytest.param(lambda a: [a[1], a[0], *a[2:]],
                  "0 is model.proj.seq_pos.bias shape [4], "
@@ -525,13 +539,18 @@ def test_array_list_other_than_writers_names_first_difference(
 
 
 def test_bad_track_set_worded_once(tmp_path):
-    """The config, the checkpoint writer and the checkpoint reader reject a
-    track set in the same words, each with its own error class."""
+    """The config, the model builder, the checkpoint writer and the
+    checkpoint reader reject a track set in the same words, each with its
+    own error class."""
     bad = ("struct", "seq")
     with pytest.raises(ConfigError) as config:
         TrainConfig(modalities=list(bad))
+    with pytest.raises(ConfigError) as built:
+        build_model("head1", 6, 4, 0, bad)
+    model = build_model("head1", 6, 4, 0, ("seq", "struct"))
+    model.projection.modalities = bad
     with pytest.raises(ConfigError) as saved:
-        save_checkpoint(tmp_path / "bad.ckpt", build_model("head1", 6, 4, 0, bad))
+        save_checkpoint(tmp_path / "bad.ckpt", model)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, build_model("head1", 6, 4, 0, ("seq", "struct")))
     _rewrite_header(path, lambda h: {**h, "modalities": list(bad)})
@@ -539,7 +558,7 @@ def test_bad_track_set_worded_once(tmp_path):
         load_checkpoint(path)
     words = ("modalities must be a track set, one of [['seq'], ['seq', 'struct']], "
              "got ['struct', 'seq']")
-    assert str(config.value) == str(saved.value) == words
+    assert str(config.value) == str(built.value) == str(saved.value) == words
     assert str(loaded.value) == f"{path}: header {words}"
 
 
@@ -770,7 +789,7 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--seeds", 0), ("--step", 0), ("--step", -1e-4), ("--step", "nan"),
-        ("--step", "inf"), ("--d-raw", 0),
+        ("--step", "inf"), ("--d-raw", 0), ("--batch", 0), ("--batch", -2),
     ])
     def test_bad_flag_is_config_error(self, flag, value, capsys):
         assert run("gradcheck", "--d", 2, flag, value) == 2

@@ -417,6 +417,11 @@ class TestSynthEmbed:
         with pytest.raises(DataError):
             synth_embed(tiny_records[0], "WT", 0, seed=1)
 
+    def test_invalid_variant(self, tiny_records):
+        with pytest.raises(DataError) as caught:
+            synth_embed(tiny_records[0], "wt", 8, seed=1)
+        assert str(caught.value) == "variant must be WT or MUT, got 'wt'"
+
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 31, 1280, 1281])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_hash_values_match_the_digest_loop(self, n, seed):

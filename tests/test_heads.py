@@ -25,6 +25,8 @@ from meltshift.tape import DEFAULT_LAYERNORM_EPS, Tape
 
 SEQ_ROLES = ("seq_cls", "seq_pos")
 ALL_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
+TRACK_SET_WORDS = ("modalities must be a track set, one of "
+                   "[['seq'], ['seq', 'struct']], got ")
 
 
 def random_bundle(vid, d_raw, seed, roles=ALL_ROLES):
@@ -80,7 +82,7 @@ class TestProjectAndFuse:
         assert all(v.shape == (8,) for v in out)
 
     def test_two_track_width_is_2_dproj(self):
-        proj = build_ensemble(12, 8, 0, ("struct", "seq")).projection
+        proj = build_ensemble(12, 8, 0, ("seq", "struct")).projection
         bw = random_bundle("X:WT", 12, 1)
         bm = random_bundle("X:M", 12, 2)
         out = fused_values(bw, bm, proj)
@@ -96,12 +98,27 @@ class TestProjectAndFuse:
         assert np.array_equal(a_w, bw.tracks["seq_pos"])
         assert np.array_equal(a_m, bm.tracks["seq_pos"])
 
+    def test_projection_without_a_layer_for_a_read_role(self):
+        proj = identity_projection(5, ("seq_cls",))
+        bw = random_bundle("X:WT", 5, 1, SEQ_ROLES)
+        bm = random_bundle("X:M", 5, 2, SEQ_ROLES)
+        with pytest.raises(ConfigError) as caught:
+            fused_values(bw, bm, proj)
+        assert str(caught.value) == "projection has no layer for track role 'seq_pos'"
+
     def test_track_set_mismatch_names_variant_and_track(self):
         model = build_ensemble(d_raw=5, d_proj=4, seed=0)
         bw = random_bundle("X:WT", 5, 1, SEQ_ROLES)
         bm = random_bundle("X:M", 5, 2, ("seq_cls",))
         with pytest.raises(DataError, match=r"X:M.*seq_pos"):
             model.predict(bw, bm)
+
+    def test_bundle_without_tracks_is_data_error(self):
+        model = build_ensemble(d_raw=5, d_proj=4, seed=0)
+        bw = random_bundle("X:WT", 5, 1, SEQ_ROLES)
+        with pytest.raises(DataError) as caught:
+            model.predict(bw, EmbeddingBundle("X:M", {}))
+        assert str(caught.value) == "bundle X:M lacks track 'seq_cls'"
 
 
 def head1_oracle(a_w, a_m, a):
@@ -292,7 +309,7 @@ class TestEnsemble:
 @pytest.mark.parametrize("kind", list(HeadKind))
 def test_single_head_is_an_ensemble_of_one(kind):
     model = build_single_head(kind, d_raw=7, d_proj=4, seed=0,
-                              modalities=("struct", "seq"))
+                              modalities=("seq", "struct"))
     bw, bm = random_bundle("S:WT", 7, 1), random_bundle("S:M", 7, 2)
     y1, y2, y_ens = model.predict(bw, bm)
     assert y1 == y2 == y_ens
@@ -306,7 +323,7 @@ def test_single_head_is_an_ensemble_of_one(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_forward_rows_are_per_pair_predictions(kind):
     # one forward over a batch, a wild type repeated in it, equals pair by pair
-    model = build_model(kind, 7, 4, 0, ("struct", "seq"))
+    model = build_model(kind, 7, 4, 0, ("seq", "struct"))
     bws = [random_bundle(f"R{i // 2}:WT", 7, i // 2) for i in range(5)]
     bms = [random_bundle(f"R{i // 2}:M{i}", 7, 100 + i) for i in range(5)]
     nodes = model.forward_nodes(Tape(), bws, bms)
@@ -359,7 +376,7 @@ def test_single_head_gradients_match_finite_differences(kind):
 
 def test_ensemble_gradients_match_finite_differences_multimodal():
     model = build_ensemble(d_raw=6, d_proj=4, seed=3,
-                           modalities=("struct", "seq"))
+                           modalities=("seq", "struct"))
     rng = np.random.default_rng(11)
     samples = [(random_bundle(f"S{i}:WT", 6, 300 + i),
                 random_bundle(f"S{i}:M", 6, 400 + i),
@@ -368,10 +385,23 @@ def test_ensemble_gradients_match_finite_differences_multimodal():
     assert result.ok(), result
 
 
+@pytest.mark.parametrize("d_raw,d_proj", [(0, 4), (5, 0), (-1, -1)])
+def test_bad_widths_not_built(d_raw, d_proj):
+    with pytest.raises(ConfigError) as caught:
+        build_model("ensemble", d_raw, d_proj, 0)
+    assert str(caught.value) == f"bad projection widths d_raw={d_raw}, d_proj={d_proj}"
+
+
+def test_empty_batch_has_no_loss():
+    with pytest.raises(ConfigError) as caught:
+        build_model("head1", 5, 3, 0).batch_loss(Tape(), [])
+    assert str(caught.value) == "batch_loss: empty batch"
+
+
 def test_build_model_by_name():
     assert build_model("ensemble", 8, 4, 0).kind_name == "ensemble"
     assert build_model("mut_concat", 8, 4, 0).kind_name == "mut_concat"
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown model kind 'bogus'"):
         build_model("bogus", 8, 4, 0)
 
 
@@ -389,5 +419,17 @@ def test_param_shapes_are_the_built_shapes(kind, modalities):
 
 @pytest.mark.parametrize("kind", ["ensemble", "mut_concat"])
 def test_repeated_modality_rejected(kind):
-    with pytest.raises(ConfigError, match="repeats a modality"):
+    with pytest.raises(ConfigError) as caught:
         build_model(kind, 7, 3, 0, ("seq", "seq"))
+    assert str(caught.value) == f"{TRACK_SET_WORDS}['seq', 'seq']"
+
+
+@pytest.mark.parametrize("modalities", [
+    (), ("struct",), ("struct", "seq"), ("seq", "struct", "seq"), ["seq", "avg"],
+    "seq",
+])
+def test_track_set_outside_the_format_not_built(modalities):
+    shown = list(modalities) if isinstance(modalities, tuple) else modalities
+    with pytest.raises(ConfigError) as caught:
+        build_model("ensemble", 7, 3, 0, modalities)
+    assert str(caught.value) == f"{TRACK_SET_WORDS}{shown!r}"

@@ -93,6 +93,18 @@ class TestMaeRmse:
             rmse([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("pred,label,error,words", [
+    ([], [], ConfigError, "metric inputs must be nonempty"),
+    ([1.0, np.nan], [1.0, 2.0], NumericError, "metric inputs contain non-finite values"),
+    ([1.0, 2.0], [np.inf, 2.0], NumericError, "metric inputs contain non-finite values"),
+], ids=["empty", "nan_pred", "inf_label"])
+def test_bad_metric_inputs_worded(pred, label, error, words):
+    for metric in (pearson, mae, rmse):
+        with pytest.raises(error) as caught:
+            metric(pred, label)
+        assert str(caught.value) == words
+
+
 class TestReport:
     def test_fields(self):
         rng = np.random.default_rng(6)

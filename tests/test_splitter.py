@@ -426,6 +426,11 @@ class TestSplitClusters:
                            match=r"^ratio parts must be positive, got 0:10$"):
             split_clusters(equal_clusters(4), (0, 10), seed=0)
 
+    def test_cluster_without_its_representative_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^cluster representative 'A' "
+                           r"not in members$"):
+            Cluster("A", ["B", "C"])
+
     def test_no_clusters_is_config_error(self):
         with pytest.raises(ConfigError, match=r"^no clusters to split$"):
             split_clusters([], (8, 2), seed=0)

@@ -35,6 +35,30 @@ class TestLinearForward:
             t.linear(t.leaf([[1.0, 2.0]]), t.leaf([1.0, 2.0, 3.0]), t.leaf([0.0]))
 
 
+@pytest.mark.parametrize("op,words", [
+    (lambda t: t.add(t.leaf([1.0, 2.0]), t.leaf([1.0])),
+     "add: shape mismatch (2,) vs (1,)"),
+    (lambda t: t.sub(t.leaf([1.0]), t.leaf([1.0, 2.0])),
+     "sub: shape mismatch (1,) vs (2,)"),
+    (lambda t: t.scale(t.leaf([1.0, 2.0]), t.leaf([1.0])),
+     "scale: scalar must have shape (1,), got (2,)"),
+    (lambda t: t.linear(t.leaf([1.0, 2.0]), t.leaf([1.0, 2.0]), t.leaf([0.0])),
+     "linear: need W 2-D, b 1-D; got (2,), (2,), (1,)"),
+    (lambda t: t.layernorm(t.leaf([1.0, 2.0]), t.leaf([1.0]), t.leaf([0.0])),
+     "layernorm: shape mismatch x (2,), gamma (1,), beta (1,)"),
+    (lambda t: t.concat([t.leaf([1.0]), t.leaf([[1.0], [2.0]])]),
+     "concat: parts of different batch shapes, got [(1,), (2, 1)]"),
+], ids=["add", "sub", "scale", "linear", "layernorm", "concat"])
+def test_shape_check_words_the_shapes(op, words):
+    with pytest.raises(ConfigError) as caught:
+        op(Tape())
+    assert str(caught.value) == words
+
+
+def test_zero_dimensional_leaf_is_a_vector_of_one():
+    assert Tape().leaf(np.float64(2.5)).value.shape == (1,)
+
+
 class TestOuterFlatten:
     def test_hand_arithmetic(self):
         t = Tape()
@@ -321,3 +345,10 @@ def test_compare_grads_reports_non_finite_error(bad):
     assert result.max_rel_err == np.inf
     assert (result.worst_param, result.worst_index) == ("p", (0,))
     assert not result.ok()
+
+
+def test_compare_grads_rejects_maps_of_other_parameters():
+    with pytest.raises(KeyError) as caught:
+        compare_grads({"p": np.zeros(1), "q": np.zeros(1)},
+                      {"p": np.zeros(1), "r": np.zeros(1)})
+    assert caught.value.args == ("gradient maps disagree on parameters: ['q', 'r']",)

@@ -127,7 +127,39 @@ class TestTraining:
                                        in bundles[vid].tracks.items()})
         with pytest.raises(DataError) as err:
             train(records, {**bundles, vid: narrow}, desk_config(epochs=1))
-        assert str(err.value) == "bundles disagree on width: [10, 12]"
+        # the first bundle read gives the model its d_raw
+        assert str(err.value) == (f"bundle {records[0].mut_variant_id} has width 12, "
+                                  "but the model's d_raw is 10")
+
+    @pytest.mark.parametrize("side", ["train", "val"])
+    @pytest.mark.parametrize("fault", ["no_seq_pos", "nan", "narrow"])
+    def test_unfit_bundle_fails_before_the_first_step(self, desk_data, side,
+                                                      fault, monkeypatch):
+        records, bundles = desk_data
+        split = {f"P{i:03d}": ("val" if i >= 6 else "train") for i in range(8)}
+        # past P000, whose wild type is read first and sets d_raw
+        vid = next(r for r in records[4:]
+                   if split[r.protein_id] == side).mut_variant_id
+        tracks = dict(bundles[vid].tracks)
+        if fault == "no_seq_pos":
+            del tracks["seq_pos"]
+            words = f"bundle {vid} lacks track 'seq_pos'"
+        elif fault == "nan":
+            tracks["seq_pos"] = tracks["seq_pos"].copy()
+            tracks["seq_pos"][3] = np.nan
+            words = f"{vid}/seq_pos: non-finite entries"
+        else:
+            tracks = {role: vec[:10] for role, vec in tracks.items()}
+            words = f"bundle {vid} has width 10, but the model's d_raw is 12"
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("an optimizer step ran")
+
+        monkeypatch.setattr("meltshift.trainer.adam_step", no_step)
+        with pytest.raises(DataError) as err:
+            train(records, {**bundles, vid: EmbeddingBundle(vid, tracks)},
+                  desk_config(epochs=2), split=split)
+        assert str(err.value) == words
 
     def test_non_finite_loss_names_step_and_epoch(self, desk_data):
         # one batch per epoch: the first step blows the weights up, so the
@@ -353,9 +385,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_track_set_outside_the_format_not_saved(self, tmp_path):
+        # build_model refuses such a track set; a hand-built projection can
+        # still carry one
         path = tmp_path / "m.ckpt"
+        model = build_model("head1", 6, 4, 0, ("seq", "struct"))
+        model.projection.modalities = ("struct", "seq")
         with pytest.raises(ConfigError, match="track set"):
-            save_checkpoint(path, build_model("head1", 6, 4, 0, ("struct", "seq")))
+            save_checkpoint(path, model)
         assert not path.exists()
 
     def test_truncated_arrays(self, desk_data, tmp_path):
