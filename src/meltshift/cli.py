@@ -34,6 +34,7 @@ from .data import (
     synth_bundles,
     variant_ids,
     write_bundles,
+    write_table,
 )
 from .errors import ConfigError, DataError, MeltshiftError, NumericError
 from .gradcheck import DEFAULT_FD_STEP, GRAD_TOLERANCE, check_model
@@ -148,13 +149,9 @@ def _write_eval_outputs(result, report_path, rows_path) -> None:
     if report_path:
         _write_json(report_path, dataclasses.asdict(result.report))
     if rows_path:
-        with open(rows_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["protein_id", "mutation", "label", "y1", "y2",
-                             "y_ens"])
-            for row in result.rows:
-                writer.writerow([row.protein_id, row.mutation, repr(row.label),
-                                 repr(row.y1), repr(row.y2), repr(row.y_ens)])
+        write_table(rows_path, ["protein_id", "mutation", "label", "y1", "y2", "y_ens"],
+                    ([row.protein_id, row.mutation, repr(row.label), repr(row.y1),
+                      repr(row.y2), repr(row.y_ens)] for row in result.rows))
 
 
 def cmd_train(args) -> int:

@@ -2,6 +2,13 @@
 
 File formats owned by this module
 ---------------------------------
+Text tables (UTF-8): :func:`read_table` reads the dataset CSV, the split
+manifest and the headerless cluster TSV, and :func:`write_table` writes
+every CSV. Blank rows are skipped. Bytes that are not UTF-8, a field past
+the csv module's limit (131 072 characters), an empty file, another
+header and a row of another width are DataErrors worded alike for every
+table, naming ``path`` or ``path:line``.
+
 Dataset (text): comma-delimited with header ``protein_id,wt_sequence,mutation,dtm``.
 One row per labeled single-point mutation; ``mutation`` uses codes like
 ``I4A`` (wild-type residue, 1-based position, mutant residue) and ``dtm``
@@ -29,7 +36,6 @@ not be rewritten or truncated while it is mapped.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import math
@@ -198,18 +204,6 @@ class MutationRecord:
         return variant_ids(self.protein_id, self.mutation.code)[1]
 
 
-@contextlib.contextmanager
-def text_errors(path):
-    """Turn a read of ``path`` that is not UTF-8 text, or a CSV field past
-    the csv module's size limit, into a DataError naming the path."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except csv.Error as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def wild_types(records) -> dict[str, str]:
     """protein_id -> wild-type sequence; a protein whose records give two
     sequences raises DataError."""
@@ -221,56 +215,74 @@ def wild_types(records) -> dict[str, str]:
     return seqs
 
 
+def read_table(path, columns: list[str], header: bool = True):
+    """Yield ``(line number, fields)`` for each non-blank row of a text table.
+
+    With ``header`` the table is CSV in the csv module's default dialect
+    and its first row must be ``columns``; without, it is tab-separated
+    with quote characters kept literal. Every row holds one field per
+    column, and its line number is the file line where it ends.
+    """
+    dialect = {} if header else {"delimiter": "\t", "quoting": csv.QUOTE_NONE}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, **dialect)
+        try:
+            found = next(reader, None) if header else columns
+            if found is None:
+                raise DataError(f"{path}: empty file, expected {columns!r}")
+            if found != columns:
+                raise DataError(f"{path}: bad header {found!r}, expected {columns!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(columns)} fields, got {len(row)}")
+                yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+
+def write_table(path, columns: list[str], rows) -> None:
+    """Write the header ``columns``, then ``rows``, as UTF-8 CSV (csv.writer)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def load_dataset(path) -> list[MutationRecord]:
     """Read a dataset file, validating every record. Errors carry line numbers."""
     records: list[MutationRecord] = []
     seen: dict[tuple[str, str], int] = {}  # (protein, normalized code) -> line
     wt_line: dict[str, tuple[str, int]] = {}  # protein -> (sequence, first line)
-    with open(path, encoding="utf-8", newline="") as fh, text_errors(path):
-        reader = csv.reader(fh)
+    for lineno, (pid, seq, code, dtm_text) in read_table(path, DATASET_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty dataset file") from None
-        if header != DATASET_HEADER:
-            raise DataError(
-                f"{path}: bad header {header!r}, expected {DATASET_HEADER!r}"
-            )
-        for row in reader:
-            lineno = reader.line_num  # a quoted field may span lines
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            pid, seq, code, dtm_text = row
-            try:
-                dtm = float(dtm_text)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad dtm {dtm_text!r}") from None
-            try:
-                record = MutationRecord(pid, seq, parse_mutation(code), dtm)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            key = (pid, record.mutation.code)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
-                                f"same variant as line {seen[key]}")
-            seen[key] = lineno
-            wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
-            if wt_seq != seq:
-                raise DataError(f"{path}:{lineno}: {pid} has another wt_sequence "
-                                f"than on line {first}")
-            records.append(record)
+            dtm = float(dtm_text)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad dtm {dtm_text!r}") from None
+        try:
+            record = MutationRecord(pid, seq, parse_mutation(code), dtm)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        key = (pid, record.mutation.code)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate record {pid} {code}, "
+                            f"same variant as line {seen[key]}")
+        seen[key] = lineno
+        wt_seq, first = wt_line.setdefault(pid, (seq, lineno))
+        if wt_seq != seq:
+            raise DataError(f"{path}:{lineno}: {pid} has another wt_sequence "
+                            f"than on line {first}")
+        records.append(record)
     return records
 
 
 def write_dataset(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for r in records:
-            writer.writerow([r.protein_id, r.wt_sequence, r.mutation.code,
-                             repr(float(r.dtm))])
+    write_table(path, DATASET_HEADER, ([r.protein_id, r.wt_sequence, r.mutation.code,
+                                        repr(float(r.dtm))] for r in records))
 
 
 # ---------------------------------------------------------------------------

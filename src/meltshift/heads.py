@@ -304,17 +304,25 @@ class EnsembleModel:
             raise ConfigError("batch_loss: empty batch")
         bundles_w, bundles_m, labels = zip(*samples)
         target = np.array(labels, dtype=np.float64).reshape(-1, 1)
-        y1, y2, y_ens = self.forward_nodes(tape, list(bundles_w), list(bundles_m))
-        if len(self.heads) == 1:
-            total = tape.mse(y1, target)
-            mse = float(total.value[0])
-            return total, LossBreakdown(mse, 0.0, 0.0, mse)
-        l1 = tape.mse(y1, target)
-        l2 = tape.mse(y2, target)
-        le = tape.const_scale(0.5, tape.mse(y_ens, target))
-        total = tape.add(tape.add(l1, l2), le)
-        return total, LossBreakdown(*(float(node.value[0])
-                                      for node in (l1, l2, le, total)))
+        ys = self.forward_nodes(tape, list(bundles_w), list(bundles_m))
+        return loss_terms(tape, ys[:1] if len(self.heads) == 1 else ys, target)
+
+
+def loss_terms(tape: Tape, ys, target) -> tuple[Node, LossBreakdown]:
+    """The training loss of prediction rows against ``target``: for
+    ``(y1, y2, y_ens)`` the two heads' MSEs plus half the ensemble's MSE,
+    and for one head's ``(y,)`` its MSE, reported as the ``l_head1`` term."""
+    if len(ys) == 1:
+        total = tape.mse(ys[0], target)
+        mse = float(total.value[0])
+        return total, LossBreakdown(mse, 0.0, 0.0, mse)
+    y1, y2, y_ens = ys
+    l1 = tape.mse(y1, target)
+    l2 = tape.mse(y2, target)
+    le = tape.const_scale(0.5, tape.mse(y_ens, target))
+    total = tape.add(tape.add(l1, l2), le)
+    return total, LossBreakdown(*(float(node.value[0])
+                                  for node in (l1, l2, le, total)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ no result depends on where a block ends.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AMINO_ACIDS, check_sequence, text_errors, wild_types
+from .data import AMINO_ACIDS, check_sequence, read_table, wild_types, write_table
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -368,32 +367,21 @@ def split_records(records, threshold: float = DEFAULT_IDENTITY,
 
 def write_split(path, split: SplitAssignment) -> None:
     """Write the split manifest: one sorted row per protein."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPLIT_HEADER)
-        for pid in sorted(split.assignment):
-            writer.writerow([pid, split.assignment[pid], split.cluster_rep[pid]])
+    write_table(path, SPLIT_HEADER, ([pid, split.assignment[pid], split.cluster_rep[pid]]
+                                     for pid in sorted(split.assignment)))
 
 
 def read_split(path) -> dict[str, str]:
     """Read a split manifest back to a protein_id -> side map."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh, text_errors(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SPLIT_HEADER:
-            raise DataError(f"{path}: bad split manifest header {header!r}")
-        for row in reader:
-            lineno = reader.line_num  # a quoted field may span lines
-            if not row:
-                continue
-            if len(row) != 3 or row[1] not in ("train", "val"):
-                raise DataError(f"{path}:{lineno}: bad split row {row!r}")
-            if not row[0]:
-                raise DataError(f"{path}:{lineno}: empty protein id")
-            if row[0] in out:
-                raise DataError(f"{path}:{lineno}: duplicate protein {row[0]!r}")
-            out[row[0]] = row[1]
+    for lineno, row in read_table(path, SPLIT_HEADER):
+        if row[1] not in ("train", "val"):
+            raise DataError(f"{path}:{lineno}: bad split row {row!r}")
+        if not row[0]:
+            raise DataError(f"{path}:{lineno}: empty protein id")
+        if row[0] in out:
+            raise DataError(f"{path}:{lineno}: duplicate protein {row[0]!r}")
+        out[row[0]] = row[1]
     return out
 
 
@@ -408,24 +396,17 @@ def load_clusters_tsv(path) -> list[Cluster]:
     members: dict[str, list[str]] = {}
     rep_of: dict[str, str] = {}  # every protein seen -> its representative
     seen: set[str] = set()  # proteins listed as members
-    with open(path, encoding="utf-8") as fh, text_errors(path):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected rep<TAB>member")
-            rep, member = parts
-            if not rep or not member:
-                raise DataError(f"{path}:{lineno}: empty protein id")
-            for name in (rep, member):
-                if rep_of.setdefault(name, rep) != rep:
-                    raise DataError(f"{path}:{lineno}: {name!r} in two clusters")
-            if member in seen:
-                raise DataError(f"{path}:{lineno}: {member!r} listed twice")
-            seen.add(member)
-            members.setdefault(rep, []).append(member)
+    for lineno, (rep, member) in read_table(path, ["representative", "member"],
+                                            header=False):
+        if not rep or not member:
+            raise DataError(f"{path}:{lineno}: empty protein id")
+        for name in (rep, member):
+            if rep_of.setdefault(name, rep) != rep:
+                raise DataError(f"{path}:{lineno}: {name!r} in two clusters")
+        if member in seen:
+            raise DataError(f"{path}:{lineno}: {member!r} listed twice")
+        seen.add(member)
+        members.setdefault(rep, []).append(member)
     clusters = []
     for rep in sorted(members):
         group = members[rep]

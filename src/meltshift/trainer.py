@@ -18,7 +18,8 @@ import numpy as np
 from .checkpoint import save_checkpoint
 from .data import EmbeddingBundle, MutationRecord, check_track_set
 from .errors import ConfigError, DataError, NumericError
-from .heads import MODEL_KINDS, EnsembleModel, LossBreakdown, build_model
+from .heads import MODEL_KINDS, EnsembleModel, LossBreakdown, build_model, \
+    loss_terms
 from .metrics import MetricsReport, compute_report
 from .optim import AdamState, ClipConfig, OneCycleSchedule, adam_step, \
     clip_scale, onecycle_lr
@@ -83,14 +84,12 @@ class TrainConfig:
 
 def compute_losses(y1: float, y2: float, y_ens: float,
                    label: float) -> LossBreakdown:
-    """Per-sample loss terms; the ensemble term carries its 1/2 factor."""
+    """One sample's training loss terms, by :func:`heads.loss_terms`."""
     for name, v in (("y1", y1), ("y2", y2), ("y_ens", y_ens), ("label", label)):
         if not math.isfinite(v):
             raise NumericError(f"non-finite {name}: {v}")
-    l1 = (y1 - label) ** 2
-    l2 = (y2 - label) ** 2
-    le = 0.5 * (y_ens - label) ** 2
-    return LossBreakdown(l1, l2, le, l1 + l2 + le)
+    tape = Tape()
+    return loss_terms(tape, [tape.leaf([y]) for y in (y1, y2, y_ens)], [label])[1]
 
 
 @dataclass

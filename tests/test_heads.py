@@ -21,7 +21,7 @@ from meltshift.heads import (
     model_layout,
     mut_concat_forward,
 )
-from meltshift.tape import DEFAULT_LAYERNORM_EPS, Tape
+from meltshift.tape import Tape
 
 SEQ_ROLES = ("seq_cls", "seq_pos")
 ALL_ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
@@ -129,7 +129,8 @@ def head1_oracle(a_w, a_m, a):
 
 def head2_oracle(cls_w, cls_m, a_w, a_m, a):
     def ln(x, g, b):
-        return g * (x - x.mean()) / np.sqrt(x.var() + DEFAULT_LAYERNORM_EPS) + b
+        # the recipe's LayerNorm eps, written out: TrainConfig fixes it at 1e-5
+        return g * (x - x.mean()) / np.sqrt(x.var() + 1e-5) + b
 
     feat = np.concatenate([
         ln(cls_w - cls_m, a["ln_cls.gamma"], a["ln_cls.beta"]),
