@@ -7,6 +7,13 @@ clipping, homology-aware dataset splitting, and reproducible binary
 formats for embeddings and checkpoints.
 """
 
+import os
+
+# One BLAS thread, set before any submodule loads numpy: training's two workers
+# are the only parallelism, so its bits do not depend on the CPU count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint

@@ -156,10 +156,12 @@ def _write_eval_outputs(result, report_path, rows_path) -> None:
 
 def cmd_train(args) -> int:
     config = _load_train_config(args)
+    rundir = Path(args.out)
+    if rundir.exists() and (not rundir.is_dir() or any(rundir.iterdir())):
+        raise ConfigError(f"--out {rundir} exists and is not an empty directory")
     records = load_dataset(args.dataset)
     bundles = read_bundles(args.bundles)
     split = read_split(args.split) if args.split else None
-    rundir = Path(args.out)
     rundir.mkdir(parents=True, exist_ok=True)
     _write_json(rundir / "config.json", config.to_dict())
     if args.split:

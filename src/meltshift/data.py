@@ -224,7 +224,7 @@ def read_table(path, columns: list[str], header: bool = True):
     column, and its line number is the file line where it ends.
     """
     dialect = {} if header else {"delimiter": "\t", "quoting": csv.QUOTE_NONE}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, **dialect)
         try:
             found = next(reader, None) if header else columns

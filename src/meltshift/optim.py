@@ -161,8 +161,7 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     def update(blocks, g_buf, a_buf, b_buf):
         for pc, mc, vc, g in blocks:
             a, b = a_buf[:pc.size], b_buf[:pc.size]
-            if grad_scale != 1.0:
-                g = np.multiply(g, grad_scale, out=g_buf[:pc.size])
+            g = np.multiply(g, grad_scale, out=g_buf[:pc.size])
             np.multiply(mc, b1, out=mc)
             np.multiply(g, 1.0 - b1, out=a)
             np.add(mc, a, out=mc)

@@ -1,7 +1,9 @@
+# meltshift before numpy: importing it pins BLAS to one thread, so the tests
+# run the configuration that every run gets
+from meltshift.data import AMINO_ACIDS, Mutation, MutationRecord
+
 import numpy as np
 import pytest
-
-from meltshift.data import AMINO_ACIDS, Mutation, MutationRecord
 
 
 def random_records(n_proteins, muts_per_protein, seed, seq_len=(12, 30),

@@ -346,6 +346,43 @@ class TestTrainEvalPredict:
         assert "validation metrics undefined" in caplog.text
 
 
+class TestRunDirectory:
+    FLAGS = ("--epochs", 1, "--d-proj", 4, "--max-lr", 1e-2, "--seed", 1)
+
+    @pytest.mark.parametrize("rerun", [
+        pytest.param((), id="without_split"),
+        pytest.param(("--max-lr", 1e60, "--clip-norm", 1e300), id="diverging"),
+    ])
+    def test_used_directory_is_config_error_and_left_alone(self, rerun, pipeline,
+                                                           tmp_path, capsys):
+        dataset, bundles, split = pipeline
+        rundir = tmp_path / "run"
+        assert run("train", dataset, bundles, "--out", rundir, "--split", split,
+                   *self.FLAGS) == 0
+        before = {p.name: p.read_bytes() for p in rundir.iterdir()}
+        capsys.readouterr()
+        split_flag = ("--split", split) if rerun else ()
+        assert run("train", dataset, bundles, "--out", rundir, *split_flag,
+                   *self.FLAGS, *rerun) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out {rundir} exists and is not an empty directory\n")
+        assert {p.name: p.read_bytes() for p in rundir.iterdir()} == before
+
+    def test_file_is_config_error(self, pipeline, tmp_path):
+        dataset, bundles, _ = pipeline
+        out = tmp_path / "run"
+        out.write_bytes(b"x")
+        assert run("train", dataset, bundles, "--out", out, *self.FLAGS) == 2
+        assert out.read_bytes() == b"x"
+
+    def test_empty_directory_is_used(self, pipeline, tmp_path):
+        dataset, bundles, _ = pipeline
+        rundir = tmp_path / "run"
+        rundir.mkdir()
+        assert run("train", dataset, bundles, "--out", rundir, *self.FLAGS) == 0
+        assert (rundir / "checkpoint.bin").exists()
+
+
 class TestTrainConfigFile:
     def test_own_config_reproduces_the_run(self, pipeline, tmp_path):
         dataset, bundles, split = pipeline

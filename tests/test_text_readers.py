@@ -113,3 +113,16 @@ def test_crlf_cluster_table_reads_as_its_lf_twin(tmp_path):
     crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
     assert load_clusters_tsv(crlf) == load_clusters_tsv(lf) == [
         Cluster("1ABC:A", ["1ABC:A", '"P2"']), Cluster("P3", ["P3", "P4"])]
+
+
+@pytest.mark.parametrize("reader,content", [
+    pytest.param(load_dataset, VALID[load_dataset], id="load_dataset"),
+    pytest.param(read_split, VALID[read_split], id="read_split"),
+    # read as a character, the mark would name a phantom first protein
+    pytest.param(load_clusters_tsv, b"A\tA\nB\tB\n", id="load_clusters_tsv"),
+])
+def test_leading_bom_reads_as_nothing(reader, content, tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(content)
+    marked.write_bytes(b"\xef\xbb\xbf" + content)
+    assert reader(marked) == reader(plain)

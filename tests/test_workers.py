@@ -4,20 +4,27 @@ The splitter runs on one thread; its blocks are checked against a
 quadratic reference in ``test_splitter.py``.
 
 ``tape._worker_count`` is forced to 1 and to 2 here, so the two-worker path
-runs whatever the CPU affinity of the test process.
+runs whatever the CPU affinity of the test process. The last tests run fresh
+interpreters with the BLAS thread variables unset: importing meltshift pins
+BLAS to one thread, so a run writes the same bits on one CPU as on two.
 """
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meltshift
 from meltshift import tape as tape_module
-from meltshift.data import synth_bundles
+from meltshift.cli import main
+from meltshift.data import synth_bundles, write_dataset
 from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale
 from meltshift.tape import Tape
 from meltshift.trainer import TrainConfig, train
@@ -170,3 +177,81 @@ def test_forked_child_finishes_adam_step(monkeypatch):
     workers(monkeypatch, 2)
     optimizer_steps()  # the pool thread now runs in this process
     run_in_fork(optimizer_steps, "adam_step")
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# prints OpenBLAS's thread count after ``import meltshift``, read through the
+# symbol perfbench/worker.py's blas_threads() reads, and OPENBLAS_NUM_THREADS
+BLAS_THREADS = """
+import ctypes, glob, os
+from pathlib import Path
+import meltshift
+import numpy as np
+count = None
+for path in glob.glob(str(Path(np.__file__).resolve().parent.parent
+                          / "numpy.libs" / "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None and count is None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            count = fn()
+print(count, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+# argv ``N ARGS...``: ``meltshift ARGS`` on the first N CPUs of the affinity mask
+CLI_ON_CPUS = """
+import os, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv[1])])
+from meltshift.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def fresh_python(code: str, *args, **env) -> str:
+    """Stdout of ``code`` in a new interpreter that imports this meltshift,
+    with the BLAS variables unset but for those in ``env``."""
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    child["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(meltshift.__file__).parent.parent)]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    child.update(env)
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=child, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_pins_blas_to_one_thread_unless_set():
+    count, var = fresh_python(BLAS_THREADS).split()
+    if count == "None":
+        pytest.skip("no OpenBLAS thread-count symbol found")
+    assert (count, var) == ("1", "1")
+    # OpenBLAS takes no more threads than the process has CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count()
+    assert fresh_python(BLAS_THREADS, OPENBLAS_NUM_THREADS="2").split() == [
+        str(min(2, cpus)), "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs in the affinity mask")
+def test_run_on_one_cpu_writes_the_bits_of_a_run_on_two(tmp_path):
+    # batches of 32 at d_proj 33: a two-thread OpenBLAS rounds some of this
+    # run's products otherwise than a one-thread one
+    dataset, bundles = tmp_path / "data.csv", tmp_path / "b.dtme"
+    write_dataset(dataset, random_records(40, 4, seed=7))
+    assert main(["synth-embed", str(dataset), "--out", str(bundles),
+                 "--d-raw", "128"]) == 0
+    runs = []
+    for cpus in (2, 1):
+        rundir = tmp_path / f"run{cpus}"
+        fresh_python(CLI_ON_CPUS, cpus, "train", dataset, bundles, "--out", rundir,
+                     "--head", "head1", "--d-proj", 33, "--batch-size", 32,
+                     "--epochs", 1)
+        runs.append([(rundir / name).read_bytes()
+                     for name in ("checkpoint.bin", "steps.jsonl")])
+    assert runs[0] == runs[1]
