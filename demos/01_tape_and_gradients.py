@@ -6,10 +6,10 @@ backward pass walks the records in reverse and accumulates exact
 gradients, which we verify here against central finite differences.
 """
 
-import numpy as np
-
 from meltshift import Tape
 from meltshift.gradcheck import compare_grads, finite_diff
+
+import numpy as np  # after meltshift, whose import pins BLAS to one thread
 
 rng = np.random.default_rng(0)
 

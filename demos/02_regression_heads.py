@@ -9,14 +9,14 @@ collapses the difference head to its LayerNorm beta channels, and
 swapping wild/mutant negates its output around the bias.
 """
 
-import numpy as np
-
 from meltshift import (
     EmbeddingBundle,
     HeadKind,
     build_ensemble,
     build_single_head,
 )
+
+import numpy as np  # after meltshift, whose import pins BLAS to one thread
 
 ROLES = ("seq_cls", "seq_pos", "struct_cls", "struct_pos", "avg")
 rng = np.random.default_rng(7)

@@ -5,8 +5,6 @@ follows a cosine warmup/anneal cycle over the whole run, and gradients
 are clipped to a global L2 norm of 0.1 beforehand.
 """
 
-import numpy as np
-
 from meltshift import (
     AdamState,
     ClipConfig,
@@ -16,6 +14,8 @@ from meltshift import (
     global_grad_norm,
     onecycle_lr,
 )
+
+import numpy as np  # after meltshift, whose import pins BLAS to one thread
 
 # --- Adam walks a quadratic to its minimum -----------------------------
 params = {"w": np.array([1.0])}

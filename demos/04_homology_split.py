@@ -7,9 +7,9 @@ assign whole clusters to train or validation, targeting an 8:2 ratio by
 mutation count.
 """
 
-import numpy as np
-
 from meltshift import estimate_identity, greedy_cluster, split_clusters
+
+import numpy as np  # after meltshift, whose import pins BLAS to one thread
 
 rng = np.random.default_rng(11)
 AA = "ACDEFGHIKLMNPQRSTVWY"

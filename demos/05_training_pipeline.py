@@ -14,8 +14,6 @@ checkpoint round-trip. The CLI wraps exactly these steps::
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from meltshift import (
     AMINO_ACIDS,
     Mutation,
@@ -28,6 +26,8 @@ from meltshift import (
     train,
 )
 from meltshift.metrics import format_report
+
+import numpy as np  # after meltshift, whose import pins BLAS to one thread
 
 rng = np.random.default_rng(42)
 

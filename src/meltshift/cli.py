@@ -213,7 +213,7 @@ def _parse_mutation_specs(args) -> list[tuple[str, str]]:
         specs.extend(s for s in args.mutations.split(",") if s)
     if args.mutations_file:
         try:
-            with open(args.mutations_file, encoding="utf-8") as fh:
+            with open(args.mutations_file, encoding="utf-8-sig") as fh:
                 specs.extend(line.strip() for line in fh if line.strip())
         except UnicodeDecodeError as exc:
             raise ConfigError(

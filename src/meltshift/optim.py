@@ -5,10 +5,10 @@ parameter name; ``adam_step`` updates the parameter arrays in place so a
 model holding the same arrays sees the update without copying.
 
 Clipping and Adam share one walk over memory: ``clip_scale`` reads the
-gradients for their norm and returns the scale that clipping would apply,
-and ``adam_step`` applies that scale while it updates the moments and the
-parameters in place, ``CHUNK`` elements at a time through a few chunk-sized
-scratch buffers, in two shares, one per worker. No gradient is copied.
+gradients (a ``tape.Factored`` one through its factors) for their norm and
+returns the scale that clipping would apply, and ``adam_step`` applies it
+while it updates the moments and parameters in place, a block at a time
+through block-sized scratch buffers, in two shares, one per worker.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tape import CHUNK, Array, _run_pair
+from .tape import CHUNK, Array, Factored, _run_pair
 
 # the fixed recipe: Adam's decay rates and epsilon, and the one-cycle
 # schedule's warmup share and start and end divisors of max_lr
@@ -34,15 +34,22 @@ FINAL_DIV_FACTOR = 1e4
 
 
 def _map_shares(maps: list[dict[str, Array]], job, n_buffers: int):
-    """``job(blocks, *buffers)`` for two contiguous shares, of about equal size
-    and each with its own scratch buffers and worker, of the blocks of ``CHUNK``
-    elements in sorted-name order; a block holds a slice of each map's array."""
-    flat = [[m[name].reshape(-1) for m in maps] for name in sorted(maps[0])]
-    blocks = [tuple(a[start:start + CHUNK] for a in arrays)
-              for arrays in flat for start in range(0, arrays[0].size, CHUNK)]
+    """``job(blocks, *buffers)`` for two contiguous shares, of about equal size and
+    each with its own scratch buffers and worker, of the blocks in sorted-name order:
+    ``CHUNK`` elements of each map's array, or whole rows where the last is factored."""
+    blocks = []
+    for name in sorted(maps[0]):
+        *rest, g = (m[name] for m in maps)
+        if isinstance(g, Factored):
+            step = max(1, CHUNK // g.shape[1])
+            blocks += [(*(a[r:r + step] for a in rest), Factored(g.rows[:, r:r + step], g.x))
+                       for r in range(0, g.shape[0], step)]
+        else:
+            flat = [a.reshape(-1) for a in (*rest, g)]
+            blocks += [tuple(a[i:i + CHUNK] for a in flat) for i in range(0, g.size, CHUNK)]
     ends = np.cumsum([0] + [block[0].size for block in blocks])
     size, cut = int(ends[-1]), int(np.searchsorted(ends, ends[-1] / 2))
-    buffers = np.empty((2, n_buffers, min(CHUNK, size)))
+    buffers = np.empty((2, n_buffers, np.diff(ends).max(initial=0)))
     return _run_pair(size, partial(job, blocks[:cut], *buffers[0]),
                      partial(job, blocks[cut:], *buffers[1]))
 
@@ -61,20 +68,39 @@ class ClipConfig:
                 f"clip max_norm must be finite and > 0, got {self.max_norm}")
 
 
+def _ghost_square(g: Factored) -> float:
+    """||rows.T @ x||**2 as sum_ab (R R^T)_ab (X X^T)_ab, the ghost norm
+    (arXiv:1510.01799), kept where its rounding is below 2**-32 of it, else from the
+    built gradient. With R and X scaled by powers of two to entries below 1, the
+    Gram entries, their products and their sum err by at most (m + n + 1 + B**2)
+    * 2**-53 * W**2, W = sum_a ||r_a|| ||x_a||, however they cancel; underflow
+    adds under 2**-1000 (B**2*m*n < 2**70); the test doubles the first, for second order."""
+    e = [int(np.frexp(np.max(np.abs(a), initial=0.0))[1]) for a in (g.rows, g.x)]
+    r, x = np.ldexp(g.rows, -e[0]), np.ldexp(g.x, -e[1])
+    gram = (r @ r.T) * (x @ x.T)
+    square, w = float(gram.sum()), float(np.sqrt(gram.diagonal()).sum())
+    if (sum(g.shape) + 1 + gram.size) * 2.0**-52 * w * w + 2.0**-1000 <= 2.0**-32 * square:
+        return float(np.ldexp(square, 2 * sum(e)))
+    built = np.asarray(g).reshape(-1)
+    return float(np.add.reduce(np.square(built, out=built)))
+
+
 def global_grad_norm(grads: dict[str, Array]) -> float:
     """L2 norm of all gradients jointly.
 
-    Squares are summed per ``CHUNK``-element block by ``np.add.reduce``
-    (``np.sum`` minus a wrapper that holds the GIL), never BLAS, and added in
-    sorted-name block order, so no BLAS or worker count changes a bit.
+    Squares are summed per block by ``np.add.reduce`` (``np.sum`` minus a wrapper
+    that holds the GIL), never BLAS, and added in sorted-name block order, then
+    each factored one's (:func:`_ghost_square`), so no worker count changes a bit.
     """
     def square_sums(blocks, buf) -> list[float]:
         return [float(np.add.reduce(np.multiply(g, g, out=buf[:g.size])))
                 for g, in blocks]
 
-    first, second = _map_shares([grads], square_sums, 1)
+    dense = {k: g for k, g in grads.items() if not isinstance(g, Factored)}
+    first, second = _map_shares([dense], square_sums, 1)
+    ghosts = [_ghost_square(grads[k]) for k in sorted(grads) if k not in dense]
     # one by one in block order: sum() compensates from Python 3.12 on
-    return math.sqrt(reduce(operator.add, first + second, 0.0))
+    return math.sqrt(reduce(operator.add, first + second + ghosts, 0.0))
 
 
 def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
@@ -82,13 +108,13 @@ def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
 
     Returns ``(scale, norm)`` with the pre-clip norm; ``scale`` is 1.0 when
     the norm is within the bound, else ``max_norm / norm * (1 - 2**-30)``.
-    A computed norm is off by at most about ``(30 + blocks) * 2**-53``
-    relative (a rounding per square, the pairwise sum in a block, an addition
-    per block, the square root); the margin exceeds that error on the norm
-    and on the clipped copy's norm together for up to about 10**6 blocks, so
-    the copy's computed norm is at most ``max_norm`` and clipping is exactly
-    idempotent. The norm is the step's finiteness check: a non-finite one
-    raises NumericError, naming the first parameter with a non-finite entry.
+    A computed norm is off by at most about ``(30 + blocks) * 2**-53`` relative
+    (a rounding per square, the pairwise sum in a block, an addition per block,
+    the square root) plus ``2**-33`` from ghost squares; the margin exceeds that
+    error on the norm and on the clipped copy's norm together for up to about
+    10**6 blocks, so the copy's computed norm is at most ``max_norm`` and
+    clipping is exactly idempotent. A non-finite norm (the step's finiteness
+    check) raises NumericError naming the first parameter with a non-finite entry.
     """
     with np.errstate(over="ignore"):  # an overflow shows as an infinite norm
         norm = global_grad_norm(grads)
@@ -104,9 +130,9 @@ def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
 
 def clip_global_norm(grads: dict[str, Array],
                      cfg: ClipConfig) -> tuple[dict[str, Array], float]:
-    """Scaled copies of ``grads`` per :func:`clip_scale`, and the pre-clip norm."""
+    """Scaled dense copies of ``grads`` per :func:`clip_scale`, and the pre-clip norm."""
     scale, norm = clip_scale(grads, cfg)
-    return {k: v * scale for k, v in grads.items()}, norm
+    return {k: np.asarray(v) * scale for k, v in grads.items()}, norm
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +186,8 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
 
     def update(blocks, g_buf, a_buf, b_buf):
         for pc, mc, vc, g in blocks:
-            a, b = a_buf[:pc.size], b_buf[:pc.size]
-            g = np.multiply(g, grad_scale, out=g_buf[:pc.size])
+            a, b, g_out = (buf[:pc.size].reshape(pc.shape) for buf in (a_buf, b_buf, g_buf))
+            g = np.multiply(g, grad_scale, out=g_out)
             np.multiply(mc, b1, out=mc)
             np.multiply(g, 1.0 - b1, out=a)
             np.add(mc, a, out=mc)

@@ -20,13 +20,14 @@ Conventions
   record's inputs, and touches no node. ``Tape.backward`` is the one place
   that sums them, and it sums out of place, so no gradient array is
   written after it is made and closures may hand on ``g`` or a view of it.
+  A weight is read by linears only, and its gradient is a :class:`Factored`.
 * Only unnamed (input) leaves are scanned for non-finite entries.
   Parameters are finite where they enter (``build_model`` makes them so,
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work, a linear's forward (W's row halves) and backward
-  and the optimizer's passes, may run on two workers, bit for bit
+* Parameter-sized work, a linear's forward (W's row halves) and the
+  optimizer's passes, may run on two workers, bit for bit
   (:func:`_run_pair`): a size picks where a closure runs, never what it computes.
 """
 
@@ -69,6 +70,21 @@ def _run_pair(size: int, first, second):
         return first(), future.result()
     finally:
         wait([future])  # the pool thread is done before anything propagates
+
+
+class Factored:
+    """A linear's weight gradient ``rows.T @ x`` as its factors, ``rows`` (B, m)
+    and ``x`` (B, n); ``+`` stacks two pairs and ``np.asarray`` builds it."""
+
+    def __init__(self, rows: Array, x: Array):
+        self.rows, self.x, self.shape = rows, x, (rows.shape[1], x.shape[1])
+
+    def __add__(self, other: "Factored") -> "Factored":
+        return Factored(np.concatenate([self.rows, other.rows]),
+                        np.concatenate([self.x, other.x]))
+
+    def __array__(self, dtype=None, copy=None) -> Array:
+        return self.rows.T @ self.x
 
 
 class Node:
@@ -174,10 +190,8 @@ class Tape:
         Wval, xval = W.value, x.value
 
         def backward(g: Array) -> tuple[Array, ...]:
-            rows, dW = g.reshape(-1, m), np.empty((m, n))  # see _run_pair
-            dx, _ = _run_pair(Wval.size, lambda: g @ Wval,
-                              lambda: np.matmul(rows.T, xval.reshape(-1, n), out=dW))
-            return dW, dx, rows.sum(axis=0)
+            rows = g.reshape(-1, m)
+            return Factored(rows, xval.reshape(-1, n)), g @ Wval, rows.sum(axis=0)
 
         h, out = m // 2, np.empty(xval.shape[:-1] + (m,))  # W's row halves
         _run_pair(Wval.size, lambda: np.matmul(xval, Wval[:h].T, out=out[..., :h]),
@@ -271,9 +285,9 @@ class Tape:
         Returns gradients for every named leaf (zeros if the forward never
         touched it). Unnamed leaves keep their gradient on ``node.grad``.
         A returned array may be shared with another leaf or be a view of a
-        larger gradient, so callers must not write into it.
-        Gradients are not checked for finiteness here: the training step
-        checks them once, in ``optim.clip_scale``.
+        larger gradient, so callers must not write into it; a linear's weight
+        gets a :class:`Factored`. Gradients are not checked for finiteness
+        here: the training step checks them once, in ``optim.clip_scale``.
         """
         if self._consumed:
             raise StateError("backward already ran on this tape")

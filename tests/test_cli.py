@@ -695,6 +695,23 @@ def test_predict_writes_the_bits_of_eval_per_sample(kind, tmp_path, capsys):
                          for row in evaluated]
 
 
+def test_mutations_file_with_a_byte_order_mark_predicts_its_twin_rows(pipeline, tmp_path,
+                                                                       capsys):
+    dataset, bundles, _ = pipeline
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+    specs = "".join(f"{r.protein_id}:{r.mutation.code}\n"
+                    for r in load_dataset(dataset)[:5])
+    outputs = []
+    for name, encoding in (("plain.txt", "utf-8"), ("bom.txt", "utf-8-sig")):
+        (tmp_path / name).write_text(specs, encoding=encoding)
+        capsys.readouterr()
+        assert run("predict", ckpt, bundles, "--mutations-file", tmp_path / name) == 0
+        outputs.append(capsys.readouterr().out)
+    assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[1] == outputs[0] and len(outputs[0].splitlines()) == 6
+
+
 @pytest.mark.parametrize("name, reason", [
     ("nope.txt", "No such file or directory"), (".", "Is a directory")])
 def test_unreadable_mutations_file_is_config_error(name, reason, pipeline,

@@ -4,8 +4,8 @@ Each mutant is ``tape.py``'s source with one textual defect in a forward
 or backward kernel, loaded into a fresh module. ``check_model`` runs with the
 mutant's ``Tape`` on the smallest model kind that uses the kernel, at
 d = d_raw = 4, batch 2 and the ``seq`` track, and must fail. Every defect
-keeps the gradients' shapes (the square projection lets a transposed
-weight gradient keep its shape), so only the values can give it away.
+keeps the gradients' shapes (the transposed weight gradient is planted in
+the square projection only), so only the values can give it away.
 """
 
 import types
@@ -22,13 +22,14 @@ from meltshift.heads import build_model
 TAPE_SOURCE = Path(tape.__file__).read_text()
 
 MUTANTS = [
-    pytest.param("mut_concat", "dW, dx, rows.sum(axis=0)", "dW, dx, rows[0]",
+    pytest.param("mut_concat", "g @ Wval, rows.sum(axis=0)", "g @ Wval, rows[0]",
                  id="linear_bias_row_sum"),
-    pytest.param("mut_concat", "np.matmul(rows.T, xval.reshape(-1, n), out=dW)",
-                 "np.matmul(rows[:1].T, xval.reshape(-1, n)[:1], out=dW)",
+    pytest.param("mut_concat", "Factored(rows, xval.reshape(-1, n))",
+                 "Factored(rows[:1], xval.reshape(-1, n)[:1])",
                  id="linear_weight_row_sum"),
-    pytest.param("mut_concat", "np.matmul(rows.T, xval.reshape(-1, n), out=dW)",
-                 "np.copyto(dW, (rows.T @ xval.reshape(-1, n)).T.reshape(m, n))",
+    pytest.param("mut_concat", "Factored(rows, xval.reshape(-1, n))",
+                 "(Factored(xval.reshape(-1, n), rows) if m == n\n"
+                 "             else Factored(rows, xval.reshape(-1, n)))",
                  id="linear_weight_transposed"),
     pytest.param("head1", "np.matmul(xval, Wval[h:].T, out=out[..., h:])",
                  "np.matmul(xval, Wval[:m - h].T, out=out[..., h:])",

@@ -15,6 +15,19 @@ from meltshift.optim import (
     global_grad_norm,
     onecycle_lr,
 )
+from meltshift.tape import Factored
+
+
+def factored(rng, n_rows, m, n, cancel=False):
+    """A random ``Factored`` (m, n) gradient of ``n_rows`` factor rows; with
+    ``cancel``, rows come in pairs r, -r over inputs x, x * (1 + tiny), so the
+    product is far smaller than its terms."""
+    rows = rng.normal(size=(n_rows, m))
+    x = rng.normal(size=(n_rows, n))
+    if cancel:
+        rows[1::2] = -rows[0:n_rows - 1:2]
+        x[1::2] = x[0:n_rows - 1:2] * (1.0 + 10.0 ** -rng.uniform(3, 12, size=(n_rows // 2, n)))
+    return Factored(rows, x)
 
 
 class TestClipping:
@@ -62,6 +75,49 @@ class TestClipping:
             assert all(np.array_equal(once[k], twice[k]) for k in grads), seed
             clipped += norm > cfg.max_norm
         assert clipped > 500
+
+    def test_factored_clipped_norm_within_bound_at_any_scale(self, monkeypatch):
+        # factored twins of the test above: up to 8 factor rows, magnitudes
+        # 1e-140 to 1e140 split unevenly between the factors, and cancelling
+        # rows, where the ghost square cannot be trusted and the norm is taken
+        # from the built gradient; either way it agrees with the dense norm
+        builds, real_array = [], Factored.__array__
+        monkeypatch.setattr(Factored, "__array__",
+                            lambda g, *a, **k: builds.append(g) or real_array(g))
+        clipped = ghost = built = 0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            magnitude, share = 10.0 ** rng.uniform(-140, 140), rng.uniform(0, 1)
+            grads = {f"f{i}": factored(rng, int(rng.integers(1, 9)),
+                                       int(rng.integers(1, 200)), int(rng.integers(1, 400)),
+                                       cancel=bool(rng.integers(2)))
+                     for i in range(rng.integers(1, 4))}
+            for g in grads.values():
+                g.rows *= magnitude ** share
+                g.x *= magnitude ** (1 - share)
+            grads["dense"] = rng.uniform(-1.0, 1.0, int(rng.integers(1, CHUNK))) * magnitude
+            cfg = ClipConfig(10.0 ** rng.uniform(-5, 5))
+            for k in sorted(grads.keys() - {"dense"}):  # each factored entry alone
+                builds.clear()
+                alone = global_grad_norm({k: grads[k]})
+                built, ghost = built + len(builds), ghost + 1 - len(builds)
+                dense = global_grad_norm({k: np.asarray(grads[k])})
+                assert abs(alone - dense) <= 2**-31 * dense, seed
+            norm = global_grad_norm(grads)
+            once, clip_norm = clip_global_norm(grads, cfg)
+            twice, _ = clip_global_norm(once, cfg)
+            assert clip_norm == norm
+            assert global_grad_norm(once) <= cfg.max_norm, seed
+            assert all(np.array_equal(once[k], twice[k]) for k in grads), seed
+            clipped += norm > cfg.max_norm
+        assert clipped > 100 and ghost > 300 and built > 100
+
+    def test_nan_in_factor_names_parameter(self):
+        rng = np.random.default_rng(2)
+        grads = {"ok": np.ones(2), "mix": factored(rng, 3, 4, 5)}
+        grads["mix"].x[1, 2] = np.nan
+        with pytest.raises(NumericError, match="'mix'"):
+            clip_scale(grads, ClipConfig(0.1))
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(3)
@@ -280,6 +336,29 @@ class TestAdam:
             assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
             want = textbook_update(m, v, t, lr)
             assert np.all(np.abs(-params["w"] - want) <= 14 * 2.0 ** -53 * np.abs(want))
+
+    # more than a block of rows, a one-row tail block, a row longer than a block
+    @pytest.mark.parametrize("n_rows,m,n", [(8, 128, 700), (5, 64, 519), (3, 3, CHUNK + 5)])
+    def test_factored_gradient_matches_its_materialized_twin(self, n_rows, m, n):
+        rng = np.random.default_rng(15)
+        w0 = rng.normal(size=(m, n))
+        fused, dense = {"w": w0.copy()}, {"w": w0.copy()}
+        fused_state, dense_state = AdamState.init(fused), AdamState.init(dense)
+        for t in range(1, 6):
+            g = factored(rng, n_rows, m, n)
+            lr, scale = 10.0 ** rng.uniform(-4, -1), rng.uniform(0.1, 1.0)
+            adam_step(fused, {"w": g}, fused_state, lr, grad_scale=scale)
+            adam_step(dense, {"w": np.asarray(g)}, dense_state, lr, grad_scale=scale)
+            for mine, twin in ((fused, dense), (fused_state.m, dense_state.m),
+                               (fused_state.v, dense_state.v)):
+                assert np.allclose(mine["w"], twin["w"], rtol=0, atol=1e-12)
+            # the update from the same state, against the textbook's
+            fused["w"][:], fused_state.t = 0.0, t - 1
+            adam_step(fused, {"w": g}, fused_state, lr, grad_scale=scale)
+            want = textbook_update(fused_state.m["w"], fused_state.v["w"], t, lr)
+            assert np.all(np.abs(-fused["w"] - want) <= 14 * 2.0 ** -53 * np.abs(want))
+            fused["w"][:] = dense["w"]
+            fused_state.m["w"][:], fused_state.v["w"][:] = dense_state.m["w"], dense_state.v["w"]
 
     def test_state_v_key_mismatch_is_config_error(self):
         params = {"w": np.ones(3)}

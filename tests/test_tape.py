@@ -7,7 +7,7 @@ import pytest
 
 from meltshift.errors import ConfigError, NumericError, StateError
 from meltshift.gradcheck import GRAD_TOLERANCE, compare_grads, finite_diff
-from meltshift.tape import Tape
+from meltshift.tape import Factored, Tape
 
 
 def run_linear(x, W, b):
@@ -244,6 +244,20 @@ class TestBackward:
         dy = (2.0 / 2) * (2.0 * a + b - target)
         assert np.array_equal(grads["b"], dy)
         assert np.array_equal(grads["a"], 2.0 * dy)
+
+    def test_weight_read_by_two_linears_stacks_its_factors(self):
+        # a projection reads its weight for the wild-type and the mutant rows
+        rng = np.random.default_rng(8)
+        W, x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
+        t = Tape()
+        Wn, bn = t.leaf(W, "W"), t.leaf(np.zeros(4), "b")
+        y1, y2 = t.linear(Wn, t.leaf(x1), bn), t.linear(Wn, t.leaf(x2), bn)
+        loss = t.add(t.mse(y1, np.zeros((2, 4))), t.mse(y2, np.zeros((5, 4))))
+        gW = t.backward(loss)["W"]
+        assert isinstance(gW, Factored) and gW.shape == W.shape
+        assert gW.rows.shape == (7, 4) and gW.x.shape == (7, 3)
+        want = (2.0 / 8) * (x1 @ W.T).T @ x1 + (2.0 / 20) * (x2 @ W.T).T @ x2
+        np.testing.assert_allclose(np.asarray(gW), want, rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

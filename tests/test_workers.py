@@ -26,12 +26,14 @@ from meltshift import tape as tape_module
 from meltshift.cli import main
 from meltshift.data import synth_bundles, write_dataset
 from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale
-from meltshift.tape import Tape
+from meltshift.tape import Factored, Tape
 from meltshift.trainer import TrainConfig, train
 
 from conftest import random_records
 
 SHAPES = {"a": (3 * CHUNK + 5,), "b": (CHUNK + 3,), "c": (7, 3)}
+# factored gradients: blocks of 46 rows, and rows longer than a block
+FACTORED = {"f": (128, 700), "g": (3, CHUNK + 5)}
 
 
 def workers(monkeypatch, count: int) -> None:
@@ -41,11 +43,13 @@ def workers(monkeypatch, count: int) -> None:
 def optimizer_steps():
     """Three clipped Adam steps: every norm, scale and array they leave."""
     rng = np.random.default_rng(3)
-    params = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+    params = {k: rng.normal(size=s) for k, s in {**SHAPES, **FACTORED}.items()}
     state = AdamState.init(params)
     scalars = []
     for _ in range(3):
         grads = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+        grads.update({k: Factored(rng.normal(size=(8, m)), rng.normal(size=(8, n)))
+                      for k, (m, n) in FACTORED.items()})
         scale, norm = clip_scale(grads, ClipConfig(0.1))
         scalars += [scale, norm]
         adam_step(params, grads, state, 0.01, grad_scale=scale)
@@ -122,7 +126,7 @@ def test_optimizer_bits_do_not_depend_on_worker_count(monkeypatch):
     assert tape_module._pool is not None and tape_module._pool[0] == os.getpid()
     assert one_scalars == two_scalars
     for one, two in zip(one_arrays, two_arrays):
-        for k in SHAPES:
+        for k in {**SHAPES, **FACTORED}:
             assert np.array_equal(one[k], two[k])
 
 
