@@ -16,7 +16,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .data import (
     write_table,
 )
 from .errors import ConfigError, DataError, MeltshiftError, NumericError
-from .gradcheck import DEFAULT_FD_STEP, GRAD_TOLERANCE, check_model
+from .gradcheck import GRAD_TOLERANCE, check_model
 from .heads import MODEL_KINDS, build_model
 from .metrics import format_report
 from .splitter import DEFAULT_IDENTITY, DEFAULT_KMER, DEFAULT_RATIO, MAX_KMER, \
@@ -258,36 +257,26 @@ def _random_gradcheck_bundle(vid: str, d_raw: int,
 
 
 def cmd_gradcheck(args) -> int:
-    for flag, value in (("--d", args.d), ("--d-raw", args.d_raw),
-                        ("--seeds", args.seeds), ("--batch", args.batch)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    if not (math.isfinite(args.step) and args.step > 0):
-        raise ConfigError(f"--step must be a finite number > 0, got {args.step}")
-    d_raw = args.d + 3 if args.d_raw is None else args.d_raw
-    worst = None
-    for seed in range(args.seed, args.seed + args.seeds):
-        model = build_model(args.head, d_raw, args.d, seed)
-        rng = np.random.default_rng(seed + 10_000)
-        samples = [
-            (_random_gradcheck_bundle(f"G{i}:WT", d_raw, rng),
-             _random_gradcheck_bundle(f"G{i}:M", d_raw, rng),
-             float(rng.normal()))
-            for i in range(args.batch)
-        ]
-        result = check_model(model, samples, step=args.step)
-        if worst is None or result.max_rel_err > worst.max_rel_err:
-            worst = result
-        print(f"head={args.head} d={args.d} seed={seed} "
-              f"max_rel_err={result.max_rel_err:.3e} "
-              f"worst={result.worst_param}{list(result.worst_index)} "
-              f"({result.n_checked} values)")
-    if worst.max_rel_err >= GRAD_TOLERANCE:
+    """Check one cell of the acceptance grid: width ``d_raw = d + 3``, two sample
+    pairs drawn from ``default_rng(50_000 + 97*d + seed)``."""
+    if args.d < 1:
+        raise ConfigError(f"--d must be >= 1, got {args.d}")
+    d_raw = args.d + 3
+    model = build_model(args.head, d_raw, args.d, args.seed)
+    rng = np.random.default_rng(50_000 + 97 * args.d + args.seed)
+    samples = [(_random_gradcheck_bundle(f"A{i}:WT", d_raw, rng),
+                _random_gradcheck_bundle(f"A{i}:M", d_raw, rng), float(rng.normal()))
+               for i in range(2)]
+    result = check_model(model, samples)
+    print(f"head={args.head} d={args.d} seed={args.seed} "
+          f"max_rel_err={result.max_rel_err:.3e} "
+          f"worst={result.worst_param}{list(result.worst_index)} "
+          f"({result.n_checked} values)")
+    if result.max_rel_err >= GRAD_TOLERANCE:
         raise NumericError(
-            f"gradient check failed: {worst.max_rel_err:.3e} >= "
-            f"{GRAD_TOLERANCE:.0e} at {worst.worst_param}"
+            f"gradient check failed: {result.max_rel_err:.3e} >= "
+            f"{GRAD_TOLERANCE:.0e} at {result.worst_param}"
         )
-    print(f"gradcheck OK: max relative error {worst.max_rel_err:.3e}")
     return 0
 
 
@@ -363,11 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify analytic gradients against finite differences")
     p.add_argument("--head", default="ensemble", choices=MODEL_KINDS)
     p.add_argument("--d", type=int, default=8, help="projection width")
-    p.add_argument("--d-raw", type=int, help="raw width (default d+3)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds")
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--step", type=float, default=DEFAULT_FD_STEP)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -386,7 +371,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except MeltshiftError as exc:  # pragma: no cover
+    except MeltshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,9 +32,9 @@ class GradCheckResult:
         return self.max_rel_err < GRAD_TOLERANCE
 
 
-def finite_diff(loss_fn: Callable[[], float], params: dict[str, Array],
-                step: float = DEFAULT_FD_STEP) -> dict[str, Array]:
-    """Central differences of ``loss_fn`` w.r.t. every element of ``params``.
+def finite_diff(loss_fn: Callable[[], float], params: dict[str, Array]) -> dict[str, Array]:
+    """Central differences of ``loss_fn`` w.r.t. every element of ``params``,
+    with step ``DEFAULT_FD_STEP``.
 
     Perturbs each entry in place (restoring it afterwards), so ``loss_fn``
     must read the live arrays in ``params``.
@@ -46,12 +46,12 @@ def finite_diff(loss_fn: Callable[[], float], params: dict[str, Array],
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + step
+            arr[idx] = orig + DEFAULT_FD_STEP
             f_plus = loss_fn()
-            arr[idx] = orig - step
+            arr[idx] = orig - DEFAULT_FD_STEP
             f_minus = loss_fn()
             arr[idx] = orig
-            g[idx] = (f_plus - f_minus) / (2.0 * step)
+            g[idx] = (f_plus - f_minus) / (2.0 * DEFAULT_FD_STEP)
         grads[name] = g
     return grads
 
@@ -82,7 +82,7 @@ def compare_grads(analytic: dict[str, Array],
     return GradCheckResult(worst, worst_param, worst_index, n)
 
 
-def check_model(model, samples, step: float = DEFAULT_FD_STEP) -> GradCheckResult:
+def check_model(model, samples) -> GradCheckResult:
     """Check a model's analytic batch-loss gradients against central differences.
 
     ``model`` needs ``named_parameters()`` and ``batch_loss(tape, samples)``,
@@ -98,5 +98,5 @@ def check_model(model, samples, step: float = DEFAULT_FD_STEP) -> GradCheckResul
     t = Tape()
     loss, _ = model.batch_loss(t, samples)
     analytic = t.backward(loss)
-    numeric = finite_diff(loss_fn, params, step)
+    numeric = finite_diff(loss_fn, params)
     return compare_grads(analytic, numeric)

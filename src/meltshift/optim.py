@@ -33,9 +33,9 @@ DIV_FACTOR = 25.0
 FINAL_DIV_FACTOR = 1e4
 
 
-def _map_shares(maps: list[dict[str, Array]], job, n_buffers: int):
-    """``job(blocks, *buffers)`` for two contiguous shares, of about equal size and
-    each with its own scratch buffers and worker, of the blocks in sorted-name order:
+def _map_shares(maps: list[dict[str, Array]], job) -> None:
+    """``job(blocks, *buffers)`` for two contiguous shares of about equal size, each
+    with three scratch buffers and its own worker, of the blocks in sorted-name order:
     ``CHUNK`` elements of each map's array, or whole rows where the last is factored."""
     blocks = []
     for name in sorted(maps[0]):
@@ -49,9 +49,9 @@ def _map_shares(maps: list[dict[str, Array]], job, n_buffers: int):
             blocks += [tuple(a[i:i + CHUNK] for a in flat) for i in range(0, g.size, CHUNK)]
     ends = np.cumsum([0] + [block[0].size for block in blocks])
     size, cut = int(ends[-1]), int(np.searchsorted(ends, ends[-1] / 2))
-    buffers = np.empty((2, n_buffers, np.diff(ends).max(initial=0)))
-    return _run_pair(size, partial(job, blocks[:cut], *buffers[0]),
-                     partial(job, blocks[cut:], *buffers[1]))
+    buffers = np.empty((2, 3, np.diff(ends).max(initial=0)))
+    _run_pair(size, partial(job, blocks[:cut], *buffers[0]),
+              partial(job, blocks[cut:], *buffers[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +88,17 @@ def _ghost_square(g: Factored) -> float:
 def global_grad_norm(grads: dict[str, Array]) -> float:
     """L2 norm of all gradients jointly.
 
-    Squares are summed per block by ``np.add.reduce`` (``np.sum`` minus a wrapper
-    that holds the GIL), never BLAS, and added in sorted-name block order, then
-    each factored one's (:func:`_ghost_square`), so no worker count changes a bit.
+    Squares are summed per ``CHUNK`` block by ``np.add.reduce``, never BLAS, and
+    added one by one in sorted-name block order, then each factored one's
+    (:func:`_ghost_square`).
     """
-    def square_sums(blocks, buf) -> list[float]:
-        return [float(np.add.reduce(np.multiply(g, g, out=buf[:g.size])))
-                for g, in blocks]
-
-    dense = {k: g for k, g in grads.items() if not isinstance(g, Factored)}
-    first, second = _map_shares([dense], square_sums, 1)
-    ghosts = [_ghost_square(grads[k]) for k in sorted(grads) if k not in dense]
-    # one by one in block order: sum() compensates from Python 3.12 on
-    return math.sqrt(reduce(operator.add, first + second + ghosts, 0.0))
+    named = sorted(grads.items())
+    dense = [np.reshape(g, -1) for _, g in named if not isinstance(g, Factored)]
+    squares = [float(np.add.reduce(np.multiply(b, b))) for g in dense
+               for b in (g[i:i + CHUNK] for i in range(0, g.size, CHUNK))]
+    squares += [_ghost_square(g) for _, g in named if isinstance(g, Factored)]
+    # one by one: sum() compensates from Python 3.12 on
+    return math.sqrt(reduce(operator.add, squares, 0.0))
 
 
 def clip_scale(grads: dict[str, Array], cfg: ClipConfig) -> tuple[float, float]:
@@ -201,7 +199,7 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
             np.multiply(a, step, out=a)
             np.subtract(pc, a, out=pc)
 
-    _map_shares([params, state.m, state.v, grads], update, 3)
+    _map_shares([params, state.m, state.v, grads], update)
     return params, state
 
 

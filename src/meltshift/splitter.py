@@ -156,9 +156,13 @@ def greedy_cluster(proteins, threshold: float,
     Proteins are processed longest-first (ties by id), joining the first
     existing cluster whose representative is at least ``threshold``
     similar, otherwise founding a new cluster. Input order never matters.
+    An id given with two different sequences raises DataError.
     """
     _check_options(threshold)
-    items = dict(proteins)
+    items: dict[str, str] = {}
+    for pid, seq in proteins.items() if isinstance(proteins, dict) else proteins:
+        if items.setdefault(pid, seq) != seq:
+            raise DataError(f"{pid}: two different sequences")
     for pid, seq in items.items():
         check_sequence(seq, f"{pid}: ")
     ordered = sorted(items, key=lambda pid: (-len(items[pid]), pid))

@@ -26,8 +26,8 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work, a linear's forward (W's row halves) and the
-  optimizer's passes, may run on two workers, bit for bit
+* Parameter-sized work, a linear's forward (W's row halves) and Adam's
+  update, may run on two workers, bit for bit
   (:func:`_run_pair`): a size picks where a closure runs, never what it computes.
 """
 
@@ -96,10 +96,6 @@ class Node:
         self.value = value
         self.grad: Array | None = None
         self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"<Node shape={self.value.shape}{tag}>"
 
 
 class Tape:

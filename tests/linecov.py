@@ -28,18 +28,6 @@ ALLOW = {
         "first, so a short read needs the file to shrink during the load",
     ("checkpoint.py", "_read_array", "arr.byteswap(inplace=True)"):
         "runs only on a big-endian host",
-    ("cli.py", "main", 'print(f"error: {exc}", file=sys.stderr)'):
-        "every MeltshiftError subclass has its own handler above this one",
-    ("cli.py", "main", "return 1"):
-        "every MeltshiftError subclass has its own handler above this one",
-    ("tape.py", "_run_pair", "global _pool"):
-        "a global statement compiles to no code, so it emits no line event",
-    ("tape.py", "__repr__",
-     'tag = f" name={self.name!r}" if self.name else ""'):
-        "Node.__repr__ is a debugging aid that no test prints",
-    ("tape.py", "__repr__",
-     'return f"<Node shape={self.value.shape}{tag}>"'):
-        "Node.__repr__ is a debugging aid that no test prints",
 }
 
 ran: set[tuple[str, int]] = set()
@@ -72,7 +60,8 @@ def _own_statements(node):
 
 def _unrun(path):
     """``(file, function, text)`` -> line of each function-body statement of
-    ``path`` that never ran; docstrings are not statements that run."""
+    ``path`` that never ran; docstrings are not statements that run, and
+    ``global`` and ``nonlocal`` declarations compile to no code."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     unrun = {}
@@ -80,7 +69,8 @@ def _unrun(path):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             doc = fn.body[0] if ast.get_docstring(fn) is not None else None
             for stmt in _own_statements(fn):
-                if stmt is not doc and (path, stmt.lineno) not in ran:
+                if (stmt is not doc and not isinstance(stmt, (ast.Global, ast.Nonlocal))
+                        and (path, stmt.lineno) not in ran):
                     text = lines[stmt.lineno - 1].strip()
                     unrun[os.path.basename(path), fn.name, text] = stmt.lineno
     return unrun

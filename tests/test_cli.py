@@ -11,11 +11,13 @@ import pytest
 from meltshift import cli, gradcheck, splitter
 from meltshift.checkpoint import load_checkpoint, save_checkpoint
 from meltshift.cli import main
-from meltshift.data import load_dataset, read_bundles, write_bundles, write_dataset
+from meltshift.data import TRACK_ROLES, EmbeddingBundle, load_dataset, read_bundles, \
+    write_bundles, write_dataset
 from meltshift.errors import ConfigError, FormatError
 from meltshift.heads import build_model
 from meltshift.optim import AdamState
 from meltshift.splitter import read_split
+from meltshift.tape import Tape
 from meltshift.trainer import TrainConfig
 
 from conftest import random_records
@@ -841,24 +843,39 @@ class TestGradcheckCommand:
     def test_bad_width_is_config_error(self):
         assert run("gradcheck", "--d", 0) == 2
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--seeds", 0), ("--step", 0), ("--step", -1e-4), ("--step", "nan"),
-        ("--step", "inf"), ("--d-raw", 0), ("--batch", 0), ("--batch", -2),
-    ])
-    def test_bad_flag_is_config_error(self, flag, value, capsys):
-        assert run("gradcheck", "--d", 2, flag, value) == 2
-        assert f"config error: {flag} must be" in capsys.readouterr().err
-
     def test_negative_seed_is_config_error(self, capsys):
         assert run("gradcheck", "--d", 2, "--seed", -1) == 2
         assert "config error: seed must be >= 0" in capsys.readouterr().err
 
-    def test_absurd_fd_step_is_numeric_error(self, capsys):
+    def test_absurd_fd_step_is_numeric_error(self, monkeypatch, capsys):
         # a huge step makes central differences diverge from the analytic
         # gradients, exercising the numeric failure exit class
-        code = run("gradcheck", "--head", "head1", "--d", 4, "--step", 10.0)
+        monkeypatch.setattr(gradcheck, "DEFAULT_FD_STEP", 10.0)
+        code = run("gradcheck", "--head", "head1", "--d", 4)
         assert code == 4
         assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head,d,seed", [
+        ("ensemble", 4, 0), ("head2", 8, 3), ("mut_lincomb", 16, 4),
+    ])
+    def test_checks_the_acceptance_grid_cell(self, head, d, seed, capsys):
+        # test_gradient_suite's samples and model for (head, d, seed)
+        rng = np.random.default_rng(50_000 + 97 * d + seed)
+
+        def bundle(vid):
+            return EmbeddingBundle(vid, {r: rng.normal(size=d + 3) for r in TRACK_ROLES})
+
+        samples = [(bundle(f"A{i}:WT"), bundle(f"A{i}:M"), float(rng.normal()))
+                   for i in range(2)]
+        want = gradcheck.check_model(build_model(head, d + 3, d, seed), samples)
+        assert run("gradcheck", "--head", head, "--d", d, "--seed", seed) == 0
+        assert capsys.readouterr().out == (
+            f"head={head} d={d} seed={seed} max_rel_err={want.max_rel_err:.3e} "
+            f"worst={want.worst_param}{list(want.worst_index)} ({want.n_checked} values)\n")
+
+    def test_parser_takes_only_head_d_and_seed(self):
+        args = cli.build_parser().parse_args(["gradcheck"])
+        assert sorted(vars(args)) == ["command", "d", "func", "head", "seed"]
 
 
 def test_train_copies_split_into_rundir(pipeline, tmp_path):
@@ -1010,10 +1027,24 @@ def test_exit_path(case, code, message, pipeline, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_state_error_exits_1(monkeypatch, capsys):
+    # StateError has no handler of its own: a second backward on one tape
+    def backward_twice(model, samples):
+        tape = Tape()
+        loss, _ = model.batch_loss(tape, samples)
+        tape.backward(loss)
+        tape.backward(loss)
+
+    monkeypatch.setattr(cli, "check_model", backward_twice)
+    assert run("gradcheck", "--head", "head1", "--d", 4) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: backward already ran on this tape\n"
+    assert captured.out == ""
+
+
 def test_defaults_are_the_module_constants():
     parser = cli.build_parser()
     args = parser.parse_args(["prepare-split", "D", "--out", "O"])
     assert args.identity == splitter.DEFAULT_IDENTITY
     assert cli._parse_ratio(args.ratio) == splitter.DEFAULT_RATIO
     assert args.kmer == splitter.DEFAULT_KMER
-    assert parser.parse_args(["gradcheck"]).step == gradcheck.DEFAULT_FD_STEP

@@ -191,6 +191,13 @@ class TestGreedyCluster:
         b = greedy_cluster(list(reversed(items)), 0.5)
         assert [(c.representative, sorted(c.members)) for c in a] == \
                [(c.representative, sorted(c.members)) for c in b]
+        # a repeated pair changes nothing; an id with two sequences would
+        # keep whichever came last, so it is refused in either order
+        assert as_pairs(greedy_cluster(items + items[:3], 0.5)) == as_pairs(a)
+        twice = [("A", "MKTAYIAKQR"), ("A", "WWWWWWWWWW"), ("B", "MKTAYIAKQR")]
+        for pairs in (twice, twice[::-1]):
+            with pytest.raises(DataError, match="^A: two different sequences$"):
+                greedy_cluster(pairs, 0.5)
 
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ interpreters with the BLAS thread variables unset: importing meltshift pins
 BLAS to one thread, so a run writes the same bits on one CPU as on two.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -24,8 +25,10 @@ import pytest
 import meltshift
 from meltshift import tape as tape_module
 from meltshift.cli import main
-from meltshift.data import synth_bundles, write_dataset
-from meltshift.optim import CHUNK, AdamState, ClipConfig, adam_step, clip_scale
+from meltshift.data import TRACK_ROLES, EmbeddingBundle, synth_bundles, write_dataset
+from meltshift.heads import build_model
+from meltshift.optim import CHUNK, AdamState, ClipConfig, _ghost_square, adam_step, \
+    clip_scale, global_grad_norm
 from meltshift.tape import Factored, Tape
 from meltshift.trainer import TrainConfig, train
 
@@ -128,6 +131,51 @@ def test_optimizer_bits_do_not_depend_on_worker_count(monkeypatch):
     for one, two in zip(one_arrays, two_arrays):
         for k in {**SHAPES, **FACTORED}:
             assert np.array_equal(one[k], two[k])
+
+
+def blockwise_norm(grads) -> float:
+    """The joint norm written out: each dense ``CHUNK`` block's sum of squares,
+    in sorted-name order, then each factored entry's ghost square, added one by
+    one from 0.0."""
+    total = 0.0
+    for name in sorted(grads):
+        if not isinstance(grads[name], Factored):
+            flat = np.ravel(grads[name])
+            for i in range(0, flat.size, CHUNK):
+                total += float(np.sum(flat[i:i + CHUNK] ** 2))
+    for name in sorted(grads):
+        if isinstance(grads[name], Factored):
+            total += _ghost_square(grads[name])
+    return math.sqrt(total)
+
+
+def recipe_step_grads():
+    """One ``ensemble`` step's gradients at recipe widths: d_raw 1280, d_proj
+    128, batch 8."""
+    rng = np.random.default_rng(8)
+
+    def bundle(vid):
+        return EmbeddingBundle(vid, {r: rng.normal(size=1280) for r in TRACK_ROLES})
+
+    samples = [(bundle(f"R{i}:WT"), bundle(f"R{i}:M"), float(rng.normal()))
+               for i in range(8)]
+    tape = Tape()
+    loss, _ = build_model("ensemble", 1280, 128, 0).batch_loss(tape, samples)
+    return tape.backward(loss)
+
+
+def test_norm_bits_are_the_blockwise_formula():
+    # another summation order rounds the norm the same in about three draws
+    # of four, so there are sixteen
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        grads = {k: rng.normal(size=s) for k, s in SHAPES.items()}
+        grads.update({k: Factored(rng.normal(size=(8, m)), rng.normal(size=(8, n)))
+                      for k, (m, n) in FACTORED.items()})
+        assert global_grad_norm(grads) == blockwise_norm(grads)
+    recipe = recipe_step_grads()
+    assert any(isinstance(g, Factored) for g in recipe.values())
+    assert global_grad_norm(recipe) == blockwise_norm(recipe)
 
 
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
