@@ -9,8 +9,8 @@ formats for embeddings and checkpoints.
 
 import os
 
-# One BLAS thread, set before any submodule loads numpy: training's two workers
-# are the only parallelism, so its bits do not depend on the CPU count.
+# One BLAS thread, set before any submodule loads numpy: the two workers of Adam's
+# update are the only parallelism, so training's bits do not depend on the CPU count.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

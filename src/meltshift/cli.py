@@ -1,11 +1,12 @@
 """Command-line surface for the pipeline.
 
 Subcommands: ``prepare-split``, ``synth-embed``, ``train``, ``eval``,
-``predict``, ``gradcheck``. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numeric error. Every artifact-producing command also
-writes a run manifest (command, option hash, input digests, tool version,
-timestamp) next to its output; the manifest is provenance metadata and is
-the one output that is not byte-reproducible (it carries a timestamp).
+``predict``, ``gradcheck``. Exit codes: 0 success, 1 out of memory or another
+error, 2 configuration error, 3 data error, 4 numeric error. Every
+artifact-producing command also writes a run manifest (command, option hash,
+input digests, tool version, timestamp) next to its output; the manifest is
+provenance metadata and is the one output that is not byte-reproducible (it
+carries a timestamp).
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def cmd_eval(args) -> int:
 def _parse_mutation_specs(args) -> list[tuple[str, str]]:
     specs: list[str] = []
     if args.mutations:
-        specs.extend(s for s in args.mutations.split(",") if s)
+        specs.extend(s.strip() for s in args.mutations.split(",") if s.strip())
     if args.mutations_file:
         try:
             with open(args.mutations_file, encoding="utf-8-sig") as fh:
@@ -373,6 +374,9 @@ def main(argv=None) -> int:
         return 4
     except MeltshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,20 +8,24 @@ Clipping and Adam share one walk over memory: ``clip_scale`` reads the
 gradients (a ``tape.Factored`` one through its factors) for their norm and
 returns the scale that clipping would apply, and ``adam_step`` applies it
 while it updates the moments and parameters in place, a block at a time
-through block-sized scratch buffers, in two shares, one per worker.
+through block-sized scratch buffers, in two shares. The update is a training
+step's one parallel pass: :func:`_run_pair` runs the shares on the caller and one
+pool thread where the CPU affinity allows, and where a share runs changes no bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, field
 from functools import partial, reduce
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tape import CHUNK, Array, Factored, _run_pair
+from .tape import Array, Factored
 
 # the fixed recipe: Adam's decay rates and epsilon, and the one-cycle
 # schedule's warmup share and start and end divisors of max_lr
@@ -32,26 +36,32 @@ PCT_START = 0.3
 DIV_FACTOR = 25.0
 FINAL_DIV_FACTOR = 1e4
 
+# elements per block of the optimizer's passes; less work of any kind is not split
+CHUNK = 32768
 
-def _map_shares(maps: list[dict[str, Array]], job) -> None:
-    """``job(blocks, *buffers)`` for two contiguous shares of about equal size, each
-    with three scratch buffers and its own worker, of the blocks in sorted-name order:
-    ``CHUNK`` elements of each map's array, or whole rows where the last is factored."""
-    blocks = []
-    for name in sorted(maps[0]):
-        *rest, g = (m[name] for m in maps)
-        if isinstance(g, Factored):
-            step = max(1, CHUNK // g.shape[1])
-            blocks += [(*(a[r:r + step] for a in rest), Factored(g.rows[:, r:r + step], g.x))
-                       for r in range(0, g.shape[0], step)]
-        else:
-            flat = [a.reshape(-1) for a in (*rest, g)]
-            blocks += [tuple(a[i:i + CHUNK] for a in flat) for i in range(0, g.size, CHUNK)]
-    ends = np.cumsum([0] + [block[0].size for block in blocks])
-    size, cut = int(ends[-1]), int(np.searchsorted(ends, ends[-1] / 2))
-    buffers = np.empty((2, 3, np.diff(ends).max(initial=0)))
-    _run_pair(size, partial(job, blocks[:cut], *buffers[0]),
-              partial(job, blocks[cut:], *buffers[1]))
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (owner pid, pool)
+
+
+def _worker_count() -> int:
+    """Two when this process's CPU affinity holds more than one CPU, else one."""
+    return min(len(os.sched_getaffinity(0)), 2) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_pair(size: int, first, second):
+    """``(first(), second())``, ``second`` on the pool thread (one per process,
+    so a forked child makes its own) with two workers and ``size >= CHUNK``.
+    ``second`` calls only numpy and private functions (a tracer keeps one span
+    stack); each page it touches, in a new array or a BLAS buffer, adds RSS."""
+    global _pool
+    if size < CHUNK or _worker_count() < 2:
+        return first(), second()
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="meltshift")
+    future = _pool[1].submit(np.errstate(**np.geterr())(second))
+    try:
+        return first(), future.result()
+    finally:
+        wait([future])  # the pool thread is done before anything propagates
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +179,26 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
         raise ConfigError(f"grad_scale must be finite and > 0, got {grad_scale}")
     if not set(params) == set(grads) == set(state.m) == set(state.v):
         raise ConfigError("adam_step: parameter/gradient/state key mismatch")
+    # blocks in sorted-name order: CHUNK elements of each array, or whole rows
+    # of a factored gradient beside the same rows of the parameter and moments
+    blocks = []
     for name in sorted(params):
         p, g = params[name], grads[name]
+        rest = (p, state.m[name], state.v[name])
         if p.shape != g.shape:
             raise ConfigError(f"adam_step: {name} param {p.shape} vs grad {g.shape}")
-        for kind, arr in (("param", p), ("m", state.m[name]), ("v", state.v[name])):
+        for kind, arr in zip(("param", "m", "v"), rest):
             if arr.shape != p.shape or not arr.flags.c_contiguous:
                 raise ConfigError(
                     f"adam_step: {name} {kind} must be C-contiguous of shape {p.shape}"
                 )
+        if isinstance(g, Factored):
+            rows = max(1, CHUNK // g.shape[1])
+            blocks += [(*(a[r:r + rows] for a in rest), Factored(g.rows[:, r:r + rows], g.x))
+                       for r in range(0, g.shape[0], rows)]
+        else:
+            flat = [a.reshape(-1) for a in (*rest, g)]
+            blocks += [tuple(a[i:i + CHUNK] for a in flat) for i in range(0, g.size, CHUNK)]
     state.t += 1
     b1, b2, root_bc2 = ADAM_BETA1, ADAM_BETA2, math.sqrt(1.0 - ADAM_BETA2 ** state.t)
     step, eps_hat = lr * root_bc2 / (1.0 - b1 ** state.t), ADAM_EPS * root_bc2
@@ -185,6 +206,8 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
     def update(blocks, g_buf, a_buf, b_buf):
         for pc, mc, vc, g in blocks:
             a, b, g_out = (buf[:pc.size].reshape(pc.shape) for buf in (a_buf, b_buf, g_buf))
+            if isinstance(g, Factored):  # built in its buffer, then scaled there
+                g = np.matmul(g.rows.T, g.x, out=g_out)
             g = np.multiply(g, grad_scale, out=g_out)
             np.multiply(mc, b1, out=mc)
             np.multiply(g, 1.0 - b1, out=a)
@@ -199,7 +222,13 @@ def adam_step(params: dict[str, Array], grads: dict[str, Array],
             np.multiply(a, step, out=a)
             np.subtract(pc, a, out=pc)
 
-    _map_shares([params, state.m, state.v, grads], update)
+    # two contiguous shares of about equal size, each with its own three
+    # scratch buffers and worker
+    ends = np.cumsum([0] + [block[0].size for block in blocks])
+    size, cut = int(ends[-1]), int(np.searchsorted(ends, ends[-1] / 2))
+    buffers = np.empty((2, 3, np.diff(ends).max(initial=0)))
+    _run_pair(size, partial(update, blocks[:cut], *buffers[0]),
+              partial(update, blocks[cut:], *buffers[1]))
     return params, state
 
 

@@ -26,15 +26,9 @@ Conventions
   ``load_checkpoint`` checks them) and stay finite, because
   ``optim.clip_scale`` rejects a non-finite gradient before the update.
 * LayerNorm uses the population (divide-by-n) variance.
-* Parameter-sized work, a linear's forward (W's row halves) and Adam's
-  update, may run on two workers, bit for bit
-  (:func:`_run_pair`): a size picks where a closure runs, never what it computes.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -43,33 +37,6 @@ from .errors import ConfigError, NumericError, StateError
 Array = np.ndarray
 
 DEFAULT_LAYERNORM_EPS = 1e-5
-
-# elements per block of the optimizer's passes; less work of any kind is not split
-CHUNK = 32768
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None  # (owner pid, pool)
-
-
-def _worker_count() -> int:
-    """Two when this process's CPU affinity holds more than one CPU, else one."""
-    return min(len(os.sched_getaffinity(0)), 2) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _run_pair(size: int, first, second):
-    """``(first(), second())``, ``second`` on the pool thread (one per process,
-    so a forked child makes its own) with two workers and ``size >= CHUNK``.
-    ``second`` calls only numpy and private functions (a tracer keeps one span
-    stack); each page it touches, in a new array or a BLAS buffer, adds RSS."""
-    global _pool
-    if size < CHUNK or _worker_count() < 2:
-        return first(), second()
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="meltshift")
-    future = _pool[1].submit(np.errstate(**np.geterr())(second))
-    try:
-        return first(), future.result()
-    finally:
-        wait([future])  # the pool thread is done before anything propagates
 
 
 class Factored:
@@ -189,9 +156,7 @@ class Tape:
             rows = g.reshape(-1, m)
             return Factored(rows, xval.reshape(-1, n)), g @ Wval, rows.sum(axis=0)
 
-        h, out = m // 2, np.empty(xval.shape[:-1] + (m,))  # W's row halves
-        _run_pair(Wval.size, lambda: np.matmul(xval, Wval[:h].T, out=out[..., :h]),
-                  lambda: np.matmul(xval, Wval[h:].T, out=out[..., h:]))
+        out = np.matmul(xval, Wval.T)
         out += b.value
         return self._emit(out, (W, x, b), backward)
 

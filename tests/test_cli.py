@@ -714,6 +714,21 @@ def test_mutations_file_with_a_byte_order_mark_predicts_its_twin_rows(pipeline, 
     assert outputs[1] == outputs[0] and len(outputs[0].splitlines()) == 6
 
 
+def test_mutations_list_with_spaces_predicts_the_file_rows(pipeline, tmp_path, capsys):
+    dataset, bundles, _ = pipeline
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, build_model("head1", 10, 4, 0))
+    specs = [f"{r.protein_id}:{r.mutation.code}" for r in load_dataset(dataset)[:3]]
+    (tmp_path / "specs.txt").write_text("".join(f" {spec}\n" for spec in specs))
+    outputs = []
+    for args in (["--mutations", ", ".join(specs)],
+                 ["--mutations-file", tmp_path / "specs.txt"]):
+        capsys.readouterr()
+        assert run("predict", ckpt, bundles, *args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
+
+
 @pytest.mark.parametrize("name, reason", [
     ("nope.txt", "No such file or directory"), (".", "Is a directory")])
 def test_unreadable_mutations_file_is_config_error(name, reason, pipeline,
@@ -1039,6 +1054,21 @@ def test_state_error_exits_1(monkeypatch, capsys):
     assert run("gradcheck", "--head", "head1", "--d", 4) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: backward already ran on this tape\n"
+    assert captured.out == ""
+
+
+def test_out_of_memory_exits_1_without_a_traceback(monkeypatch, capsys):
+    # numpy's message for ``gradcheck --d 100000``; no test asks for the memory
+    message = ("Unable to allocate 74.5 GiB for an array with shape "
+               "(100000, 100003) and data type float64")
+
+    def build_model(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_model", build_model)
+    assert run("gradcheck", "--head", "head1", "--d", 100000) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out of memory: {message}\n"
     assert captured.out == ""
 
 

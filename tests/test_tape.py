@@ -29,6 +29,20 @@ class TestLinearForward:
         y = run_linear([0.0, 0.0], W, [5.0, 7.0])
         assert np.array_equal(y, [5.0, 7.0])
 
+    # three lead shapes; head1's mix at recipe widths and one sample's row of it,
+    # a recipe projection and a desk-width layer
+    @pytest.mark.parametrize("shape,m", [
+        pytest.param((9,), 4, id="vector"), pytest.param((5, 9), 4, id="rows"),
+        pytest.param((2, 3, 9), 4, id="grid"),
+        pytest.param((8, 16384), 128, id="mix_batch"),
+        pytest.param((16384,), 128, id="mix_row"),
+        pytest.param((8, 1280), 128, id="projection"),
+        pytest.param((8, 16), 7, id="desk")])
+    def test_value_is_one_product(self, shape, m):
+        rng = np.random.default_rng(6)
+        x, W, b = rng.normal(size=shape), rng.normal(size=(m, shape[-1])), rng.normal(size=m)
+        assert run_linear(x, W, b).tobytes() == (x @ W.T + b).tobytes()
+
     def test_shape_mismatch_names_shapes(self):
         t = Tape()
         with pytest.raises(ConfigError, match=r"\(1, 2\)"):

@@ -1,9 +1,10 @@
-"""Work split over two workers gives the same bits as one: the training
-step's parameter-sized passes and a linear's forward and backward.
-The splitter runs on one thread; its blocks are checked against a
-quadratic reference in ``test_splitter.py``.
+"""Adam's update split over two workers gives the same bits as one, and so
+does a training run's checkpoint. The gradient norm and a linear's backward run
+on the calling thread and equal their plain formulas; ``test_tape.py`` checks
+the forward's one product. The splitter runs on one thread; its blocks are
+checked against a quadratic reference in ``test_splitter.py``.
 
-``tape._worker_count`` is forced to 1 and to 2 here, so the two-worker path
+``optim._worker_count`` is forced to 1 and to 2 here, so the two-worker path
 runs whatever the CPU affinity of the test process. The last tests run fresh
 interpreters with the BLAS thread variables unset: importing meltshift pins
 BLAS to one thread, so a run writes the same bits on one CPU as on two.
@@ -14,7 +15,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 import warnings
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import meltshift
-from meltshift import tape as tape_module
+from meltshift import optim as optim_module
 from meltshift.cli import main
 from meltshift.data import TRACK_ROLES, EmbeddingBundle, synth_bundles, write_dataset
 from meltshift.heads import build_model
@@ -40,7 +40,7 @@ FACTORED = {"f": (128, 700), "g": (3, CHUNK + 5)}
 
 
 def workers(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(tape_module, "_worker_count", lambda: count)
+    monkeypatch.setattr(optim_module, "_worker_count", lambda: count)
 
 
 def optimizer_steps():
@@ -61,7 +61,7 @@ def optimizer_steps():
 
 def linear_backward(lead: tuple[int, ...]):
     """Gradients of a linear with a weight of more than ``CHUNK`` entries,
-    and the weight and input gradients by the plain formulas."""
+    and the weight, input and bias gradients by the plain formulas."""
     rng = np.random.default_rng(4)
     tape = Tape()
     W = tape.leaf(rng.normal(size=(64, CHUNK // 64 + 7)), "W")
@@ -71,17 +71,7 @@ def linear_backward(lead: tuple[int, ...]):
     g = (2.0 / y.value.size) * y.value * 1.0  # mse's output gradient
     rows = g.reshape(-1, 64)
     return grads, x.grad, [rows.T @ x.value.reshape(-1, W.value.shape[1]),
-                           g @ W.value]
-
-
-def linear_forward(shape: tuple[int, ...], m: int):
-    """A linear's output for an input of ``shape``, and ``x @ W.T + b``."""
-    rng = np.random.default_rng(6)
-    tape = Tape()
-    W = tape.leaf(rng.normal(size=(m, shape[-1])), "W")
-    b = tape.leaf(rng.normal(size=m), "b")
-    x = tape.leaf(rng.normal(size=shape))
-    return tape.linear(W, x, b).value, x.value @ W.value.T + b.value
+                           g @ W.value, rows.sum(axis=0)]
 
 
 def desk_checkpoint(path) -> bytes:
@@ -126,7 +116,7 @@ def test_optimizer_bits_do_not_depend_on_worker_count(monkeypatch):
     one_scalars, one_arrays = optimizer_steps()
     workers(monkeypatch, 2)
     two_scalars, two_arrays = optimizer_steps()
-    assert tape_module._pool is not None and tape_module._pool[0] == os.getpid()
+    assert optim_module._pool is not None and optim_module._pool[0] == os.getpid()
     assert one_scalars == two_scalars
     for one, two in zip(one_arrays, two_arrays):
         for k in {**SHAPES, **FACTORED}:
@@ -178,43 +168,13 @@ def test_norm_bits_are_the_blockwise_formula():
     assert global_grad_norm(recipe) == blockwise_norm(recipe)
 
 
+# the backward runs on the calling thread alone, so its bits are the plain
+# formulas whatever the worker count
 @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
-def test_linear_backward_bits_do_not_depend_on_worker_count(monkeypatch, lead):
-    workers(monkeypatch, 1)
-    one_grads, one_dx, (plain_dW, plain_dx) = linear_backward(lead)
-    workers(monkeypatch, 2)
-    two_grads, two_dx, _ = linear_backward(lead)
-    assert np.array_equal(one_dx, plain_dx) and np.array_equal(two_dx, plain_dx)
-    assert np.array_equal(one_grads["W"], plain_dW)
-    for k in ("W", "b"):
-        assert np.array_equal(one_grads[k], two_grads[k])
-
-
-# head1's mix at recipe widths, one sample's row of it and a projection run W's
-# row halves as a pair (W holds CHUNK entries or more); a smaller W keeps both
-# halves on the caller
-@pytest.mark.parametrize("shape,m,split", [((8, 16384), 128, True),
-                                           ((16384,), 128, True),
-                                           ((8, 1280), 128, True),
-                                           ((8, 16), 7, False)])
-def test_linear_forward_bits_do_not_depend_on_worker_count(monkeypatch, shape, m,
-                                                           split):
-    on_pool, real_run_pair = [], tape_module._run_pair
-
-    def spy(size, first, second):
-        def second_on_pool():
-            on_pool.append(threading.current_thread() is not threading.main_thread())
-            return second()
-        return real_run_pair(size, first, second_on_pool)
-
-    monkeypatch.setattr(tape_module, "_run_pair", spy)
-    workers(monkeypatch, 1)
-    one, plain = linear_forward(shape, m)
-    workers(monkeypatch, 2)
-    two, _ = linear_forward(shape, m)
-    assert one.tobytes() == two.tobytes()
-    np.testing.assert_allclose(one, plain, rtol=1e-12, atol=0)
-    assert on_pool == [False, split]
+def test_linear_backward_bits_do_not_depend_on_worker_count(lead):
+    grads, dx, (plain_dW, plain_dx, plain_db) = linear_backward(lead)
+    assert np.array_equal(dx, plain_dx)
+    assert np.array_equal(grads["W"], plain_dW) and np.array_equal(grads["b"], plain_db)
 
 
 def test_checkpoint_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path):
